@@ -28,4 +28,4 @@ print()
 # the same numbers straight from the series, for one degree
 d = 5
 s = poincare_series(d, IMAX)
-print("series for d = %d:" % d, " ".join(str(int(s.coeff(i))) for i in range(1, IMAX + 1)))
+print("series for d = %d:" % d, " ".join(str(x) for x in s[1:]))

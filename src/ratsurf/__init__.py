@@ -20,7 +20,6 @@ from .qlinalg import QMatrix, mat_kernel_dim, mat_rank, mat_stack_vertical
 from .series import (
     DimensionTable,
     IntegralityError,
-    TruncatedSeries,
     cone_tdim,
     dimension_table,
     fatpoint_tdim,
@@ -79,7 +78,6 @@ __all__ = [
     "mat_rank",
     "mat_kernel_dim",
     "mat_stack_vertical",
-    "TruncatedSeries",
     "DimensionTable",
     "IntegralityError",
     "moebius",

@@ -132,22 +132,21 @@ def cmd_series(args) -> tuple:
         return "invalid-input", {"error": "--d must be at least 3"}, ["--d must be at least 3"]
     if args.order < 1:
         return "invalid-input", {"error": "--order must be at least 1"}, ["--order must be at least 1"]
-    shuffle_row = [series.shuffle_dim(args.d - 1, k) for k in range(1, args.order + 1)]
     q = series.shuffle_dim_series(args.d, args.order)
-    p = series.poincare_series(args.d, args.order)
-    q_row = [int(q.coeff(k)) for k in range(1, args.order + 1)]
-    p_row = [int(p.coeff(k)) for k in range(1, args.order + 1)]
+    p = series.cone_series(args.d, q)
+    # the shuffle dims of the (d-1)-dim fat point are Q's coefficients
+    q_row, p_row = q[1:], p[1:]
     data = {
         "d": _num(args.d),
         "order": args.order,
-        "shuffle_dims": [_num(x) for x in shuffle_row],
+        "shuffle_dims": [_num(x) for x in q_row],
         "q_coefficients": [_num(x) for x in q_row],
         "p_coefficients": [_num(x) for x in p_row],
     }
     lines = [
         "d = %d" % args.d,
         "shuffle dims of the (d-1)-dim fat point, k = 1..%d: %s"
-        % (args.order, " ".join(str(x) for x in shuffle_row)),
+        % (args.order, " ".join(str(x) for x in q_row)),
         "Q coefficients t^1..t^%d: %s" % (args.order, " ".join(str(x) for x in q_row)),
         "P coefficients t^1..t^%d (cotangent dims of the cone): %s"
         % (args.order, " ".join(str(x) for x in p_row)),
@@ -158,6 +157,8 @@ def cmd_series(args) -> tuple:
 def cmd_oracle(args) -> tuple:
     if args.m < 1 or args.k < 1:
         return "invalid-input", {"error": "need --m >= 1 and --k >= 1"}, ["need --m >= 1 and --k >= 1"]
+    if args.budget is not None and args.budget < 1:
+        return "invalid-input", {"error": "--budget must be at least 1"}, ["--budget must be at least 1"]
     module = TRIVIAL if args.coeffs == "trivial" else REGULAR
     algebra = make_fat_point(args.m)
     try:

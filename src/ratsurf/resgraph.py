@@ -140,6 +140,8 @@ def parse_graph(text: str) -> ResolutionGraph:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise GraphError("syntax", "not valid JSON: %s" % e) from None
+    except RecursionError:
+        raise GraphError("syntax", "JSON nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise GraphError("syntax", "top level must be an object")
     extra = set(data) - {"vertices", "edges"}

@@ -12,18 +12,17 @@ Two families of numbers drive everything here:
   over the rational normal curve of degree d, read off as the t^i coefficient
   of a generating series assembled from the shuffle dimensions.
 
-All series arithmetic is exact over Q and truncated at a fixed order. The
-generating series is evaluated two orders past what the caller asked for, so
-truncation artifacts cannot reach a reported coefficient.
+Every coefficient is a Python int: the shuffle dimensions are integer sums,
+and the cotangent series is built from them by integer recurrences. The low
+coefficients of a truncated series do not depend on where it is truncated,
+so cone_tdim keeps one series per degree d and only rebuilds it, longer,
+when a higher coefficient is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-
-from .qlinalg import as_fraction
 
 
 class IntegralityError(ArithmeticError):
@@ -67,165 +66,100 @@ def shuffle_dim(m: int, k: int) -> int:
         raise ValueError("need m >= 1")
     if k < 1:
         raise ValueError("need k >= 1")
-    total = Fraction(0)
-    for q in _divisors(k):
-        e = k + k // q
-        total += (-1) ** e * moebius(q) * Fraction(m) ** (k // q)
-    total /= k
-    if total.denominator != 1:
-        raise IntegralityError("shuffle_dim(%d, %d) is not an integer: %s" % (m, k, total))
-    val = int(total)
+    total = sum((-1) ** (k + k // q) * moebius(q) * m ** (k // q) for q in _divisors(k))
+    if total % k:
+        raise IntegralityError("shuffle_dim(%d, %d) is not an integer: %d/%d" % (m, k, total, k))
+    val = total // k
     if val < 0:
         raise IntegralityError("shuffle_dim(%d, %d) is negative: %d" % (m, k, val))
     return val
 
 
-class TruncatedSeries:
-    """Power series over Q truncated at t^order, with exact arithmetic.
+def shuffle_dim_series(d: int, order: int) -> list:
+    """Shuffle-dimension row of the degree-d cone: [0, shuffle_dim(d-1, 1..order)].
 
-    coeffs[j] is the coefficient of t^j; len(coeffs) == order + 1. Binary
-    operations truncate to the smaller order of the two operands.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs, order: int | None = None) -> None:
-        data = [as_fraction(x) for x in coeffs]
-        if order is not None:
-            if order < 0:
-                raise ValueError("order must be nonnegative")
-            if len(data) > order + 1:
-                raise ValueError("more coefficients than the order allows")
-            data += [Fraction(0)] * (order + 1 - len(data))
-        if not data:
-            raise ValueError("a series needs at least the constant coefficient")
-        self.coeffs = data
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, j: int) -> Fraction:
-        if not (0 <= j <= self.order):
-            raise ValueError("coefficient %d beyond truncation order %d" % (j, self.order))
-        return self.coeffs[j]
-
-    def truncate(self, new_order: int) -> "TruncatedSeries":
-        if new_order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: new_order + 1])
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries([self.coeffs[j] + other.coeffs[j] for j in range(n + 1)])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries([self.coeffs[j] - other.coeffs[j] for j in range(n + 1)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return TruncatedSeries([c * x for x in self.coeffs])
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, x in enumerate(self.coeffs[: n + 1]):
-            if x:
-                for j in range(n + 1 - i):
-                    y = other.coeffs[j]
-                    if y:
-                        out[i + j] += x * y
-        return TruncatedSeries(out)
-
-    __rmul__ = __mul__
-
-    def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Divide by a series with invertible (nonzero) constant term."""
-        if other.coeffs[0] == 0:
-            raise ValueError("division needs a nonzero constant term in the divisor")
-        n = min(self.order, other.order)
-        inv0 = 1 / other.coeffs[0]
-        out = []
-        for j in range(n + 1):
-            s = self.coeffs[j]
-            for t in range(j):
-                s -= out[t] * other.coeffs[j - t]
-            out.append(s * inv0)
-        return TruncatedSeries(out)
-
-    @classmethod
-    def geometric_alternating(cls, order: int) -> "TruncatedSeries":
-        """1/(1+t) as the truncated series 1 - t + t^2 - ..."""
-        return cls([(-1) ** j for j in range(order + 1)])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        terms = []
-        for j, x in enumerate(self.coeffs):
-            if x:
-                terms.append("%s*t^%d" % (x, j))
-        body = " + ".join(terms) if terms else "0"
-        return "TruncatedSeries(%s + O(t^%d))" % (body, self.order + 1)
-
-
-def shuffle_dim_series(d: int, order: int) -> TruncatedSeries:
-    """Generating series of shuffle dimensions: sum_k shuffle_dim(d-1, k) t^k."""
-    if d < 3:
-        raise ValueError("need d >= 3")
-    if order < 1:
-        raise ValueError("need order >= 1")
-    return TruncatedSeries([0] + [shuffle_dim(d - 1, k) for k in range(1, order + 1)])
-
-
-def poincare_series(d: int, order: int) -> TruncatedSeries:
-    """Cotangent dimension series of the degree-d cone, through t^order.
-
-    Assembled as (Q + 2t + 2) * ((d-1)t - t^2) / (1+t)^2 - 2t/(1+t) with Q the
-    shuffle dimension series; 1/(1+t) enters as the truncated alternating
-    geometric series. The result must have nonnegative integer coefficients
-    in every positive degree and zero constant term; violations are internal
-    bugs and raise IntegralityError.
+    Entry k is the t^k coefficient of Q = sum_k shuffle_dim(d-1, k) t^k.
     """
     if d < 3:
         raise ValueError("need d >= 3")
     if order < 1:
         raise ValueError("need order >= 1")
-    n = order + 2  # guard digits: work two orders past the request
-    q = shuffle_dim_series(d, n)
-    affine = q + TruncatedSeries([2, 2], order=n)  # Q + 2t + 2
-    bracket = TruncatedSeries([0, d - 1, -1], order=n)  # (d-1)t - t^2
-    inv = TruncatedSeries.geometric_alternating(n)
-    series = affine * bracket * inv * inv - TruncatedSeries([0, 2], order=n) * inv
-    if series.coeff(0) != 0:
+    return [0] + [shuffle_dim(d - 1, k) for k in range(1, order + 1)]
+
+
+def cone_series(d: int, q: list) -> list:
+    """Cotangent series coefficients t^0..t^order of the degree-d cone.
+
+    q is shuffle_dim_series(d, order). The series is
+        P = (Q + 2t + 2) * ((d-1)t - t^2) / (1+t)^2 - 2t/(1+t),
+    computed in integers: the product with (d-1)t - t^2 is a two-term
+    recurrence, each division by 1+t is an alternating prefix sum, and
+    2t/(1+t) contributes -2, +2, -2, ... from t^1 on. Coefficient j depends
+    only on q[0..j], so a longer row never changes a shorter one. P must
+    have zero constant term and nonnegative coefficients; a violation is an
+    internal bug and raises IntegralityError.
+    """
+    affine = [q[0] + 2, q[1] + 2] + q[2:]  # Q + 2t + 2
+    p = [0] * len(q)
+    for j in range(1, len(q)):
+        p[j] = (d - 1) * affine[j - 1] - (affine[j - 2] if j >= 2 else 0)
+    for _ in range(2):
+        for j in range(1, len(p)):
+            p[j] -= p[j - 1]
+    for j in range(1, len(p)):
+        p[j] += 2 if j % 2 == 0 else -2
+    if p[0] != 0:
         raise IntegralityError("cotangent series of d=%d has nonzero constant term" % d)
-    for j in range(1, n + 1):
-        x = series.coeff(j)
-        if x.denominator != 1 or x < 0:
+    for j, x in enumerate(p):
+        if x < 0:
             raise IntegralityError(
-                "cotangent series coefficient t^%d for d=%d is %s, expected a nonnegative integer"
+                "cotangent series coefficient t^%d for d=%d is %d, expected a nonnegative integer"
                 % (j, d, x)
             )
-    return series.truncate(order)
+    return p
+
+
+def poincare_series(d: int, order: int) -> list:
+    """Cotangent dimension series of the degree-d cone, coefficients t^0..t^order."""
+    return cone_series(d, shuffle_dim_series(d, order))
+
+
+# d -> poincare_series(d, order) for the largest order built so far
+_CONE_ROWS: dict = {}
 
 
 @lru_cache(maxsize=None)
 def cone_tdim(i: int, d: int) -> int:
-    """dim T^i of the cone over the rational normal curve of degree d."""
+    """dim T^i of the cone over the rational normal curve of degree d.
+
+    Reads the t^i coefficient of one cached series per d. When i lies past
+    the cached order the series is rebuilt to at least twice that order, so
+    asking for i = 1, 2, ..., N in turn rebuilds it only O(log N) times. The
+    lru_cache in front reports (i, d) lookups through cache_info().
+    """
     if i < 1:
         raise ValueError("need i >= 1")
     if d < 3:
         raise ValueError("need d >= 3")
-    return int(poincare_series(d, i).coeff(i))
+    row = _CONE_ROWS.get(d)
+    if row is None or i >= len(row):
+        order = i if row is None else max(i, 2 * (len(row) - 1))
+        row = _CONE_ROWS[d] = poincare_series(d, order)
+    return row[i]
 
 
 def fatpoint_tdim(m: int, i: int) -> int:
-    """dim T^i of the m-dimensional fat point: m*shuffle_dim(m, i+1) - shuffle_dim(m, i)."""
+    """dim T^i of the m-dimensional fat point: m*shuffle_dim(m, i+1) - shuffle_dim(m, i).
+
+    The formula holds for m >= 2. For m = 1 the fat point k[x]/(x^2) is a
+    hypersurface, so T^1 is 1-dimensional and T^i vanishes for i >= 2.
+    """
     if m < 1:
         raise ValueError("need m >= 1")
     if i < 1:
         raise ValueError("need i >= 1")
+    if m == 1:
+        return 1 if i == 1 else 0
     val = m * shuffle_dim(m, i + 1) - shuffle_dim(m, i)
     if val < 0:
         raise IntegralityError("fat point dimension came out negative: m=%d i=%d" % (m, i))

@@ -122,6 +122,14 @@ def test_analyze_malformed_graph(tmp_path, capsys):
     assert json.loads(raw)["status"] == "invalid-input"
 
 
+def test_analyze_deeply_nested_graph(tmp_path, capsys):
+    code, raw = run(capsys, ["analyze", write(tmp_path, "[" * 100000), "--json"])
+    assert code == 2
+    env = json.loads(raw)
+    assert env["status"] == "invalid-input"
+    assert env["error_code"] == "syntax"
+
+
 def test_analyze_rejects_small_max_i(tmp_path, capsys):
     code, out = run(capsys, ["analyze", write(tmp_path, STAR), "--max-i", "2"])
     assert code == 2
@@ -208,6 +216,15 @@ def test_oracle_budget_exceeded(capsys):
 def test_oracle_rejects_bad_arguments(capsys):
     code, _ = run(capsys, ["oracle", "--m", "0", "--k", "2"])
     assert code == 2
+
+
+def test_oracle_rejects_nonpositive_budget(capsys):
+    for budget in ("0", "-5"):
+        code, raw = run(capsys, ["oracle", "--m", "2", "--k", "2", "--budget", budget, "--json"])
+        assert code == 2
+        env = json.loads(raw)
+        assert env["status"] == "invalid-input"
+        assert "--budget" in env["error"]
 
 
 def test_selftest_passes_and_is_deterministic(capsys):

@@ -66,6 +66,11 @@ def test_parse_rejects_invalid_json():
     expect_code("[1, 2]", "syntax")
 
 
+def test_parse_rejects_deep_nesting():
+    expect_code("[" * 100000, "syntax")
+    expect_code('{"vertices": ' + "[" * 100000, "syntax")
+
+
 def test_parse_rejects_missing_or_extra_fields():
     expect_code('{"vertices": []}', "syntax")
     expect_code('{"vertices": [], "edges": [], "name": "x"}', "unknown-field")

@@ -1,4 +1,9 @@
-"""Counting series: shuffle dimensions, Poincare series, closed forms."""
+"""Counting series: shuffle dimensions, Poincare series, closed forms.
+
+The integer series in ratsurf.series are checked against a reference built
+the slow way: Fraction shuffle sums and truncated power series over Q with
+convolution products, two guard orders past the requested one.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +13,11 @@ from fractions import Fraction
 
 import pytest
 
+from ratsurf import series
+from ratsurf.harrison import REGULAR, harrison_dim, make_fat_point
+from ratsurf.qlinalg import as_fraction
 from ratsurf.series import (
     IntegralityError,
-    TruncatedSeries,
     cone_tdim,
     dimension_table,
     fatpoint_tdim,
@@ -39,6 +46,105 @@ F_CLOSED = {
     5: lambda d: (d - 1) * (d - 2) ** 2 * (3 * d * d - 8 * d + 9) // 12,
     6: lambda d: (d - 1) * (d - 2) * (12 * d**4 - 66 * d**3 + 153 * d * d - 179 * d + 90) // 60,
 }
+
+
+class TruncatedSeries:
+    """Reference power series over Q truncated at t^order, exact arithmetic.
+
+    coeffs[j] is the coefficient of t^j; len(coeffs) == order + 1. Binary
+    operations truncate to the smaller order of the two operands.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs, order=None):
+        data = [as_fraction(x) for x in coeffs]
+        if order is not None:
+            if order < 0:
+                raise ValueError("order must be nonnegative")
+            if len(data) > order + 1:
+                raise ValueError("more coefficients than the order allows")
+            data += [Fraction(0)] * (order + 1 - len(data))
+        if not data:
+            raise ValueError("a series needs at least the constant coefficient")
+        self.coeffs = data
+
+    @property
+    def order(self):
+        return len(self.coeffs) - 1
+
+    def coeff(self, j):
+        if not (0 <= j <= self.order):
+            raise ValueError("coefficient %d beyond truncation order %d" % (j, self.order))
+        return self.coeffs[j]
+
+    def truncate(self, new_order):
+        if new_order > self.order:
+            raise ValueError("cannot extend a truncated series")
+        return TruncatedSeries(self.coeffs[: new_order + 1])
+
+    def __add__(self, other):
+        n = min(self.order, other.order)
+        return TruncatedSeries([self.coeffs[j] + other.coeffs[j] for j in range(n + 1)])
+
+    def __sub__(self, other):
+        n = min(self.order, other.order)
+        return TruncatedSeries([self.coeffs[j] - other.coeffs[j] for j in range(n + 1)])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = as_fraction(other)
+            return TruncatedSeries([c * x for x in self.coeffs])
+        n = min(self.order, other.order)
+        out = [Fraction(0)] * (n + 1)
+        for i, x in enumerate(self.coeffs[: n + 1]):
+            if x:
+                for j in range(n + 1 - i):
+                    y = other.coeffs[j]
+                    if y:
+                        out[i + j] += x * y
+        return TruncatedSeries(out)
+
+    def divide(self, other):
+        """Divide by a series with invertible (nonzero) constant term."""
+        if other.coeffs[0] == 0:
+            raise ValueError("division needs a nonzero constant term in the divisor")
+        n = min(self.order, other.order)
+        inv0 = 1 / other.coeffs[0]
+        out = []
+        for j in range(n + 1):
+            s = self.coeffs[j]
+            for t in range(j):
+                s -= out[t] * other.coeffs[j - t]
+            out.append(s * inv0)
+        return TruncatedSeries(out)
+
+    @classmethod
+    def geometric_alternating(cls, order):
+        """1/(1+t) as the truncated series 1 - t + t^2 - ..."""
+        return cls([(-1) ** j for j in range(order + 1)])
+
+
+def reference_shuffle_dim(m, k):
+    total = Fraction(0)
+    for q in range(1, k + 1):
+        if k % q == 0:
+            total += (-1) ** (k + k // q) * moebius(q) * Fraction(m) ** (k // q)
+    total /= k
+    assert total.denominator == 1 and total >= 0
+    return int(total)
+
+
+def reference_poincare_series(d, order):
+    """(Q + 2t + 2) * ((d-1)t - t^2) / (1+t)^2 - 2t/(1+t) over Q, as integers."""
+    n = order + 2  # guard orders
+    q = TruncatedSeries([0] + [reference_shuffle_dim(d - 1, k) for k in range(1, n + 1)])
+    affine = q + TruncatedSeries([2, 2], order=n)
+    bracket = TruncatedSeries([0, d - 1, -1], order=n)
+    inv = TruncatedSeries.geometric_alternating(n)
+    p = (affine * bracket * inv * inv - TruncatedSeries([0, 2], order=n) * inv).truncate(order)
+    assert all(c.denominator == 1 and c >= 0 for c in p.coeffs) and p.coeffs[0] == 0
+    return [int(c) for c in p.coeffs]
 
 
 def test_moebius_first_values():
@@ -139,23 +245,29 @@ def test_geometric_alternating_inverts_one_plus_t():
 
 
 def test_shuffle_dim_series_collects_the_row():
-    s = shuffle_dim_series(3, 6)
-    assert s.coeffs == [0, 2, 3, 2, 3, 6, 11]
+    assert shuffle_dim_series(3, 6) == [0, 2, 3, 2, 3, 6, 11]
     with pytest.raises(ValueError):
         shuffle_dim_series(2, 6)
 
 
+def test_shuffle_dim_matches_fraction_reference():
+    for m in range(1, 8):
+        for k in range(1, 40):
+            assert shuffle_dim(m, k) == reference_shuffle_dim(m, k), (m, k)
+
+
 def test_poincare_series_for_minimal_multiplicity():
-    assert poincare_series(3, 6).coeffs == [0, 2, 0, 0, 1, 2, 4]
-    assert poincare_series(4, 3).coeffs == [0, 4, 3, 3]
+    assert poincare_series(3, 6) == [0, 2, 0, 0, 1, 2, 4]
+    assert poincare_series(4, 3) == [0, 4, 3, 3]
 
 
 def test_poincare_series_coefficients_are_nonnegative_integers():
     for d in range(3, 9):
         s = poincare_series(d, 11)
-        assert s.coeff(0) == 0
-        for c in s.coeffs:
-            assert c.denominator == 1
+        assert len(s) == 12
+        assert s[0] == 0
+        for c in s:
+            assert type(c) is int
             assert c >= 0
 
 
@@ -163,7 +275,36 @@ def test_poincare_series_matches_cone_tdims():
     for d in range(3, 9):
         s = poincare_series(d, 8)
         for i in range(1, 7):
-            assert s.coeff(i) == cone_tdim(i, d)
+            assert s[i] == cone_tdim(i, d)
+
+
+def test_poincare_series_matches_fraction_reference():
+    for d in range(3, 13):
+        want = reference_poincare_series(d, 150)
+        assert poincare_series(d, 150) == want, d
+        # a truncated series is a prefix of a longer one
+        for order in (1, 2, 7, 40):
+            assert poincare_series(d, order) == want[: order + 1], (d, order)
+
+
+def test_cone_series_rejects_a_negative_coefficient():
+    # a shuffle row too small for its degree drives P negative
+    with pytest.raises(IntegralityError):
+        series.cone_series(5, [0, 0, 0, 0])
+
+
+def test_cone_tdim_does_not_depend_on_call_order(monkeypatch):
+    def ask(order):
+        monkeypatch.setattr(series, "_CONE_ROWS", {})
+        cone_tdim.cache_clear()
+        return {(i, d): cone_tdim(i, d) for i, d in order}
+
+    pairs = [(80, 5), (10, 5), (3, 5), (81, 5), (40, 9), (7, 9), (200, 9), (1, 3), (60, 3)]
+    forward = ask(pairs)
+    assert ask(reversed(pairs)) == forward
+    assert ask(sorted(pairs)) == forward
+    for (i, d), v in forward.items():
+        assert v == poincare_series(d, i)[i]
 
 
 def test_cone_tdim_known_values():
@@ -193,6 +334,13 @@ def test_fatpoint_tdim_small_table():
     assert fatpoint_tdim(2, 4) == 9
     assert fatpoint_tdim(3, 1) == 15
     assert fatpoint_tdim(3, 2) == 18
+
+
+def test_fatpoint_tdim_of_the_dual_numbers_matches_brute_force():
+    # k[x]/(x^2) is a hypersurface: T^1 is one-dimensional, higher T^i vanish
+    for i in range(1, 7):
+        assert harrison_dim(make_fat_point(1), REGULAR, i + 1) == fatpoint_tdim(1, i)
+    assert [fatpoint_tdim(1, i) for i in range(1, 7)] == [1, 0, 0, 0, 0, 0]
 
 
 def test_fatpoint_tdim_is_the_advertised_combination():
