@@ -16,7 +16,7 @@ selftest subcommands, and acceptance.run_all() re-verifies every shipped
 correctness claim in one call.
 """
 
-from .qlinalg import QMatrix, mat_kernel_dim, mat_rank, mat_stack_vertical
+from .qlinalg import QMatrix
 from .series import (
     DimensionTable,
     IntegralityError,
@@ -75,9 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QMatrix",
-    "mat_rank",
-    "mat_kernel_dim",
-    "mat_stack_vertical",
     "DimensionTable",
     "IntegralityError",
     "moebius",

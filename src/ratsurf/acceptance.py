@@ -175,7 +175,7 @@ def _crit_shuffle_closed_forms() -> str:
 
 def _crit_harrison_oracle() -> str:
     pairs = [(m, k) for m in range(1, 5) for k in range(1, 5)]
-    pairs += [(2, 5), (2, 6), (3, 5)]
+    pairs += [(2, 5), (2, 6), (2, 7), (2, 8), (3, 5)]
     for m, k in pairs:
         got = harrison_dim(make_fat_point(m), TRIVIAL, k)
         want = series.shuffle_dim(m, k)

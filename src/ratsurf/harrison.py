@@ -30,15 +30,21 @@ multiplicities agree as partitions share one kernel computation up to
 relabeling. This is what keeps the search spaces small enough for exact
 arithmetic; a direct stacked-matrix computation over the full word space
 gives the same dimensions and is pinned by tests on small cases.
+
+Every matrix is sparse and eliminated once by qlinalg.Echelon, and the word
+budget is checked for every degree a computation touches before any work.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import log2
+from operator import itemgetter
 
-from .qlinalg import QMatrix, as_fraction, in_column_span
+from .qlinalg import Echelon, SparseMatrix, as_fraction, in_column_span
 
 DEFAULT_BUDGET = 1500
 
@@ -124,11 +130,16 @@ class FiniteLocalAlgebra:
 
 
 def make_fat_point(m: int) -> FiniteLocalAlgebra:
-    """The m-dimensional fat point: e_i e_j = 0 for all i, j."""
+    """The m-dimensional fat point: e_i e_j = 0 for all i, j.
+
+    Built directly: a zero table needs no O(m^5) associativity check.
+    """
     if m < 1:
         raise ValueError("need m >= 1")
-    zero = (Fraction(0), tuple(Fraction(0) for _ in range(m)))
-    return FiniteLocalAlgebra([[zero] * m for _ in range(m)])
+    zero = (Fraction(0), (Fraction(0),) * m)
+    algebra = object.__new__(FiniteLocalAlgebra)
+    algebra.n, algebra.products, algebra._expansions = m, ((zero,) * m,) * m, ((),) * m
+    return algebra
 
 
 class CoefficientModule:
@@ -200,6 +211,35 @@ def signed_shuffles(p: int, q: int) -> list:
     return out
 
 
+def _far_over(n: int, k: int, cap: int) -> bool:
+    """Is n^k certainly over cap and too long to compute or print?"""
+    return n > 1 and k * log2(n) > max(cap.bit_length(), 13000) + 1
+
+
+def _check_budget(n: int, degrees, budget: int | None) -> None:
+    """Raise BudgetError, before any work, if some degree's word space n^k is over the cap."""
+    cap = DEFAULT_BUDGET if budget is None else budget
+    if cap < 1:
+        raise ValueError("budget must be positive")
+    for k in degrees:
+        if _far_over(n, k, cap):
+            raise BudgetError("word space %d^%d exceeds budget %d" % (n, k, cap))
+        if n ** k > cap:
+            raise BudgetError("word space %d^%d = %d exceeds budget %d" % (n, k, n ** k, cap))
+
+
+def _multiset_words(counts: list):
+    """Each word with counts[c] copies of letter c, once, in lexicographic order."""
+    if not any(counts):
+        yield ()
+    for c, left in enumerate(counts):
+        if left:
+            counts[c] -= 1
+            for rest in _multiset_words(counts):
+                yield (c,) + rest
+            counts[c] += 1
+
+
 @lru_cache(maxsize=None)
 def _shape_kernel(k: int, shape: tuple):
     """Shuffle-constraint kernel on the words with letter multiplicities `shape`.
@@ -210,32 +250,25 @@ def _shape_kernel(k: int, shape: tuple):
     free-position normalized; free_positions[t] is the word index at which
     basis vector t reads 1 and the others read 0.
     """
-    letters = []
-    for c, mult in enumerate(shape):
-        letters.extend([c] * mult)
-    words = sorted(set(itertools.permutations(letters)))
+    words = list(_multiset_words(list(shape)))
     index = {w: t for t, w in enumerate(words)}
-    nwords = len(words)
-    rows = []
-    scratch = [0] * k
-    for p in range(1, k):
-        shuffles = signed_shuffles(p, k - p)
+    constraints = Echelon()
+    # sh_{k-p,p} of a word is +-sh_{p,k-p} of the word rotated by p letters,
+    # so the splits p <= k/2 already give every constraint up to sign
+    for p in range(1, k // 2 + 1):
+        # take(w) is w shuffled by s: the letters of w sorted by their target slots
+        movers = [(itemgetter(*sorted(range(k), key=perm.__getitem__)), sign)
+                  for perm, sign in signed_shuffles(p, k - p)]
         for w in words:
-            # constraint: the functional kills sh(w) = sum_s sgn(s) (w shuffled by s),
-            # where s puts letter w[t] into slot s(t+1)
-            row = [0] * nwords
-            for perm, sign in shuffles:
-                for t in range(k):
-                    scratch[perm[t] - 1] = w[t]
-                row[index[tuple(scratch)]] += sign
-            rows.append(row)
-    if rows:
-        mat = QMatrix.from_rows(rows)
-    else:
-        mat = QMatrix.zero(0, nwords)
-    basis = [tuple(v) for v in mat.kernel_basis()]
-    free = mat.kernel_free_columns()
-    return tuple(words), tuple(basis), tuple(free)
+            # constraint: the functional kills sh(w) = sum_s sgn(s) (w shuffled by s)
+            row = {}
+            for take, sign in movers:
+                j = index[take(w)]
+                row[j] = row.get(j, 0) + sign
+            constraints.add(row)
+    n, zero = len(words), Fraction(0)
+    basis = tuple(tuple(v.get(t, zero) for t in range(n)) for v in constraints.kernel_basis(n))
+    return tuple(words), basis, tuple(constraints.free_columns(n))
 
 
 @lru_cache(maxsize=None)
@@ -248,21 +281,13 @@ def _blocks(n: int, k: int):
     """
     out = []
     for content in itertools.combinations_with_replacement(range(n), k):
-        counts = {}
-        for letter in content:
-            counts[letter] = counts.get(letter, 0) + 1
+        counts = Counter(content)
         # canonical letter c gets the c-th largest multiplicity; ties by letter
         ordered = sorted(counts, key=lambda a: (-counts[a], a))
-        shape = tuple(counts[a] for a in ordered)
-        relabel = {c: a for c, a in enumerate(ordered)}
-        cwords, cbasis, cfree = _shape_kernel(k, shape)
-        translate = {cw: tuple(relabel[c] for c in cw) for cw in cwords}
-        words = tuple(translate[cw] for cw in cwords)
-        basis = []
-        for vec in cbasis:
-            basis.append({words[t]: x for t, x in enumerate(vec) if x})
-        free_words = tuple(words[t] for t in cfree)
-        out.append((words, tuple(basis), free_words))
+        cwords, cbasis, cfree = _shape_kernel(k, tuple(counts[a] for a in ordered))
+        words = tuple(tuple(ordered[c] for c in cw) for cw in cwords)
+        basis = tuple({words[t]: x for t, x in enumerate(vec) if x} for vec in cbasis)
+        out.append((words, basis, tuple(words[t] for t in cfree)))
     return tuple(out)
 
 
@@ -278,59 +303,41 @@ class CochainSpace:
                  budget: int | None = None) -> None:
         if k < 1:
             raise ValueError("need degree k >= 1")
-        cap = DEFAULT_BUDGET if budget is None else budget
-        if cap < 1:
-            raise ValueError("budget must be positive")
-        if algebra.n ** k > cap:
-            raise BudgetError(
-                "word space %d^%d = %d exceeds budget %d" % (algebra.n, k, algebra.n ** k, cap)
-            )
+        _check_budget(algebra.n, (k,), budget)
         self.algebra = algebra
         self.module = module
         self.k = k
         self.value_dim = module.dim(algebra)
-        self.blocks = _blocks(algebra.n, k)
-        self.scalar_dim = sum(len(basis) for _, basis, _ in self.blocks)
+        blocks = _blocks(algebra.n, k)
+        # the scalar kernel vectors in block order, and each one's index by its free word
+        self._vectors = [vec for _, basis, _ in blocks for vec in basis]
+        self._free = {fw: t for t, fw in enumerate(fw for _, _, free in blocks for fw in free)}
+        self.scalar_dim = len(self._vectors)
         self.dim = self.value_dim * self.scalar_dim
-        self.full_dim = self.value_dim * algebra.n ** k
 
     def functional(self, idx: int) -> dict:
         if not (0 <= idx < self.dim):
             raise IndexError("functional index out of range")
         alpha, t = divmod(idx, self.scalar_dim)
-        for _, basis, _ in self.blocks:
-            if t < len(basis):
-                return {(alpha, w): c for w, c in basis[t].items()}
-            t -= len(basis)
-        raise AssertionError("unreachable")
+        return {(alpha, w): c for w, c in self._vectors[t].items()}
 
-    def coords_of(self, func: dict) -> list:
-        """Coordinates of a functional that lies in this space.
+    def coords_of(self, func: dict) -> dict:
+        """Coordinates {index: value} of a functional that lies in this space.
 
-        Reads the free-word entries, then verifies the reconstruction matches
-        exactly; a mismatch means the input was outside the invariant
+        Reads the entries at free words and checks that they rebuild the
+        functional exactly; a mismatch means it was outside the invariant
         subspace, which no supported computation should produce.
         """
-        coords = [Fraction(0)] * self.dim
+        coords = {}
         recon = {}
-        for alpha in range(self.value_dim):
-            base = alpha * self.scalar_dim
-            t = 0
-            for _, basis, free_words in self.blocks:
-                for vec, fw in zip(basis, free_words):
-                    c = func.get((alpha, fw), Fraction(0))
-                    if c:
-                        coords[base + t] = c
-                        for w, x in vec.items():
-                            key = (alpha, w)
-                            val = recon.get(key, Fraction(0)) + c * x
-                            if val:
-                                recon[key] = val
-                            elif key in recon:
-                                del recon[key]
-                    t += 1
-        cleaned = {key: val for key, val in func.items() if val}
-        if recon != cleaned:
+        for (alpha, w), c in func.items():
+            t = self._free.get(w)
+            if t is None or not c or not 0 <= alpha < self.value_dim:
+                continue
+            coords[alpha * self.scalar_dim + t] = c
+            for u, x in self._vectors[t].items():
+                recon[(alpha, u)] = recon.get((alpha, u), 0) + c * x
+        if {key: v for key, v in recon.items() if v} != {key: v for key, v in func.items() if v}:
             raise RuntimeError("functional does not lie in the shuffle-invariant subspace")
         return coords
 
@@ -372,20 +379,14 @@ def shuffle_invariant_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule
 
 
 def coboundary_matrix(algebra: FiniteLocalAlgebra, module: CoefficientModule,
-                      k: int, budget: int | None = None) -> QMatrix:
+                      k: int, budget: int | None = None) -> SparseMatrix:
     """Matrix of the differential between shuffle-invariant spaces k -> k+1,
-    in the CochainSpace bases."""
+    in the CochainSpace bases, as sparse columns."""
     dom = CochainSpace(algebra, module, k, budget)
     cod = CochainSpace(algebra, module, k + 1, budget)
-    cols = []
-    for idx in range(dom.dim):
-        image = apply_differential(algebra, module, k, dom.functional(idx))
-        cols.append(cod.coords_of(image))
-    flat = []
-    for r in range(cod.dim):
-        for col in cols:
-            flat.append(col[r])
-    return QMatrix(cod.dim, dom.dim, flat)
+    columns = [cod.coords_of(apply_differential(algebra, module, k, dom.functional(idx)))
+               for idx in range(dom.dim)]
+    return SparseMatrix(cod.dim, dom.dim, columns)
 
 
 def harrison_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
@@ -393,31 +394,24 @@ def harrison_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
     """dim of degree-k Harrison cohomology (shuffle-invariant complex)."""
     if k < 1:
         raise ValueError("need k >= 1")
+    _check_budget(algebra.n, (k, k + 1), budget)
     outgoing = coboundary_matrix(algebra, module, k, budget)
     incoming_rank = 0 if k == 1 else coboundary_matrix(algebra, module, k - 1, budget).rank()
     return outgoing.kernel_dim() - incoming_rank
 
 
-def _full_coboundary(algebra: FiniteLocalAlgebra, module: CoefficientModule,
-                     k: int, budget: int | None = None) -> QMatrix:
-    """Differential on the full reduced complex (no shuffle restriction)."""
-    cap = DEFAULT_BUDGET if budget is None else budget
+def _full_coboundary(algebra: FiniteLocalAlgebra, module: CoefficientModule, k: int) -> SparseMatrix:
+    """Differential on the full reduced complex (no shuffle restriction), as
+    sparse columns; words are numbered in itertools.product order."""
     n = algebra.n
-    if n ** k > cap or n ** (k + 1) > cap:
-        raise BudgetError("word space for the full degree-%d differential exceeds budget %d" % (k, cap))
-    vdim = module.dim(algebra)
-    dom_words = list(itertools.product(range(n), repeat=k))
-    cod_words = list(itertools.product(range(n), repeat=k + 1))
-    cod_index = {w: t for t, w in enumerate(cod_words)}
-    rows = vdim * len(cod_words)
-    cols = vdim * len(dom_words)
-    flat = [Fraction(0)] * (rows * cols)
-    for ci in range(cols):
-        alpha, t = divmod(ci, len(dom_words))
-        image = apply_differential(algebra, module, k, {(alpha, dom_words[t]): Fraction(1)})
-        for (beta, w), val in image.items():
-            flat[(beta * len(cod_words) + cod_index[w]) * cols + ci] = val
-    return QMatrix(rows, cols, flat)
+    ncod = n ** (k + 1)
+    columns = []
+    for alpha in range(module.dim(algebra)):
+        for w in itertools.product(range(n), repeat=k):
+            image = apply_differential(algebra, module, k, {(alpha, w): Fraction(1)})
+            columns.append({beta * ncod + reduce(lambda t, x: t * n + x, u, 0): val
+                            for (beta, u), val in image.items()})
+    return SparseMatrix(module.dim(algebra) * ncod, len(columns), columns)
 
 
 def hochschild_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
@@ -425,8 +419,11 @@ def hochschild_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
     """dim of degree-k Hochschild cohomology on the full reduced complex."""
     if k < 1:
         raise ValueError("need k >= 1")
-    outgoing = _full_coboundary(algebra, module, k, budget)
-    incoming_rank = 0 if k == 1 else _full_coboundary(algebra, module, k - 1, budget).rank()
+    cap = DEFAULT_BUDGET if budget is None else budget
+    if _far_over(algebra.n, k + 1, cap) or algebra.n ** (k + 1) > cap:
+        raise BudgetError("word space for the full degree-%d differential exceeds budget %d" % (k, cap))
+    outgoing = _full_coboundary(algebra, module, k)
+    incoming_rank = 0 if k == 1 else _full_coboundary(algebra, module, k - 1).rank()
     return outgoing.kernel_dim() - incoming_rank
 
 
@@ -443,23 +440,19 @@ def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
         raise ValueError("need m >= 2")
     if k < 2:
         raise ValueError("need k >= 2")
+    _check_budget(m, (k, k + 1), budget)
     algebra = make_fat_point(m)
     reg = CochainSpace(algebra, REGULAR, k, budget)
     outgoing = coboundary_matrix(algebra, REGULAR, k, budget)
     triv = CochainSpace(algebra, TRIVIAL, k, budget)
     triv_image = coboundary_matrix(algebra, TRIVIAL, k - 1, budget)
     for coords in outgoing.kernel_basis():
-        func = {}
-        for idx, c in enumerate(coords):
-            if c:
+        # residue projection: keep the unit coordinate (alpha = 0) of each value
+        projected = {}
+        for idx, c in coords.items():
+            if idx < reg.scalar_dim:
                 for key, x in reg.functional(idx).items():
-                    val = func.get(key, Fraction(0)) + c * x
-                    if val:
-                        func[key] = val
-                    elif key in func:
-                        del func[key]
-        # residue projection: keep the unit coordinate of each value
-        projected = {(0, w): c for (alpha, w), c in func.items() if alpha == 0}
+                    projected[key] = projected.get(key, 0) + c * x
         if not in_column_span(triv_image, triv.coords_of(projected)):
             return False
     return True

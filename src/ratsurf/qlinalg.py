@@ -1,20 +1,25 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one sparse integer elimination.
 
-Entries are fractions.Fraction throughout; floats are rejected at the
-boundary so no rounding can sneak in. Everything is plain Gaussian
-elimination with exact pivots, which is all the rest of the package needs:
-ranks, kernels, determinants and column-span membership of smallish
-matrices.
+Every rank and kernel in the package comes from Echelon, which keeps the
+reduced row echelon form of the rows added so far. A row is a sparse dict
+col -> value (or a dense sequence); it is cleared of denominators, reduced
+against the stored rows, made primitive with a positive pivot, and stored
+after the other rows are cleared at its pivot. No Fraction arithmetic happens
+inside, and a row that adds nothing costs one pass over its pivot entries.
 
 Kernel bases come out in free-column normalized form: basis vector t has
-value 1 at its own free column and 0 at the free columns of the other
-basis vectors. Callers rely on this to read off coordinates of a kernel
-element directly from its free-column entries.
+value 1 at its own free column and 0 at the free columns of the others. The
+reduced echelon form is unique, so this does not depend on the row order;
+callers read a kernel element's coordinates off its free-column entries.
+
+QMatrix is dense (the graph side's determinants); SparseMatrix holds the
+cochain differentials as sparse columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -25,6 +30,121 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError("exact scalar expected (int or Fraction), got %r" % (x,))
+
+
+def _make_primitive(row: dict) -> None:
+    g = gcd(*row.values())
+    if g != 1:
+        for j in row:
+            row[j] //= g
+
+
+def _eliminate(target: dict, row: dict, c: int) -> None:
+    """Clear column c of target with row, whose pivot is c; integers only."""
+    f = target.pop(c)
+    g = gcd(row[c], f)
+    a, f = row[c] // g, f // g
+    if a != 1:
+        for j in target:
+            target[j] *= a
+    for j, v in row.items():
+        if j != c:
+            x = target.get(j, 0) - f * v
+            if x:
+                target[j] = x
+            else:
+                del target[j]
+
+
+class Echelon:
+    """Reduced row echelon form of the rows added so far (see module doc)."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Iterable = ()) -> None:
+        self._rows = {}  # pivot column -> primitive integer row, positive at the pivot
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def pivots(self) -> list:
+        return sorted(self._rows)
+
+    def free_columns(self, ncols: int) -> list:
+        return [c for c in range(ncols) if c not in self._rows]
+
+    def reduce(self, row) -> dict:
+        """A nonzero multiple of row minus its part in the span; {} iff row is in the span."""
+        row = {j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
+        den = lcm(*(x.denominator for x in row.values()))  # clear denominators
+        row = {j: int(x * den) for j, x in row.items()}
+        rows = self._rows
+        # a stored row is zero at every other pivot, so one pass clears them all
+        for c in [c for c in row if c in rows]:
+            _eliminate(row, rows[c], c)
+        if row:
+            _make_primitive(row)
+        return row
+
+    def add(self, row) -> bool:
+        """Add a row; True if it enlarged the span."""
+        row = self.reduce(row)
+        if not row:
+            return False
+        c = min(row)
+        if row[c] < 0:
+            for j in row:
+                row[j] = -row[j]
+        for other in self._rows.values():
+            if c in other:
+                _eliminate(other, row, c)
+                _make_primitive(other)
+        self._rows[c] = row
+        return True
+
+    def kernel_basis(self, ncols: int) -> list:
+        """Right kernel as sparse dicts col -> Fraction, one per free column, in order."""
+        free = self.free_columns(ncols)
+        basis = {f: {f: Fraction(1)} for f in free}
+        for c, row in self._rows.items():
+            a = row[c]
+            for j, v in row.items():
+                if j != c:
+                    basis[j][c] = Fraction(-v, a)
+        return [basis[f] for f in free]
+
+
+class SparseMatrix:
+    """rows x cols matrix over Q held as sparse columns: dicts row -> value."""
+
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows: int, cols: int, columns: Sequence[dict]) -> None:
+        if len(columns) != cols:
+            raise ValueError("expected %d columns, got %d" % (cols, len(columns)))
+        self.rows = rows
+        self.cols = cols
+        self.columns = columns
+
+    def column(self, j: int) -> dict:
+        return self.columns[j]
+
+    def rank(self) -> int:
+        return Echelon(self.columns).rank
+
+    def kernel_dim(self) -> int:
+        return self.cols - self.rank()
+
+    def kernel_basis(self) -> list:
+        """Right kernel as sparse dicts, free-column normalized (see module doc)."""
+        rows = {}
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                rows.setdefault(i, {})[j] = x
+        return Echelon(rows.values()).kernel_basis(self.cols)
 
 
 class QMatrix:
@@ -57,13 +177,6 @@ class QMatrix:
     def zero(cls, rows: int, cols: int) -> "QMatrix":
         return cls(rows, cols, [0] * (rows * cols))
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        m = [0] * (n * n)
-        for i in range(n):
-            m[i * n + i] = 1
-        return cls(n, n, m)
-
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -75,27 +188,6 @@ class QMatrix:
 
     def column(self, j: int) -> list:
         return [self._a[i * self.cols + j] for i in range(self.rows)]
-
-    def transpose(self) -> "QMatrix":
-        out = []
-        for j in range(self.cols):
-            for i in range(self.rows):
-                out.append(self._a[i * self.cols + j])
-        return QMatrix(self.cols, self.rows, out)
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                s = Fraction(0)
-                for k, x in enumerate(ri):
-                    if x:
-                        s += x * other._a[k * other.cols + j]
-                out.append(s)
-        return QMatrix(self.rows, other.cols, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -117,77 +209,26 @@ class QMatrix:
         a, n = self._a, self.cols
         return all(a[i * n + j] == a[j * n + i] for i in range(n) for j in range(i))
 
-    def is_zero(self) -> bool:
-        return not any(self._a)
-
     # ----- elimination ----------------------------------------------------
 
-    def _echelon_rows(self):
-        """Forward elimination. Returns (work rows, pivot column list)."""
-        work = [self.row(i) for i in range(self.rows)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            p = next((i for i in range(r, len(work)) if work[i][c]), None)
-            if p is None:
-                continue
-            work[r], work[p] = work[p], work[r]
-            prow = work[r]
-            inv = 1 / prow[c]
-            for i in range(r + 1, len(work)):
-                x = work[i][c]
-                if x:
-                    f = x * inv
-                    wi = work[i]
-                    for jj in range(c, self.cols):
-                        if prow[jj]:
-                            wi[jj] -= f * prow[jj]
-            pivots.append(c)
-            r += 1
-        return work, pivots
+    def _echelon(self) -> Echelon:
+        return Echelon(self.row(i) for i in range(self.rows))
 
     def rank(self) -> int:
-        return len(self._echelon_rows()[1])
+        return self._echelon().rank
 
     def kernel_dim(self) -> int:
         return self.cols - self.rank()
 
     def kernel_basis(self) -> list:
-        """Basis of the right kernel, free-column normalized (see module doc)."""
-        work, pivots = self._echelon_rows()
-        npiv = len(pivots)
-        # back-substitute to reduced echelon form
-        for t in range(npiv - 1, -1, -1):
-            c = pivots[t]
-            prow = work[t]
-            inv = 1 / prow[c]
-            if inv != 1:
-                for jj in range(c, self.cols):
-                    if prow[jj]:
-                        prow[jj] *= inv
-            for i in range(t):
-                x = work[i][c]
-                if x:
-                    wi = work[i]
-                    for jj in range(c, self.cols):
-                        if prow[jj]:
-                            wi[jj] -= x * prow[jj]
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for t, c in enumerate(pivots):
-                v[c] = -work[t][f]
-            basis.append(v)
-        return basis
+        """Basis of the right kernel as dense lists, free-column normalized (see module doc)."""
+        zero = Fraction(0)
+        return [[v.get(j, zero) for j in range(self.cols)]
+                for v in self._echelon().kernel_basis(self.cols)]
 
     def kernel_free_columns(self) -> list:
         """Free (non-pivot) column indices, matching kernel_basis order."""
-        _, pivots = self._echelon_rows()
-        pivot_set = set(pivots)
-        return [c for c in range(self.cols) if c not in pivot_set]
+        return self._echelon().free_columns(self.cols)
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
@@ -225,40 +266,8 @@ class QMatrix:
         return QMatrix(k, k, sub).det()
 
 
-def mat_rank(m: QMatrix) -> int:
-    return m.rank()
-
-
-def mat_kernel_dim(m: QMatrix) -> int:
-    return m.kernel_dim()
-
-
-def mat_stack_vertical(ms: Sequence[QMatrix], cols: int | None = None) -> QMatrix:
-    """Stack matrices vertically. An empty list needs a declared column count."""
-    if not ms:
-        if cols is None:
-            raise ValueError("empty stack needs an explicit column count")
-        return QMatrix.zero(0, cols)
-    c = ms[0].cols
-    if cols is not None and cols != c:
-        raise ValueError("declared column count disagrees with the matrices")
-    flat = []
-    rows = 0
-    for m in ms:
-        if m.cols != c:
-            raise ValueError("column count mismatch in vertical stack")
-        flat.extend(m._a)
-        rows += m.rows
-    return QMatrix(rows, c, flat)
-
-
-def in_column_span(m: QMatrix, vec: Sequence) -> bool:
-    """Is vec a linear combination of the columns of m?"""
-    v = [as_fraction(x) for x in vec]
-    if len(v) != m.rows:
+def in_column_span(m, vec) -> bool:
+    """Is vec (a sequence, or a dict row -> value) a combination of the columns of m?"""
+    if not isinstance(vec, dict) and len(vec) != m.rows:
         raise ValueError("vector length must match row count")
-    aug = []
-    for i in range(m.rows):
-        aug.extend(m.row(i))
-        aug.append(v[i])
-    return QMatrix(m.rows, m.cols + 1, aug).rank() == m.rank()
+    return not Echelon(m.column(j) for j in range(m.cols)).reduce(vec)

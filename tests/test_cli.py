@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 from ratsurf import acceptance
@@ -211,6 +212,30 @@ def test_oracle_budget_exceeded(capsys):
     # a raised budget is honored for a small request
     code, out = run(capsys, ["oracle", "--m", "2", "--k", "5", "--budget", "64"])
     assert code == 0
+
+
+def test_oracle_over_budget_exits_before_building_anything(capsys):
+    # every degree is checked against the cap up front, and the fat point is
+    # built without the generic O(m^5) associativity check
+    cases = [
+        (["--m", "2", "--k", "10"], "word space 2^11 = 2048 exceeds budget 1500"),
+        (["--m", "39", "--k", "1"], "word space 39^2 = 1521 exceeds budget 1500"),
+        (["--m", "100", "--k", "1"], "word space 100^2 = 10000 exceeds budget 1500"),
+        (["--m", "2", "--k", "10", "--hochschild"],
+         "word space for the full degree-10 differential exceeds budget 1500"),
+        # n^k is neither computed nor written out when it has thousands of digits
+        (["--m", "2", "--k", "20000"], "word space 2^20000 exceeds budget 1500"),
+        (["--m", "3", "--k", "1000000"], "word space 3^1000000 exceeds budget 1500"),
+        (["--m", "2", "--k", "1000000", "--hochschild"],
+         "word space for the full degree-1000000 differential exceeds budget 1500"),
+    ]
+    for args, error in cases:
+        start = time.perf_counter()
+        code, raw = run(capsys, ["oracle"] + args + ["--json"])
+        assert time.perf_counter() - start < 1.0, args
+        assert code == 5
+        env = json.loads(raw)
+        assert (env["status"], env["error"]) == ("budget-exceeded", error)
 
 
 def test_oracle_rejects_bad_arguments(capsys):
