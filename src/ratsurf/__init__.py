@@ -53,17 +53,14 @@ from .resgraph import (
     fundamental_cycle,
     intersection_matrix,
     is_negative_definite,
-    is_rational,
     is_reduced,
-    multiplicity,
     parse_graph,
 )
 from .blowup import MultiplicityTree, NotApplicableError, blowup_components, multiplicity_tree
 from .formulas import (
     AnalysisReport,
-    CodimReport,
+    BoundedValue,
     ObstructionReport,
-    T2Report,
     analyze,
     codim_ac_report,
     gmd_check,
@@ -108,15 +105,12 @@ __all__ = [
     "fundamental_cycle",
     "is_reduced",
     "arithmetic_genus",
-    "is_rational",
-    "multiplicity",
     "MultiplicityTree",
     "NotApplicableError",
     "blowup_components",
     "multiplicity_tree",
     "AnalysisReport",
-    "T2Report",
-    "CodimReport",
+    "BoundedValue",
     "ObstructionReport",
     "tdim",
     "t2_report",

@@ -17,10 +17,9 @@ from .resgraph import (
     Cycle,
     NotRationalError,
     ResolutionGraph,
+    arithmetic_genus,
     fundamental_cycle,
-    is_rational,
     is_reduced,
-    multiplicity,
 )
 
 
@@ -69,48 +68,33 @@ def blowup_components(g: ResolutionGraph, z: Cycle) -> list:
     """
     if z.graph is not g:
         raise ValueError("cycle belongs to a different graph")
-    keep = [i for i in range(g.n) if z.dot_vertex(g.ids[i]) == 0]
-    keep_set = set(keep)
-    seen = set()
+    left = {i for i in range(g.n) if z.dot_vertex(g.ids[i]) == 0}
     components = []
-    for start in keep:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for j in g.neighbors(i):
-                if j in keep_set and j not in seen:
-                    seen.add(j)
-                    comp.append(j)
-                    frontier.append(j)
-        comp.sort()
-        vertices = [(g.ids[i], g.b[i]) for i in comp]
-        edges = []
+    while left:
+        comp = [left.pop()]
         for i in comp:
-            for j, mult in g.neighbors(i).items():
-                if j in keep_set and i < j:
-                    edges.extend([(g.ids[i], g.ids[j])] * mult)
-        components.append(ResolutionGraph(vertices, edges))
+            for j in g.neighbors(i):
+                if j in left:
+                    left.remove(j)
+                    comp.append(j)
+        components.append(g._restrict(sorted(comp)))
     components.sort(key=lambda c: min(c.ids))
     return components
 
 
-def _build(g: ResolutionGraph) -> MultiplicityTree:
-    z = fundamental_cycle(g)
-    mult = -z.self_intersection()
+def _build(g: ResolutionGraph, z: Cycle, mult: int) -> MultiplicityTree:
     children = []
     dropped = 0
     for comp in blowup_components(g, z):
-        if not is_rational(comp):
+        cz = fundamental_cycle(comp)
+        if arithmetic_genus(comp, cz) != 0:
             # cannot happen for rational input; guard against corrupt state
             raise RuntimeError("internal: blow-up component is not rational")
-        if multiplicity(comp) <= 2:
+        cmult = -cz.self_intersection()
+        if cmult <= 2:
             dropped += 1
         else:
-            children.append(_build(comp))
+            children.append(_build(comp, cz, cmult))
     return MultiplicityTree(
         graph=g,
         cycle=z,
@@ -127,10 +111,12 @@ def multiplicity_tree(g: ResolutionGraph) -> MultiplicityTree:
     Raises NotRationalError for non-rational input and NotApplicableError
     when the root itself is a rational double point.
     """
-    if not is_rational(g):
+    z = fundamental_cycle(g)
+    if arithmetic_genus(g, z) != 0:
         raise NotRationalError("the singularity is not rational")
-    if multiplicity(g) <= 2:
+    mult = -z.self_intersection()
+    if mult <= 2:
         raise NotApplicableError(
             "the singularity is a rational double point; the tree starts at multiplicity 3"
         )
-    return _build(g)
+    return _build(g, z, mult)

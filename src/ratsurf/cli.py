@@ -23,11 +23,12 @@ from .harrison import (
     BudgetError,
     REGULAR,
     TRIVIAL,
+    check_budget,
     harrison_dim,
     hochschild_dim,
     make_fat_point,
 )
-from .resgraph import GraphError, arithmetic_genus, parse_graph
+from .resgraph import GraphError, parse_graph
 
 EXIT_CODES = {
     "ok": 0,
@@ -91,9 +92,8 @@ def cmd_analyze(args) -> tuple:
         "fundamental cycle: %s" % _cycle_text(report.cycle),
     ]
     if report.status == "not-rational":
-        pa = arithmetic_genus(graph, report.cycle)
-        data["p_a"] = _num(pa)
-        lines.append("rational: no (p_a(Z) = %d)" % pa)
+        data["p_a"] = _num(report.p_a)
+        lines.append("rational: no (p_a(Z) = %d)" % report.p_a)
         return "not-rational", data, lines
     data["multiplicity"] = _num(report.mult)
     data["reduced"] = report.reduced
@@ -160,8 +160,9 @@ def cmd_oracle(args) -> tuple:
     if args.budget is not None and args.budget < 1:
         return "invalid-input", {"error": "--budget must be at least 1"}, ["--budget must be at least 1"]
     module = TRIVIAL if args.coeffs == "trivial" else REGULAR
-    algebra = make_fat_point(args.m)
     try:
+        check_budget(args.m, args.k, args.budget, args.hochschild)
+        algebra = make_fat_point(args.m)
         if args.hochschild:
             dim = hochschild_dim(algebra, module, args.k, budget=args.budget)
             kind = "hochschild"

@@ -21,24 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .blowup import MultiplicityTree, NotApplicableError, multiplicity_tree
+from .blowup import MultiplicityTree, multiplicity_tree
 from .resgraph import (
     Cycle,
-    NotRationalError,
     ResolutionGraph,
+    arithmetic_genus,
     fundamental_cycle,
-    is_rational,
     is_reduced,
 )
 from .series import cone_tdim
 
 
-class T2Report(NamedTuple):
-    value: int
-    exact: bool
+class BoundedValue(NamedTuple):
+    """A dimension that is exact, or else a lower bound."""
 
-
-class CodimReport(NamedTuple):
     value: int
     exact: bool
 
@@ -56,16 +52,16 @@ def tdim(tree: MultiplicityTree, i: int) -> int:
     return sum(cone_tdim(i, node.mult) for node in tree.iter_nodes())
 
 
-def t2_report(tree: MultiplicityTree) -> T2Report:
+def t2_report(tree: MultiplicityTree) -> BoundedValue:
     """dim T^2 as sum of (d-1)(d-3); exact iff the correction term vanishes."""
     value = sum((node.mult - 1) * (node.mult - 3) for node in tree.iter_nodes())
-    return T2Report(value=value, exact=tree.reduced_everywhere())
+    return BoundedValue(value=value, exact=tree.reduced_everywhere())
 
 
-def codim_ac_report(tree: MultiplicityTree) -> CodimReport:
+def codim_ac_report(tree: MultiplicityTree) -> BoundedValue:
     """Codimension of the Artin component, same exactness rule as t2_report."""
     value = sum(node.mult - 3 for node in tree.iter_nodes())
-    return CodimReport(value=value, exact=tree.reduced_everywhere())
+    return BoundedValue(value=value, exact=tree.reduced_everywhere())
 
 
 def gmd_check(g: ResolutionGraph, tree: MultiplicityTree) -> ObstructionReport:
@@ -83,19 +79,20 @@ class AnalysisReport:
 
     status "ok" means all fields are filled; "not-rational" and
     "not-applicable" reports stop at the fields that still make sense
-    (cycle and multiplicity are always computed, the rest is None).
+    (cycle, p_a and multiplicity are always computed, the rest is None).
     """
 
     status: str
     rational: bool
     cycle: Cycle
+    p_a: int
     mult: int | None = None
     reduced: bool | None = None
     reduced_everywhere: bool | None = None
     tree: MultiplicityTree | None = None
     tdims: dict | None = None
-    t2: T2Report | None = None
-    codim_ac: CodimReport | None = None
+    t2: BoundedValue | None = None
+    codim_ac: BoundedValue | None = None
     gmd: ObstructionReport | None = None
 
     @property
@@ -116,14 +113,16 @@ def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
     if imax < 3:
         raise ValueError("need imax >= 3")
     z = fundamental_cycle(g)
-    if not is_rational(g):
-        return AnalysisReport(status="not-rational", rational=False, cycle=z)
+    p_a = arithmetic_genus(g, z)
+    if p_a != 0:
+        return AnalysisReport(status="not-rational", rational=False, cycle=z, p_a=p_a)
     mult = -z.self_intersection()
     if mult <= 2:
         return AnalysisReport(
             status="not-applicable",
             rational=True,
             cycle=z,
+            p_a=p_a,
             mult=mult,
             reduced=is_reduced(z),
         )
@@ -132,6 +131,7 @@ def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
         status="ok",
         rational=True,
         cycle=z,
+        p_a=p_a,
         mult=mult,
         reduced=is_reduced(z),
         reduced_everywhere=tree.reduced_everywhere(),

@@ -228,6 +228,16 @@ def _check_budget(n: int, degrees, budget: int | None) -> None:
             raise BudgetError("word space %d^%d = %d exceeds budget %d" % (n, k, n ** k, cap))
 
 
+def check_budget(n: int, k: int, budget: int | None = None, hochschild: bool = False) -> None:
+    """The up-front check of harrison_dim (word spaces n^k and n^(k+1)) or,
+    with hochschild, of hochschild_dim (the full degree-k differential)."""
+    if not hochschild:
+        return _check_budget(n, (k, k + 1), budget)
+    cap = DEFAULT_BUDGET if budget is None else budget
+    if _far_over(n, k + 1, cap) or n ** (k + 1) > cap:
+        raise BudgetError("word space for the full degree-%d differential exceeds budget %d" % (k, cap))
+
+
 def _multiset_words(counts: list):
     """Each word with counts[c] copies of letter c, once, in lexicographic order."""
     if not any(counts):
@@ -394,7 +404,7 @@ def harrison_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
     """dim of degree-k Harrison cohomology (shuffle-invariant complex)."""
     if k < 1:
         raise ValueError("need k >= 1")
-    _check_budget(algebra.n, (k, k + 1), budget)
+    check_budget(algebra.n, k, budget)
     outgoing = coboundary_matrix(algebra, module, k, budget)
     incoming_rank = 0 if k == 1 else coboundary_matrix(algebra, module, k - 1, budget).rank()
     return outgoing.kernel_dim() - incoming_rank
@@ -419,9 +429,7 @@ def hochschild_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
     """dim of degree-k Hochschild cohomology on the full reduced complex."""
     if k < 1:
         raise ValueError("need k >= 1")
-    cap = DEFAULT_BUDGET if budget is None else budget
-    if _far_over(algebra.n, k + 1, cap) or algebra.n ** (k + 1) > cap:
-        raise BudgetError("word space for the full degree-%d differential exceeds budget %d" % (k, cap))
+    check_budget(algebra.n, k, budget, hochschild=True)
     outgoing = _full_coboundary(algebra, module, k)
     incoming_rank = 0 if k == 1 else _full_coboundary(algebra, module, k - 1).rank()
     return outgoing.kernel_dim() - incoming_rank
@@ -440,7 +448,7 @@ def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
         raise ValueError("need m >= 2")
     if k < 2:
         raise ValueError("need k >= 2")
-    _check_budget(m, (k, k + 1), budget)
+    check_budget(m, k, budget)
     algebra = make_fat_point(m)
     reg = CochainSpace(algebra, REGULAR, k, budget)
     outgoing = coboundary_matrix(algebra, REGULAR, k, budget)

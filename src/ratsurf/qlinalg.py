@@ -12,8 +12,8 @@ value 1 at its own free column and 0 at the free columns of the others. The
 reduced echelon form is unique, so this does not depend on the row order;
 callers read a kernel element's coordinates off its free-column entries.
 
-QMatrix is dense (the graph side's determinants); SparseMatrix holds the
-cochain differentials as sparse columns.
+SparseMatrix holds the cochain differentials as sparse columns. QMatrix is a
+dense matrix whose determinants and leading minors only the tests use.
 """
 
 from __future__ import annotations
@@ -202,12 +202,6 @@ class QMatrix:
 
     def __repr__(self) -> str:
         return "QMatrix(%d x %d)" % (self.rows, self.cols)
-
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        a, n = self._a, self.cols
-        return all(a[i * n + j] == a[j * n + i] for i in range(n) for j in range(i))
 
     # ----- elimination ----------------------------------------------------
 

@@ -2,9 +2,8 @@
 
 A graph is a finite set of vertices (the exceptional curves, all rational),
 each with a self-intersection -b, b >= 2, plus edges for intersections
-(multiple edges allowed, no self-loops). The intersection matrix must be
-negative definite; that is checked at construction, so a ResolutionGraph in
-hand is always valid.
+(multiple edges allowed, no self-loops). Construction checks connectedness
+and negative definiteness, so a ResolutionGraph in hand is always valid.
 
 The JSON interchange format is deliberately rigid:
 
@@ -14,18 +13,23 @@ ids are nonempty unique strings, b positive integers; unknown fields are
 rejected. parse_graph raises GraphError with a machine-readable code for
 every distinct failure mode.
 
+The intersection form is sparse rows {j: E_i.E_j}. is_negative_definite
+eliminates it in one symmetric pass, always a vertex of least degree, and
+stops at the first pivot >= 0. On a tree that vertex is a leaf, so there is
+no fill and the pass is O(n); other graphs take the same pass with fill.
+
 Cycles are integer combinations of the vertices. fundamental_cycle computes
 the smallest cycle Z > 0 with Z.E_i <= 0 everywhere by the standard greedy
 increment loop (start at all ones, repeatedly bump the first vertex with
-positive pairing); arithmetic_genus and multiplicity then decide whether the
-singularity is rational and how bad it is.
+positive pairing); the singularity is rational when arithmetic_genus of Z
+is 0, and its multiplicity is then -Z.Z.
 """
 
 from __future__ import annotations
 
 import json
-
-from .qlinalg import QMatrix
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 GRAPH_ERROR_CODES = (
     "syntax",
@@ -100,17 +104,29 @@ class ResolutionGraph:
                 "not-negative-definite", "the intersection matrix is not negative definite"
             )
 
+    def _restrict(self, keep: list) -> "ResolutionGraph":
+        """Induced subgraph on sorted connected indices keep, equal to what
+        __init__ builds but unchecked: it inherits definiteness from self."""
+        sub = object.__new__(ResolutionGraph)
+        pos = {i: k for k, i in enumerate(keep)}
+        sub.ids = tuple(self.ids[i] for i in keep)
+        sub.b = tuple(self.b[i] for i in keep)
+        sub.edges = tuple((k, pos[j]) for k, i in enumerate(keep)
+                          for j, mult in sorted(self._adj[i].items()) if j > i and j in pos
+                          for _ in range(mult))
+        sub._index = {vid: k for k, vid in enumerate(sub.ids)}
+        sub._adj = tuple({pos[j]: mult for j, mult in self._adj[i].items() if j in pos}
+                         for i in keep)
+        return sub
+
     def _check_connected(self) -> None:
-        n = len(self.ids)
         seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in self._adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        if len(seen) != n:
+        order = [0]
+        for i in order:
+            for j in self._adj[i].keys() - seen:
+                seen.add(j)
+                order.append(j)
+        if len(seen) != len(self.ids):
             raise GraphError("disconnected", "the graph must be connected")
 
     @property
@@ -126,9 +142,6 @@ class ResolutionGraph:
     def neighbors(self, i: int):
         """Adjacency of vertex index i as {j: edge multiplicity}."""
         return self._adj[i]
-
-    def edge_ids(self):
-        return tuple((self.ids[i], self.ids[j]) for i, j in self.edges)
 
     def __repr__(self) -> str:
         return "ResolutionGraph(%d vertices, %d edges)" % (self.n, len(self.edges))
@@ -173,25 +186,45 @@ def parse_graph(text: str) -> ResolutionGraph:
     return ResolutionGraph(vertices, edges)
 
 
-def intersection_matrix(g: ResolutionGraph) -> QMatrix:
-    """E_i.E_j in the vertex order: -b_i on the diagonal, edge counts off it."""
-    n = g.n
-    flat = [0] * (n * n)
-    for i in range(n):
-        flat[i * n + i] = -g.b[i]
-        for j, mult in g.neighbors(i).items():
-            flat[i * n + j] = mult
-    return QMatrix(n, n, flat)
+def intersection_matrix(g: ResolutionGraph) -> list:
+    """E_i.E_j in the vertex order as sparse rows: -b_i, then the edge counts."""
+    return [{i: -b, **g.neighbors(i)} for i, b in enumerate(g.b)]
 
 
-def is_negative_definite(m: QMatrix) -> bool:
-    """Sylvester test: (-1)^k * (k-th leading principal minor) > 0 for all k."""
-    if m.rows != m.cols or not m.is_symmetric():
+def is_negative_definite(rows) -> bool:
+    """Are all pivots of P A P^T = L D L^T negative? rows are sparse dicts or
+    dense sequences; each step eliminates a vertex of least current degree
+    (ties by index), and the pivot signs do not depend on that order."""
+    n = len(rows)
+    adj = [{j: x for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
+           for r in rows]
+    if any(not isinstance(r, dict) and len(r) != n for r in rows) or any(
+        not 0 <= j < n or adj[j].get(i, 0) != x for i, r in enumerate(adj) for j, x in r.items()
+    ):
         raise ValueError("negative definiteness needs a symmetric square matrix")
-    for k in range(1, m.rows + 1):
-        minor = m.leading_principal_minor(k)
-        if (-1) ** k * minor <= 0:
+    diag = [r.pop(i, 0) for i, r in enumerate(adj)]
+    heap = [(len(r), i) for i, r in enumerate(adj)]
+    heapify(heap)
+    while heap:
+        degree, p = heappop(heap)
+        if adj[p] is None or degree != len(adj[p]):
+            continue
+        if diag[p] >= 0:
             return False
+        row, adj[p] = adj[p], None
+        for i in row:
+            del adj[i][p]
+        for i, x in row.items():
+            f = Fraction(x) / diag[p]
+            diag[i] -= f * x
+            for j, y in row.items():
+                if j != i:
+                    v = adj[i].get(j, 0) - f * y
+                    if v:
+                        adj[i][j] = v
+                    else:
+                        adj[i].pop(j, None)
+            heappush(heap, (len(adj[i]), i))
     return True
 
 
@@ -254,11 +287,7 @@ def fundamental_cycle(g: ResolutionGraph) -> Cycle:
     """
     n = g.n
     a = [1] * n
-    pair = [0] * n
-    for i in range(n):
-        pair[i] = -g.b[i]
-        for j, mult in g.neighbors(i).items():
-            pair[i] += mult
+    pair = [sum(g.neighbors(i).values()) - b for i, b in enumerate(g.b)]
     while True:
         i = next((t for t in range(n) if pair[t] > 0), None)
         if i is None:
@@ -278,16 +307,3 @@ def arithmetic_genus(g: ResolutionGraph, z: Cycle) -> int:
     if num % 2:
         raise ArithmeticError("adjunction parity violated; graph data is corrupt")
     return 1 + num // 2
-
-
-def is_rational(g: ResolutionGraph) -> bool:
-    """Rationality test: p_a of the fundamental cycle is zero."""
-    return arithmetic_genus(g, fundamental_cycle(g)) == 0
-
-
-def multiplicity(g: ResolutionGraph) -> int:
-    """Multiplicity of the rational singularity: -Z.Z for the fundamental cycle."""
-    z = fundamental_cycle(g)
-    if arithmetic_genus(g, z) != 0:
-        raise NotRationalError("multiplicity formula needs a rational singularity")
-    return -z.self_intersection()

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
+from ratsurf import blowup, formulas, resgraph
+from ratsurf.acceptance import obstruction_family_json
 from ratsurf.blowup import (
     MultiplicityTree,
     NotApplicableError,
@@ -13,14 +17,24 @@ from ratsurf.blowup import (
     multiplicity_tree,
 )
 from ratsurf.resgraph import (
+    GraphError,
     NotRationalError,
+    ResolutionGraph,
+    arithmetic_genus,
     fundamental_cycle,
     intersection_matrix,
     is_negative_definite,
-    is_rational,
-    multiplicity,
     parse_graph,
 )
+
+
+def is_rational(g):
+    return arithmetic_genus(g, fundamental_cycle(g)) == 0
+
+
+def multiplicity(g):
+    assert is_rational(g)
+    return -fundamental_cycle(g).self_intersection()
 
 
 def graph_json(vertices, edges):
@@ -188,3 +202,90 @@ def test_tree_repr_mentions_the_shape():
     t = multiplicity_tree(parse_graph(CHAIN))
     assert repr(t) == "MultiplicityTree(mult=4, children=0, dropped=1)"
     assert isinstance(t, MultiplicityTree)
+
+
+def validated_copy(comp):
+    """The same graph built through the checking constructor."""
+    edges = [(comp.ids[i], comp.ids[j]) for i, j in comp.edges]
+    return ResolutionGraph(list(zip(comp.ids, comp.b)), edges)
+
+
+def random_tower_json(rng, n):
+    # inner vertices weigh their valence, so the zero locus of Z is large
+    pairs = [(rng.randrange(i), i) for i in range(1, n)]
+    valence = Counter(v for e in pairs for v in e)
+    edges = [("V%d" % i, "V%d" % j) for i, j in pairs]
+    edges += rng.sample(edges, rng.randint(0, 1))  # sometimes one double edge
+    vertices = [("V%d" % i, valence[i] if valence[i] > 1 else rng.randint(2, 4)) for i in range(n)]
+    rng.shuffle(vertices)
+    return graph_json(vertices, edges)
+
+
+def test_restricted_components_equal_validated_graphs():
+    rng = random.Random(31)
+    texts = [STAR, CHAIN, D4, family_json(3), family_json(4, ["K3", "K1", "K2"])]
+    texts += [random_tower_json(rng, rng.randint(2, 14)) for _ in range(80)]
+    checked = 0
+    for text in texts:
+        try:
+            todo = [parse_graph(text)]
+        except GraphError:
+            continue  # a double edge can break definiteness
+        while todo:
+            g = todo.pop()
+            for comp in blowup_components(g, fundamental_cycle(g)):
+                ref = validated_copy(comp)
+                assert (comp.ids, comp.b, comp.edges) == (ref.ids, ref.b, ref.edges)
+                assert [comp.neighbors(i) for i in range(comp.n)] == [
+                    ref.neighbors(i) for i in range(ref.n)
+                ]
+                assert [comp.index_of(v) for v in comp.ids] == list(range(comp.n))
+                todo.append(comp)
+                checked += 1
+    assert checked >= 100
+
+
+def count_work(monkeypatch, text):
+    """fundamental_cycle calls per graph object and the components made, in analyze."""
+    cycles = Counter()
+    components = []
+    inits = [0]
+    real_cycle, real_components = blowup.fundamental_cycle, blowup.blowup_components
+    real_init = ResolutionGraph.__init__
+
+    def cycle(g):
+        cycles[id(g)] += 1
+        return real_cycle(g)
+
+    def init(self, *args):
+        inits[0] += 1
+        real_init(self, *args)
+
+    def comps(g, z):
+        before = inits[0]
+        out = real_components(g, z)
+        assert inits[0] == before, "a component was re-validated"
+        components.extend(out)
+        return out
+
+    for module in (resgraph, blowup, formulas):
+        monkeypatch.setattr(module, "fundamental_cycle", cycle)
+    monkeypatch.setattr(blowup, "blowup_components", comps)
+    monkeypatch.setattr(ResolutionGraph, "__init__", init)
+    g = parse_graph(text)
+    report = formulas.analyze(g)
+    return report, cycles, g, components
+
+
+@pytest.mark.parametrize(
+    "text, dropped",
+    [(STAR, 0), (CHAIN, 1), (obstruction_family_json(4), 0)],
+    ids=["star-6-3", "chain-323", "family-k4"],
+)
+def test_analyze_computes_each_fundamental_cycle_once(monkeypatch, text, dropped):
+    report, cycles, g, components = count_work(monkeypatch, text)
+    assert report.status == "ok"
+    assert components and sum(n.dropped_rdp_count for n in report.tree.iter_nodes()) == dropped
+    assert cycles[id(g)] <= 2
+    assert all(cycles[id(c)] == 1 for c in components)
+    assert sum(cycles.values()) == cycles[id(g)] + len(components)

@@ -238,6 +238,22 @@ def test_oracle_over_budget_exits_before_building_anything(capsys):
         assert (env["status"], env["error"]) == ("budget-exceeded", error)
 
 
+def test_oracle_checks_the_budget_before_building_the_fat_point(monkeypatch, capsys):
+    def refuse(m):
+        raise AssertionError("make_fat_point(%d) ran before the budget check" % m)
+
+    monkeypatch.setattr("ratsurf.cli.make_fat_point", refuse)
+    cases = [
+        ([], "word space 1000000000^1 = 1000000000 exceeds budget 1500"),
+        (["--hochschild"], "word space for the full degree-1 differential exceeds budget 1500"),
+    ]
+    for extra, error in cases:
+        code, raw = run(capsys, ["oracle", "--m", "1000000000", "--k", "1", "--json"] + extra)
+        assert code == 5
+        env = json.loads(raw)
+        assert (env["status"], env["error"]) == ("budget-exceeded", error)
+
+
 def test_oracle_rejects_bad_arguments(capsys):
     code, _ = run(capsys, ["oracle", "--m", "0", "--k", "2"])
     assert code == 2

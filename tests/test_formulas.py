@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,7 @@ from ratsurf.formulas import (
     t2_report,
     tdim,
 )
-from ratsurf.resgraph import parse_graph
+from ratsurf.resgraph import GraphError, parse_graph
 from ratsurf.series import cone_tdim
 
 
@@ -147,6 +148,7 @@ def test_analyze_not_rational():
     assert rep.status == "not-rational"
     assert rep.rational is False
     assert rep.cycle is not None
+    assert rep.p_a == 1
     assert rep.mult is None and rep.tree is None and rep.tdims is None
 
 
@@ -166,7 +168,8 @@ def relabeled(text, rng):
     rename = dict(zip(ids, fresh))
     vertices = [{"id": rename[v["id"]], "b": v["b"]} for v in data["vertices"]]
     rng.shuffle(vertices)
-    edges = [[rename[a], rename[b]] for a, b in data["edges"]]
+    edges = [[rename[a], rename[b]][:: rng.choice((1, -1))] for a, b in data["edges"]]
+    rng.shuffle(edges)
     return json.dumps({"vertices": vertices, "edges": edges})
 
 
@@ -182,3 +185,47 @@ def test_analyze_is_invariant_under_relabeling():
             assert other.t2 == base.t2
             assert other.codim_ac == base.codim_ac
             assert other.gmd == base.gmd
+
+
+def random_tree_json(rng, n, kind):
+    """A seeded random tree. kind "rational": every b_i >= valence; "tower":
+    b_i = valence on inner vertices, so the blow-ups recurse; "mixed": b_i in
+    {2, 3}, which also gives indefinite and non-rational graphs."""
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    valence = Counter(v for e in edges for v in e)
+    if kind == "rational":
+        bs = [rng.randint(max(2, valence[i]), valence[i] + 2) for i in range(n)]
+    elif kind == "tower":
+        bs = [valence[i] if valence[i] > 1 else rng.randint(2, 4) for i in range(n)]
+    else:
+        bs = [rng.randint(2, 3) for _ in range(n)]
+    return graph_json([("V%d" % i, b) for i, b in enumerate(bs)],
+                      [("V%d" % i, "V%d" % j) for i, j in edges])
+
+
+def outcome(text):
+    """Everything analyze says about a graph that does not name its vertices."""
+    try:
+        g = parse_graph(text)
+    except GraphError as e:
+        return e.code
+    r = analyze(g)
+    mults = None if r.tree is None else sorted(r.tree.multiplicities())
+    return (r.status, r.p_a, sorted(r.cycle.coefficients.values()), r.mult, r.reduced,
+            r.reduced_everywhere, mults, r.tdims, r.t2, r.codim_ac, r.gmd)
+
+
+def test_analyze_is_invariant_under_relabeling_on_generated_trees():
+    rng = random.Random(29)
+    seen = Counter()
+    for kind in ("rational", "tower", "mixed"):
+        for _ in range(60):
+            text = random_tree_json(rng, rng.randint(1, 14), kind)
+            base = outcome(text)
+            seen[kind, base if isinstance(base, str) else base[0]] += 1
+            for _ in range(3):
+                assert outcome(relabeled(text, rng)) == base
+    assert seen["rational", "not-rational"] == seen["tower", "not-rational"] == 0
+    for key in (("rational", "ok"), ("tower", "ok"), ("mixed", "not-rational"),
+                ("mixed", "not-negative-definite")):
+        assert seen[key] >= 3, seen

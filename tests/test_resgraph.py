@@ -17,12 +17,24 @@ from ratsurf.resgraph import (
     fundamental_cycle,
     intersection_matrix,
     is_negative_definite,
-    is_rational,
     is_reduced,
-    multiplicity,
     parse_graph,
 )
+from ratsurf.blowup import multiplicity_tree
 from ratsurf.qlinalg import QMatrix
+
+
+def is_rational(g):
+    """Rationality test: p_a of the fundamental cycle is zero."""
+    return arithmetic_genus(g, fundamental_cycle(g)) == 0
+
+
+def multiplicity(g):
+    """Multiplicity of a rational singularity: -Z.Z for the fundamental cycle."""
+    z = fundamental_cycle(g)
+    if arithmetic_genus(g, z) != 0:
+        raise NotRationalError("multiplicity formula needs a rational singularity")
+    return -z.self_intersection()
 
 
 def graph_json(vertices, edges):
@@ -126,11 +138,15 @@ def test_multi_edges_parse_but_fail_downstream():
     )
 
 
+def is_symmetric(rows):
+    return all(rows[j].get(i, 0) == x for i, row in enumerate(rows) for j, x in row.items())
+
+
 def test_intersection_matrix_values():
     m = intersection_matrix(parse_graph(CHAIN))
-    assert m == QMatrix.from_rows([[-3, 1, 0], [1, -2, 1], [0, 1, -3]])
+    assert m == [{0: -3, 1: 1}, {0: 1, 1: -2, 2: 1}, {1: 1, 2: -3}]
     single = intersection_matrix(parse_graph(CONE4))
-    assert single == QMatrix.from_rows([[-4]])
+    assert single == [{0: -4}]
 
 
 def test_intersection_matrix_is_symmetric_on_random_trees():
@@ -140,17 +156,106 @@ def test_intersection_matrix_is_symmetric_on_random_trees():
         vertices = [("V%d" % i, rng.randint(2, 5)) for i in range(n)]
         edges = [("V%d" % rng.randint(0, i - 1), "V%d" % i) for i in range(1, n)]
         m = intersection_matrix(parse_graph(graph_json(vertices, edges)))
-        assert m.is_symmetric()
+        assert is_symmetric(m)
 
 
 def test_is_negative_definite_basics():
-    assert is_negative_definite(QMatrix.from_rows([[-2]]))
-    assert not is_negative_definite(QMatrix.from_rows([[0]]))
-    assert not is_negative_definite(QMatrix.from_rows([[2]]))
-    assert is_negative_definite(QMatrix.from_rows([[-2, 1], [1, -2]]))
-    assert not is_negative_definite(QMatrix.from_rows([[-2, 2], [2, -2]]))
+    assert is_negative_definite([[-2]])
+    assert not is_negative_definite([[0]])
+    assert not is_negative_definite([[2]])
+    assert is_negative_definite([[-2, 1], [1, -2]])
+    assert not is_negative_definite([[-2, 2], [2, -2]])
     with pytest.raises(ValueError):
-        is_negative_definite(QMatrix.from_rows([[-2, 1], [0, -2]]))
+        is_negative_definite([[-2, 1], [0, -2]])
+
+
+def test_is_negative_definite_takes_sparse_rows_and_rejects_bad_shapes():
+    assert is_negative_definite([{0: -2, 1: 1}, {0: 1, 1: -2}])
+    assert not is_negative_definite([{0: -2, 1: 2}, {0: 2, 1: -2}])
+    assert not is_negative_definite([{0: -2}, {}])
+    for bad in ([{0: -2, 1: 1}, {1: -2}], [{0: -2, 5: 1}], [[-2, 0], [-2]], [[-2, 0, 0], [0, -2, 0]]):
+        with pytest.raises(ValueError):
+            is_negative_definite(bad)
+
+
+def sylvester_negative_definite(rows):
+    """Reference: (-1)^k times the k-th leading principal minor is > 0 for all k."""
+    m = QMatrix.from_rows(rows)
+    return all((-1) ** k * m.leading_principal_minor(k) > 0 for k in range(1, m.rows + 1))
+
+
+def random_symmetric(rng, n):
+    density = rng.random()
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.randint(-6, 2)
+        for j in range(i):
+            if rng.random() < density:
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+    return rows
+
+
+def graph_form(n, bs, edges):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = -bs[i]
+    for i, j in edges:
+        rows[i][j] += 1
+        rows[j][i] += 1
+    return rows
+
+
+def assert_agrees_with_sylvester(rows, rng):
+    want = sylvester_negative_definite(rows)
+    assert is_negative_definite(rows) == want, rows
+    assert is_negative_definite([{j: x for j, x in enumerate(r) if x} for r in rows]) == want
+    # definiteness does not depend on the vertex order the pivot choice reads
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    assert is_negative_definite([[rows[i][j] for j in perm] for i in perm]) == want
+    return want
+
+
+def test_pivot_pass_agrees_with_sylvester_on_random_symmetric_matrices():
+    rng = random.Random(101)
+    verdicts = {True: 0, False: 0}
+    singular = 0
+    for _ in range(2400):
+        rows = random_symmetric(rng, rng.randint(1, 8))
+        verdicts[assert_agrees_with_sylvester(rows, rng)] += 1
+        m = QMatrix.from_rows(rows)
+        singular += any(m.leading_principal_minor(k) == 0 for k in range(1, m.rows + 1))
+    # both verdicts and zero pivots occur, so the comparison is not vacuous
+    assert min(verdicts.values()) >= 100 and singular >= 100, (verdicts, singular)
+
+
+def test_pivot_pass_agrees_with_sylvester_on_trees_cycles_and_double_edges():
+    rng = random.Random(102)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        bs = [rng.randint(1, 4) for _ in range(n)]
+        tree = [(rng.randrange(i), i) for i in range(1, n)]
+        verdicts[assert_agrees_with_sylvester(graph_form(n, bs, tree), rng)] += 1
+        if n >= 3:
+            cycle = [(i, (i + 1) % n) for i in range(n)]
+            verdicts[assert_agrees_with_sylvester(graph_form(n, bs, cycle), rng)] += 1
+        if n >= 2:
+            doubled = tree + rng.sample(tree, rng.randint(1, n - 1))
+            verdicts[assert_agrees_with_sylvester(graph_form(n, bs, doubled), rng)] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_star_with_center_first_at_the_definiteness_boundary():
+    # the leaves are eliminated before the center, whatever the input order;
+    # 399 leaves of weight 2 add 399/2 to the center pivot, so b = 200 is the
+    # least definite center
+    n = 400
+    leaves = [("L%d" % i, 2) for i in range(1, n)]
+    edges = [("C", leaf) for leaf, _ in leaves]
+    for b in (n + 1, 200):
+        assert parse_graph(graph_json([("C", b)] + leaves, edges)).n == n
+    expect_code(graph_json([("C", 199)] + leaves, edges), "not-negative-definite")
 
 
 def test_cycle_validation():
@@ -265,6 +370,8 @@ def test_multiplicity_requires_rationality():
     )
     with pytest.raises(NotRationalError):
         multiplicity(parse_graph(bumpy))
+    with pytest.raises(NotRationalError):
+        multiplicity_tree(parse_graph(bumpy))
 
 
 def test_graph_accessors():
