@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import acceptance, formulas, series
 from .harrison import (
@@ -79,7 +80,10 @@ def cmd_analyze(args) -> tuple:
         return "invalid-input", {"error": str(e), "error_code": e.code}, [str(e)]
     if args.max_i < 3:
         return "invalid-input", {"error": "--max-i must be at least 3"}, ["--max-i must be at least 3"]
-    report = formulas.analyze(graph, imax=args.max_i)
+    try:
+        report = formulas.analyze(graph, imax=args.max_i)
+    except BudgetError as e:
+        return "budget-exceeded", {"error": str(e)}, [str(e)]
 
     data = {
         "vertices": graph.n,
@@ -132,24 +136,27 @@ def cmd_series(args) -> tuple:
         return "invalid-input", {"error": "--d must be at least 3"}, ["--d must be at least 3"]
     if args.order < 1:
         return "invalid-input", {"error": "--order must be at least 1"}, ["--order must be at least 1"]
+    try:
+        series.check_digits(args.d, args.order)
+    except BudgetError as e:
+        return "budget-exceeded", {"error": str(e)}, [str(e)]
     q = series.shuffle_dim_series(args.d, args.order)
     p = series.cone_series(args.d, q)
-    # the shuffle dims of the (d-1)-dim fat point are Q's coefficients
-    q_row, p_row = q[1:], p[1:]
+    # the shuffle dims of the (d-1)-dim fat point are Q's coefficients; each
+    # value is turned into decimal once and shared by both output modes
+    q_row, p_row = [_num(x) for x in q[1:]], [_num(x) for x in p[1:]]
     data = {
         "d": _num(args.d),
         "order": args.order,
-        "shuffle_dims": [_num(x) for x in q_row],
-        "q_coefficients": [_num(x) for x in q_row],
-        "p_coefficients": [_num(x) for x in p_row],
+        "shuffle_dims": q_row,
+        "q_coefficients": q_row,
+        "p_coefficients": p_row,
     }
     lines = [
         "d = %d" % args.d,
-        "shuffle dims of the (d-1)-dim fat point, k = 1..%d: %s"
-        % (args.order, " ".join(str(x) for x in q_row)),
-        "Q coefficients t^1..t^%d: %s" % (args.order, " ".join(str(x) for x in q_row)),
-        "P coefficients t^1..t^%d (cotangent dims of the cone): %s"
-        % (args.order, " ".join(str(x) for x in p_row)),
+        "shuffle dims of the (d-1)-dim fat point, k = 1..%d: %s" % (args.order, " ".join(q_row)),
+        "Q coefficients t^1..t^%d: %s" % (args.order, " ".join(q_row)),
+        "P coefficients t^1..t^%d (cotangent dims of the cone): %s" % (args.order, " ".join(p_row)),
     ]
     return "ok", data, lines
 
@@ -247,8 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import, and reused by later calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     status, data, lines = args.func(args)
     if getattr(args, "json", False):
         envelope = {"schema": "1", "command": args.command, "status": status}

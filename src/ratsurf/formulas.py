@@ -29,7 +29,7 @@ from .resgraph import (
     fundamental_cycle,
     is_reduced,
 )
-from .series import cone_tdim
+from .series import check_digits, cone_tdim
 
 
 class BoundedValue(NamedTuple):
@@ -109,7 +109,12 @@ class AnalysisReport:
 
 
 def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
-    """Full dimension report for one graph; never raises on valid graphs."""
+    """Full dimension report for one graph.
+
+    On a valid graph it raises only BudgetError, when the T^i values up to
+    imax would exceed series.MAX_DIGITS digits (series.check_digits, with
+    the largest multiplicity in the tree and one term per tree node).
+    """
     if imax < 3:
         raise ValueError("need imax >= 3")
     z = fundamental_cycle(g)
@@ -127,6 +132,8 @@ def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
             reduced=is_reduced(z),
         )
     tree = multiplicity_tree(g)
+    mults = tree.multiplicities()
+    check_digits(max(mults), imax, len(mults))
     return AnalysisReport(
         status="ok",
         rational=True,

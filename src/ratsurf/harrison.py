@@ -39,26 +39,23 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import log2
 from operator import itemgetter
 
-from .qlinalg import Echelon, SparseMatrix, as_fraction, in_column_span
+from .qlinalg import Echelon, SparseMatrix, as_exact, in_column_span
+from .series import BudgetError
 
 DEFAULT_BUDGET = 1500
-
-
-class BudgetError(RuntimeError):
-    """A requested word space n^k exceeds the configured budget."""
 
 
 class FiniteLocalAlgebra:
     """Commutative associative algebra Q*1 (+) span(e_1..e_n).
 
     products[i][j] = (scalar, linear) encodes e_i e_j = scalar * 1 +
-    sum_v linear[v] e_v, indices 0-based. Commutativity and associativity
-    are checked on basis elements at construction time.
+    sum_v linear[v] e_v, indices 0-based. Each constant is stored as an int
+    when it is integral and as a Fraction otherwise. Commutativity and
+    associativity are checked on basis elements at construction time.
     """
 
     __slots__ = ("n", "products", "_expansions")
@@ -72,10 +69,10 @@ class FiniteLocalAlgebra:
             row = []
             for j in range(n):
                 scalar, linear = products[i][j]
-                linear = tuple(as_fraction(x) for x in linear)
+                linear = tuple(as_exact(x) for x in linear)
                 if len(linear) != n:
                     raise ValueError("linear part of e_%d e_%d has wrong length" % (i, j))
-                row.append((as_fraction(scalar), linear))
+                row.append((as_exact(scalar), linear))
             table.append(tuple(row))
         self.n = n
         self.products = tuple(table)
@@ -103,8 +100,8 @@ class FiniteLocalAlgebra:
     def _mul_elem_basis(self, elem, k: int):
         # elem = (scalar, vector); returns elem * e_k in the same form
         scalar, vec = elem
-        out_s = Fraction(0)
-        out_v = [Fraction(0)] * self.n
+        out_s = 0
+        out_v = [0] * self.n
         out_v[k] += scalar
         for u, x in enumerate(vec):
             if x:
@@ -136,7 +133,7 @@ def make_fat_point(m: int) -> FiniteLocalAlgebra:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    zero = (Fraction(0), (Fraction(0),) * m)
+    zero = (0, (0,) * m)
     algebra = object.__new__(FiniteLocalAlgebra)
     algebra.n, algebra.products, algebra._expansions = m, ((zero,) * m,) * m, ((),) * m
     return algebra
@@ -167,7 +164,7 @@ class CoefficientModule:
         if self.kind == "trivial":
             return []
         if alpha == 0:
-            return [(i + 1, Fraction(1))]
+            return [(i + 1, 1)]
         scalar, linear = algebra.product(i, alpha - 1)
         out = []
         if scalar:
@@ -211,13 +208,29 @@ def signed_shuffles(p: int, q: int) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def _movers(p: int, k: int) -> tuple:
+    """The signed (p, k-p)-shuffles as (take, sign), shared by every shape of degree k.
+
+    take(w) is w shuffled by s: the letters of w sorted by their target slots.
+    """
+    return tuple((itemgetter(*sorted(range(k), key=perm.__getitem__)), sign)
+                 for perm, sign in signed_shuffles(p, k - p))
+
+
 def _far_over(n: int, k: int, cap: int) -> bool:
     """Is n^k certainly over cap and too long to compute or print?"""
     return n > 1 and k * log2(n) > max(cap.bit_length(), 13000) + 1
 
 
 def _check_budget(n: int, degrees, budget: int | None) -> None:
-    """Raise BudgetError, before any work, if some degree's word space n^k is over the cap."""
+    """Raise BudgetError, before any work, if some degree's word space n^k is over the cap.
+
+    The shuffle constraints of one word number about 2^(k-1) (the splits
+    p <= k/2), so 2^(k-1) is held to the same cap; it is compared by bit
+    length and is never computed. It binds only for n = 1, since n^k >= 2^k
+    otherwise.
+    """
     cap = DEFAULT_BUDGET if budget is None else budget
     if cap < 1:
         raise ValueError("budget must be positive")
@@ -226,6 +239,8 @@ def _check_budget(n: int, degrees, budget: int | None) -> None:
             raise BudgetError("word space %d^%d exceeds budget %d" % (n, k, cap))
         if n ** k > cap:
             raise BudgetError("word space %d^%d = %d exceeds budget %d" % (n, k, n ** k, cap))
+        if k > cap.bit_length():  # 2^(k-1) > cap
+            raise BudgetError("shuffle count 2^%d per word exceeds budget %d" % (k - 1, cap))
 
 
 def check_budget(n: int, k: int, budget: int | None = None, hochschild: bool = False) -> None:
@@ -256,9 +271,10 @@ def _shape_kernel(k: int, shape: tuple):
 
     shape is a descending multiplicity pattern for canonical letters 0,1,2,...
     Returns (words, basis, free_positions): words is the sorted tuple of
-    block words; basis vectors are tuples of Fractions indexed like words and
-    free-position normalized; free_positions[t] is the word index at which
-    basis vector t reads 1 and the others read 0.
+    block words; basis vectors are tuples indexed like words and
+    free-position normalized, with int entries wherever the echelon pivot
+    divides (Fractions otherwise); free_positions[t] is the word index at
+    which basis vector t reads 1 and the others read 0.
     """
     words = list(_multiset_words(list(shape)))
     index = {w: t for t, w in enumerate(words)}
@@ -266,9 +282,7 @@ def _shape_kernel(k: int, shape: tuple):
     # sh_{k-p,p} of a word is +-sh_{p,k-p} of the word rotated by p letters,
     # so the splits p <= k/2 already give every constraint up to sign
     for p in range(1, k // 2 + 1):
-        # take(w) is w shuffled by s: the letters of w sorted by their target slots
-        movers = [(itemgetter(*sorted(range(k), key=perm.__getitem__)), sign)
-                  for perm, sign in signed_shuffles(p, k - p)]
+        movers = _movers(p, k)
         for w in words:
             # constraint: the functional kills sh(w) = sum_s sgn(s) (w shuffled by s)
             row = {}
@@ -276,8 +290,8 @@ def _shape_kernel(k: int, shape: tuple):
                 j = index[take(w)]
                 row[j] = row.get(j, 0) + sign
             constraints.add(row)
-    n, zero = len(words), Fraction(0)
-    basis = tuple(tuple(v.get(t, zero) for t in range(n)) for v in constraints.kernel_basis(n))
+    n = len(words)
+    basis = tuple(tuple(v.get(t, 0) for t in range(n)) for v in constraints.kernel_basis(n))
     return tuple(words), basis, tuple(constraints.free_columns(n))
 
 
@@ -286,8 +300,9 @@ def _blocks(n: int, k: int):
     """Content blocks of the degree-k word space on letters 0..n-1.
 
     Each block is (words, basis, free_words): words are the actual words of
-    that content, basis vectors are dicts word -> Fraction, and free_words
-    lists the words whose values coordinatize the block's kernel.
+    that content, basis vectors are sparse dicts word -> value (the shape
+    kernel's entries, so ints on integral kernels), and free_words lists the
+    words whose values coordinatize the block's kernel.
     """
     out = []
     for content in itertools.combinations_with_replacement(range(n), k):
@@ -306,7 +321,9 @@ class CochainSpace:
 
     Basis functionals are indexed value-coordinate-major: functional
     alpha * scalar_dim + t is the t-th scalar kernel vector placed in value
-    coordinate alpha. Functionals are sparse dicts (alpha, word) -> Fraction.
+    coordinate alpha. Functionals are sparse dicts (alpha, word) -> value,
+    holding the scalar kernel entries as they are: ints wherever the kernel
+    is integral, Fractions only where it is not.
     """
 
     def __init__(self, algebra: FiniteLocalAlgebra, module: CoefficientModule, k: int,
@@ -356,14 +373,15 @@ def apply_differential(algebra: FiniteLocalAlgebra, module: CoefficientModule,
                        k: int, func: dict) -> dict:
     """Apply the degree-k differential to a sparse reduced cochain.
 
-    func maps (alpha, word) -> Fraction with words of length k; the result
-    uses words of length k+1. Scalar parts of interior products vanish in the
+    func maps (alpha, word) -> int or Fraction with words of length k; the
+    result uses words of length k+1 and stays integral when func and the
+    structure constants are. Scalar parts of interior products vanish in the
     reduced complex, so only the linear parts of e_i e_j contribute there.
     """
     out = {}
 
     def add(key, val):
-        cur = out.get(key, Fraction(0)) + val
+        cur = out.get(key, 0) + val
         if cur:
             out[key] = cur
         elif key in out:
@@ -418,7 +436,7 @@ def _full_coboundary(algebra: FiniteLocalAlgebra, module: CoefficientModule, k: 
     columns = []
     for alpha in range(module.dim(algebra)):
         for w in itertools.product(range(n), repeat=k):
-            image = apply_differential(algebra, module, k, {(alpha, w): Fraction(1)})
+            image = apply_differential(algebra, module, k, {(alpha, w): 1})
             columns.append({beta * ncod + reduce(lambda t, x: t * n + x, u, 0): val
                             for (beta, u), val in image.items()})
     return SparseMatrix(module.dim(algebra) * ncod, len(columns), columns)

@@ -11,6 +11,9 @@ Kernel bases come out in free-column normalized form: basis vector t has
 value 1 at its own free column and 0 at the free columns of the others. The
 reduced echelon form is unique, so this does not depend on the row order;
 callers read a kernel element's coordinates off its free-column entries.
+Each kernel entry is -v/a for a stored row's entry v and pivot a: an int
+when a divides v, a Fraction only otherwise, so integral kernels stay in
+ints for the callers' arithmetic too.
 
 SparseMatrix holds the cochain differentials as sparse columns. QMatrix is a
 dense matrix whose determinants and leading minors only the tests use.
@@ -30,6 +33,12 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError("exact scalar expected (int or Fraction), got %r" % (x,))
+
+
+def as_exact(x):
+    """Like as_fraction, but an integral value comes back as a plain int."""
+    x = as_fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _make_primitive(row: dict) -> None:
@@ -106,14 +115,19 @@ class Echelon:
         return True
 
     def kernel_basis(self, ncols: int) -> list:
-        """Right kernel as sparse dicts col -> Fraction, one per free column, in order."""
+        """Right kernel as sparse dicts col -> value, one per free column, in order.
+
+        Free columns read 1; a pivot column reads -v // a when the pivot a
+        divides the row entry v, and Fraction(-v, a) only otherwise.
+        """
         free = self.free_columns(ncols)
-        basis = {f: {f: Fraction(1)} for f in free}
+        basis = {f: {f: 1} for f in free}
         for c, row in self._rows.items():
             a = row[c]
             for j, v in row.items():
                 if j != c:
-                    basis[j][c] = Fraction(-v, a)
+                    q, r = divmod(-v, a)
+                    basis[j][c] = Fraction(-v, a) if r else q
         return [basis[f] for f in free]
 
 
@@ -216,8 +230,7 @@ class QMatrix:
 
     def kernel_basis(self) -> list:
         """Basis of the right kernel as dense lists, free-column normalized (see module doc)."""
-        zero = Fraction(0)
-        return [[v.get(j, zero) for j in range(self.cols)]
+        return [[v.get(j, 0) for j in range(self.cols)]
                 for v in self._echelon().kernel_basis(self.cols)]
 
     def kernel_free_columns(self) -> list:

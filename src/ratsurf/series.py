@@ -17,12 +17,25 @@ and the cotangent series is built from them by integer recurrences. The low
 coefficients of a truncated series do not depend on where it is truncated,
 so cone_tdim keeps one series per degree d and only rebuilds it, longer,
 when a higher coefficient is asked for.
+
+The coefficients grow like (d-1)^k, so a deep or wide request can ask for
+numbers too long to print; check_digits refuses those up front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt, log10
+
+# cap on the estimated decimal digits of the largest value a request prints,
+# under Python's default limit of 4300 digits for turning an int into a string
+MAX_DIGITS = 4000
+
+
+class BudgetError(RuntimeError):
+    """A request exceeds a work or size budget: a word space n^k or shuffle
+    count over the brute-force cap, or series values over MAX_DIGITS digits."""
 
 
 class IntegralityError(ArithmeticError):
@@ -52,7 +65,8 @@ def moebius(n: int) -> int:
 
 
 def _divisors(k: int) -> list:
-    return [q for q in range(1, k + 1) if k % q == 0]
+    small = [q for q in range(1, isqrt(k) + 1) if k % q == 0]
+    return small + [k // q for q in reversed(small) if q * q != k]
 
 
 def shuffle_dim(m: int, k: int) -> int:
@@ -73,6 +87,20 @@ def shuffle_dim(m: int, k: int) -> int:
     if val < 0:
         raise IntegralityError("shuffle_dim(%d, %d) is negative: %d" % (m, k, val))
     return val
+
+
+def check_digits(d: int, order: int, terms: int = 1) -> None:
+    """Raise BudgetError, before any series is built, if values get too long to print.
+
+    Every coefficient up to t^order of the degree-d rows (Q and P alike) is
+    below 10 (d-1)^order, so a sum of `terms` of them has at most about
+    order*log10(d-1) + log10(terms) + 2 decimal digits. The request is
+    refused when that estimate, without the 2, exceeds MAX_DIGITS; order is
+    compared against a float bound, so no huge int is turned into a float.
+    """
+    if order > (MAX_DIGITS - log10(terms)) / log10(d - 1):
+        raise BudgetError("coefficients up to t^%d of the degree-%d series exceed %d digits"
+                          % (order, d, MAX_DIGITS))
 
 
 def shuffle_dim_series(d: int, order: int) -> list:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
-from ratsurf import acceptance
+from ratsurf import acceptance, cli
 from ratsurf.cli import EXIT_CODES, main
 
 STAR = json.dumps(
@@ -297,3 +300,72 @@ def test_selftest_negative_control(monkeypatch, capsys):
     assert code == 1
     assert "FAIL f-table" in out
     assert "status: failed" in out
+
+
+def test_oracle_one_letter_shuffle_count_is_budgeted(capsys):
+    # the word space 1^k = 1 always fits; the ~2^(k-1) shuffles per word must too
+    for k in (30, 1000, 20000):
+        start = time.perf_counter()
+        code, raw = run(capsys, ["oracle", "--m", "1", "--k", str(k), "--json"])
+        assert time.perf_counter() - start < 1.0, k
+        assert code == 5
+        env = json.loads(raw)
+        assert (env["status"], env["error"]) == (
+            "budget-exceeded", "shuffle count 2^%d per word exceeds budget 1500" % (k - 1))
+    code, out = run(capsys, ["oracle", "--m", "1", "--k", "10"])
+    assert code == 0
+    assert "verdict: MATCH" in out
+
+
+def test_values_too_long_to_print_exit_budget_exceeded(tmp_path, capsys):
+    cone = write(tmp_path, json.dumps({"vertices": [{"id": "A", "b": 12}], "edges": []}))
+    cases = [
+        (["series", "--d", "12", "--order", "5000"],
+         "coefficients up to t^5000 of the degree-12 series exceed 4000 digits"),
+        (["series", "--d", "1000000", "--order", "1000"],
+         "coefficients up to t^1000 of the degree-1000000 series exceed 4000 digits"),
+        (["series", "--d", "3", "--order", "1000000"],
+         "coefficients up to t^1000000 of the degree-3 series exceed 4000 digits"),
+        (["analyze", cone, "--max-i", "5000"],
+         "coefficients up to t^5000 of the degree-12 series exceed 4000 digits"),
+        # an order too large for a float is compared exactly
+        (["series", "--d", "3", "--order", "1" + "0" * 400],
+         "coefficients up to t^1%s of the degree-3 series exceed 4000 digits" % ("0" * 400)),
+        (["analyze", cone, "--max-i", "1" + "0" * 400],
+         "coefficients up to t^1%s of the degree-12 series exceed 4000 digits" % ("0" * 400)),
+    ]
+    for argv, error in cases:
+        start = time.perf_counter()
+        code, raw = run(capsys, argv + ["--json"])
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 5, argv
+        env = json.loads(raw)
+        assert (env["status"], env["error"]) == ("budget-exceeded", error)
+        code, out = run(capsys, argv)
+        assert code == 5
+        assert out == "%s\nstatus: budget-exceeded\n" % error
+
+
+def test_values_under_the_digit_cap_still_print(tmp_path, capsys):
+    # 1000 log10(10000) = 4000 digits is exactly at the cap and still allowed
+    code, raw = run(capsys, ["series", "--d", "10001", "--order", "1000", "--json"])
+    assert code == 0
+    assert len(json.loads(raw)["p_coefficients"][-1]) <= 4002
+    cone = write(tmp_path, json.dumps({"vertices": [{"id": "A", "b": 12}], "edges": []}))
+    code, raw = run(capsys, ["analyze", cone, "--max-i", "300", "--json"])
+    assert code == 0
+    code, raw = run(capsys, ["analyze", cone, "--max-i", "3900", "--json"])  # 3900 log10(11) > 4000
+    assert code == 5
+
+
+def test_the_parser_is_built_on_first_use_and_reused(capsys):
+    probe = "import ratsurf.cli as c; print(c._parser.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "0"  # importing the CLI builds no parser
+    cli._parser.cache_clear()
+    first = run(capsys, ["series", "--d", "3", "--order", "6"])
+    assert run(capsys, ["series", "--d", "3", "--order", "6"]) == first
+    assert run(capsys, ["oracle", "--m", "2", "--k", "4"])[0] == 0
+    assert cli._parser.cache_info().misses == 1

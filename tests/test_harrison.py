@@ -494,3 +494,79 @@ def test_blocks_cover_the_invariant_space_of_the_dense_reference():
         words = list(itertools.product(range(n), repeat=k))
         stacked = [[vec.get(w, 0) for w in words] for vec in ours + theirs]
         assert dense_rank(stacked, len(words)) == len(theirs)
+
+
+# ----- integral data stays in ints; rational data falls back to Fractions ---
+
+def test_fat_point_cochains_are_plain_ints():
+    # a regression to Fraction arithmetic on integral data fails here loudly
+    for m in (1, 2, 3):
+        a = make_fat_point(m)
+        for k in range(1, 8):
+            if m ** (k + 1) > DEFAULT_BUDGET:
+                break
+            for words, basis, _ in _blocks(m, k):
+                assert all(type(x) is int for vec in basis for x in vec.values()), (m, k)
+            for module in (TRIVIAL, REGULAR):
+                space = CochainSpace(a, module, k)
+                for idx in range(space.dim):
+                    image = apply_differential(a, module, k, space.functional(idx))
+                    assert all(type(x) is int for x in image.values()), (m, k, module)
+                columns = coboundary_matrix(a, module, k).columns
+                assert all(type(x) is int for col in columns for x in col.values()), (m, k, module)
+    for k in range(1, 8):
+        for shape in partitions(k):
+            if len(shape) <= 3:
+                _, basis, _ = _shape_kernel(k, shape)
+                assert all(type(x) is int for vec in basis for x in vec), (k, shape)
+
+
+def half_square() -> FiniteLocalAlgebra:
+    """e_0 e_0 = (1/2) e_1, every other product 0: a rational structure constant."""
+    z = (0, _vec(2))
+    return FiniteLocalAlgebra([[(0, (0, Fraction(1, 2))), z], [z, z]])
+
+
+def test_rational_structure_constants_fall_back_to_fractions():
+    rational = half_square()
+    # e_1 -> 2 e_1 rescales it to e_0 e_0 = e_1, an isomorphic integral algebra
+    integral = truncated_polynomial_algebra(2)
+    assert rational.product(0, 0) == (0, (0, Fraction(1, 2)))
+    assert integral.product(0, 0) == (0, (0, 1))
+    assert type(integral.product(0, 0)[1][1]) is int
+    for module in (TRIVIAL, REGULAR):
+        for k in range(1, 5):
+            assert harrison_dim(rational, module, k) == harrison_dim(integral, module, k), (module, k)
+            assert hochschild_dim(rational, module, k) == hochschild_dim(integral, module, k), (module, k)
+    columns = coboundary_matrix(rational, REGULAR, 1).columns
+    assert any(type(x) is Fraction for col in columns for x in col.values())
+
+
+def test_algebra_stores_integral_constants_as_ints_and_rejects_inexact_ones():
+    a = FiniteLocalAlgebra([[(Fraction(0), (Fraction(4, 2),))]])
+    scalar, linear = a.product(0, 0)
+    assert (type(scalar), type(linear[0])) == (int, int)
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            FiniteLocalAlgebra([[(0, (bad,))]])
+
+
+# ----- Harrison's shuffle count is held to the budget ----------------------
+
+def test_one_letter_shuffle_count_is_held_to_the_budget():
+    # 1^k = 1 always fits, but each word has about 2^(k-1) signed shuffles
+    a = make_fat_point(1)
+    start = time.perf_counter()
+    for k in (30, 1000, 20000):
+        with pytest.raises(BudgetError, match=r"^shuffle count 2\^%d per word exceeds budget 1500$" % (k - 1)):
+            harrison_dim(a, TRIVIAL, k)
+    with pytest.raises(BudgetError, match=r"^shuffle count 2\^11 per word exceeds budget 1500$"):
+        harrison_dim(a, REGULAR, 11)  # degree 12 is touched too
+    with pytest.raises(BudgetError, match=r"^shuffle count 2\^4 per word exceeds budget 15$"):
+        CochainSpace(a, TRIVIAL, 5, budget=15)
+    assert time.perf_counter() - start < 1.0
+    assert CochainSpace(a, TRIVIAL, 5, budget=16).dim == 0
+    # Hochschild enumerates no shuffles, so only its word space is checked
+    assert hochschild_dim(a, TRIVIAL, 12) == hochschild_dim(a, TRIVIAL, 2)
+    for i in range(1, 7):
+        assert harrison_dim(a, REGULAR, i + 1) == fatpoint_tdim(1, i), i

@@ -355,3 +355,22 @@ def test_sparse_matrix_agrees_with_the_dense_matrix():
         assert [_sparse_to_dense(v, ncols) for v in sparse.kernel_basis()] == dense.kernel_basis()
         vec = {i: x for i, x in enumerate(random_rows(rng, 1, nrows, 0.5)[0]) if x}
         assert in_column_span(sparse, vec) == in_column_span(dense, _sparse_to_dense(vec, nrows))
+
+
+def test_kernel_entries_are_ints_exactly_when_the_pivot_divides():
+    # -v/a is an int when the stored pivot a divides v, and a Fraction otherwise
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(200):
+        nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
+        rows = random_rows(rng, nrows, ncols, rng.choice([0.3, 0.6, 1.0]), rational=rng.random() < 0.3)
+        _, free, want = reference_kernel(rows, ncols)
+        got = Echelon(rows).kernel_basis(ncols)
+        assert [_sparse_to_dense(v, ncols) for v in got] == want
+        for f, vec, ref in zip(free, got, want):
+            assert vec[f] == 1 and type(vec[f]) is int
+            for j, x in vec.items():
+                assert x and ref[j] == x
+                assert (type(x) is int) == (ref[j].denominator == 1), (rows, j, x)
+                seen.add(type(x))
+    assert seen == {int, Fraction}

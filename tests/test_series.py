@@ -356,3 +356,25 @@ def test_dimension_table():
     assert t.values == {1: 6, 2: 8, 3: 12, 4: 38}
     with pytest.raises(ValueError):
         dimension_table(5, imax=0)
+
+
+def test_coefficients_stay_under_the_digit_estimate():
+    # check_digits rests on every Q and P coefficient up to t^order being
+    # below 10 (d-1)^order
+    for d in list(range(3, 25)) + [100, 1001]:
+        for order in (1, 2, 3, 4, 5, 8, 13, 40, 120):
+            q = shuffle_dim_series(d, order)
+            assert max(q + series.cone_series(d, q)) < 10 * (d - 1) ** order, (d, order)
+
+
+def test_check_digits_caps_the_estimated_length():
+    series.check_digits(3, 13287)  # 13287 log10(2) = 3999.8
+    series.check_digits(10001, 1000)  # exactly 4000
+    for d, order, terms in [(3, 13288, 1), (10002, 1000, 1), (10001, 1000, 2), (10 ** 4001, 1, 1), (3, 10 ** 400, 1)]:
+        with pytest.raises(series.BudgetError):
+            series.check_digits(d, order, terms)
+
+
+def test_divisors_match_the_linear_scan():
+    for k in range(1, 2000):
+        assert series._divisors(k) == [q for q in range(1, k + 1) if k % q == 0]
