@@ -23,7 +23,6 @@ from .series import (
     cone_tdim,
     dimension_table,
     fatpoint_tdim,
-    moebius,
     poincare_series,
     shuffle_dim,
     shuffle_dim_series,
@@ -74,7 +73,6 @@ __all__ = [
     "QMatrix",
     "DimensionTable",
     "IntegralityError",
-    "moebius",
     "shuffle_dim",
     "shuffle_dim_series",
     "poincare_series",

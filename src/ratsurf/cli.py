@@ -72,7 +72,7 @@ def cmd_analyze(args) -> tuple:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         return "invalid-input", {"error": str(e)}, ["cannot read %s: %s" % (args.path, e)]
     try:
         graph = parse_graph(text)

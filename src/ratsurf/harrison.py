@@ -43,7 +43,7 @@ from functools import lru_cache, reduce
 from math import log2
 from operator import itemgetter
 
-from .qlinalg import Echelon, SparseMatrix, as_exact, in_column_span
+from .qlinalg import Echelon, SparseMatrix, as_exact
 from .series import BudgetError
 
 DEFAULT_BUDGET = 1500
@@ -219,8 +219,8 @@ def _movers(p: int, k: int) -> tuple:
 
 
 def _far_over(n: int, k: int, cap: int) -> bool:
-    """Is n^k certainly over cap and too long to compute or print?"""
-    return n > 1 and k * log2(n) > max(cap.bit_length(), 13000) + 1
+    """Is n^k certainly over cap and too long to compute or print? k stays an int."""
+    return n > 1 and k > (max(cap.bit_length(), 13000) + 1) / log2(n)
 
 
 def _check_budget(n: int, degrees, budget: int | None) -> None:
@@ -471,7 +471,8 @@ def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
     reg = CochainSpace(algebra, REGULAR, k, budget)
     outgoing = coboundary_matrix(algebra, REGULAR, k, budget)
     triv = CochainSpace(algebra, TRIVIAL, k, budget)
-    triv_image = coboundary_matrix(algebra, TRIVIAL, k - 1, budget)
+    # the span of the degree-(k-1) image, eliminated once for every cocycle
+    triv_image = Echelon(coboundary_matrix(algebra, TRIVIAL, k - 1, budget).columns)
     for coords in outgoing.kernel_basis():
         # residue projection: keep the unit coordinate (alpha = 0) of each value
         projected = {}
@@ -479,6 +480,6 @@ def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
             if idx < reg.scalar_dim:
                 for key, x in reg.functional(idx).items():
                     projected[key] = projected.get(key, 0) + c * x
-        if not in_column_span(triv_image, triv.coords_of(projected)):
+        if triv_image.reduce(triv.coords_of(projected)):
             return False
     return True

@@ -271,10 +271,3 @@ class QMatrix:
         for i in range(k):
             sub.extend(self.row(i)[:k])
         return QMatrix(k, k, sub).det()
-
-
-def in_column_span(m, vec) -> bool:
-    """Is vec (a sequence, or a dict row -> value) a combination of the columns of m?"""
-    if not isinstance(vec, dict) and len(vec) != m.rows:
-        raise ValueError("vector length must match row count")
-    return not Echelon(m.column(j) for j in range(m.cols)).reduce(vec)

