@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import formulas, series
@@ -317,12 +317,7 @@ def _crit_recursion_flat_sum() -> str:
     return "flat and recursive sums agree on %d fixture/degree pairs" % checks
 
 
-@dataclass
-class CriterionResult:
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+CriterionResult = namedtuple("CriterionResult", "name passed detail elapsed")
 
 
 # (name, time budget in seconds or None, check)

@@ -11,7 +11,7 @@ count is kept for reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .resgraph import (
     Cycle,
@@ -27,16 +27,17 @@ class NotApplicableError(ValueError):
     """The root singularity is a rational double point (multiplicity < 3)."""
 
 
-@dataclass
-class MultiplicityTree:
+class MultiplicityTree(
+    namedtuple("MultiplicityTree", "graph cycle mult reduced children dropped_rdp_count")
+):
     """One singular point of the blow-up tower and everything beneath it."""
 
-    graph: ResolutionGraph
-    cycle: Cycle
-    mult: int
-    reduced: bool
-    children: list = field(default_factory=list)
-    dropped_rdp_count: int = 0
+    __slots__ = ()
+
+    def __new__(cls, graph, cycle, mult, reduced, children=None, dropped_rdp_count=0):
+        # a fresh list per node when none is given, never one shared default
+        children = [] if children is None else children
+        return super().__new__(cls, graph, cycle, mult, reduced, children, dropped_rdp_count)
 
     def iter_nodes(self):
         """Preorder traversal of the tree."""

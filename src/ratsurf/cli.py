@@ -19,7 +19,7 @@ import json
 import sys
 from functools import lru_cache
 
-from . import acceptance, formulas, series
+from . import formulas, series
 from .harrison import (
     BudgetError,
     REGULAR,
@@ -202,6 +202,8 @@ def cmd_oracle(args) -> tuple:
 
 
 def cmd_selftest(args) -> tuple:
+    from . import acceptance  # loaded here only, so other commands never pay for it
+
     results = acceptance.run_all()
     data = {
         "criteria": [

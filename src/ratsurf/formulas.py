@@ -18,31 +18,16 @@ maximal deformation is detected by sum (d(P)-1) >= sum (b_i-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .blowup import MultiplicityTree, multiplicity_tree
-from .resgraph import (
-    Cycle,
-    ResolutionGraph,
-    arithmetic_genus,
-    fundamental_cycle,
-    is_reduced,
-)
+from .resgraph import ResolutionGraph, arithmetic_genus, fundamental_cycle, is_reduced
 from .series import check_digits, cone_tdim
 
 
-class BoundedValue(NamedTuple):
-    """A dimension that is exact, or else a lower bound."""
-
-    value: int
-    exact: bool
-
-
-class ObstructionReport(NamedTuple):
-    sum_d_minus_1: int
-    sum_b_minus_1: int
-    obstructed: bool
+# a dimension that is exact, or else a lower bound
+BoundedValue = namedtuple("BoundedValue", "value exact")
+ObstructionReport = namedtuple("ObstructionReport", "sum_d_minus_1 sum_b_minus_1 obstructed")
 
 
 def tdim(tree: MultiplicityTree, i: int) -> int:
@@ -73,27 +58,23 @@ def gmd_check(g: ResolutionGraph, tree: MultiplicityTree) -> ObstructionReport:
     )
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(
+    namedtuple(
+        "AnalysisReport",
+        "status rational cycle p_a mult reduced reduced_everywhere tree tdims t2 codim_ac gmd",
+        defaults=(None,) * 8,
+    )
+):
     """Everything analyze() can say about one resolution graph.
 
     status "ok" means all fields are filled; "not-rational" and
     "not-applicable" reports stop at the fields that still make sense
     (cycle, p_a and multiplicity are always computed, the rest is None).
+    tree is the MultiplicityTree, tdims maps i to dim T^i, t2 and codim_ac
+    are BoundedValues and gmd is the ObstructionReport.
     """
 
-    status: str
-    rational: bool
-    cycle: Cycle
-    p_a: int
-    mult: int | None = None
-    reduced: bool | None = None
-    reduced_everywhere: bool | None = None
-    tree: MultiplicityTree | None = None
-    tdims: dict | None = None
-    t2: BoundedValue | None = None
-    codim_ac: BoundedValue | None = None
-    gmd: ObstructionReport | None = None
+    __slots__ = ()
 
     @property
     def sum_d_minus_1(self):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 
 def as_fraction(x) -> Fraction:

@@ -20,9 +20,9 @@ no fill and the pass is O(n); other graphs take the same pass with fill.
 
 Cycles are integer combinations of the vertices. fundamental_cycle computes
 the smallest cycle Z > 0 with Z.E_i <= 0 everywhere by the standard greedy
-increment loop (start at all ones, repeatedly bump the first vertex with
-positive pairing); the singularity is rational when arithmetic_genus of Z
-is 0, and its multiplicity is then -Z.Z.
+increment loop (start at all ones, repeatedly bump a vertex with positive
+pairing, taken from a worklist); the singularity is rational when
+arithmetic_genus of Z is 0, and its multiplicity is then -Z.Z.
 """
 
 from __future__ import annotations
@@ -281,22 +281,26 @@ def is_reduced(z: Cycle) -> bool:
 def fundamental_cycle(g: ResolutionGraph) -> Cycle:
     """Smallest Z > 0 with Z.E_i <= 0 for all i, by greedy increments.
 
-    Start from all ones; while some vertex pairs positively, bump the first
-    such vertex in input order. Negative definiteness guarantees termination,
-    and the result does not depend on the increment order.
+    Start from all ones; while some vertex pairs positively, bump it until
+    it no longer does. The vertices that pair positively wait on a worklist,
+    which a vertex joins when a neighbour's bump lifts its pairing above 0,
+    so each step costs the degree of the bumped vertex. Negative
+    definiteness guarantees termination, and the result does not depend on
+    the increment order.
     """
-    n = g.n
-    a = [1] * n
+    a = [1] * g.n
     pair = [sum(g.neighbors(i).values()) - b for i, b in enumerate(g.b)]
-    while True:
-        i = next((t for t in range(n) if pair[t] > 0), None)
-        if i is None:
-            break
-        a[i] += 1
-        pair[i] -= g.b[i]
+    todo = [i for i, p in enumerate(pair) if p > 0]
+    while todo:
+        i = todo.pop()
+        steps = -(-pair[i] // g.b[i])  # the fewest bumps that bring Z.E_i to <= 0
+        a[i] += steps
+        pair[i] -= steps * g.b[i]
         for j, mult in g.neighbors(i).items():
-            pair[j] += mult
-    return Cycle(g, {g.ids[i]: a[i] for i in range(n)})
+            if pair[j] <= 0 < pair[j] + steps * mult:
+                todo.append(j)
+            pair[j] += steps * mult
+    return Cycle(g, {vid: a[i] for i, vid in enumerate(g.ids)})
 
 
 def arithmetic_genus(g: ResolutionGraph, z: Cycle) -> int:

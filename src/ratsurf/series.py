@@ -26,7 +26,7 @@ numbers too long to print; check_digits refuses those up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import log10
 
@@ -194,17 +194,21 @@ def fatpoint_tdim(m: int, i: int) -> int:
     return val
 
 
-@dataclass(frozen=True)
-class DimensionTable:
+class DimensionTable(namedtuple("DimensionTable", "d values")):
     """Cotangent dimensions of one cone: values[i] == cone_tdim(i, d)."""
 
-    d: int
-    values: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        for i, v in self.values.items():
+    def __new__(cls, d, values):
+        for i, v in values.items():
             if not isinstance(v, int) or v < 0:
                 raise IntegralityError("table entry T^%s = %r is not a nonnegative integer" % (i, v))
+        return super().__new__(cls, d, values)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls too, would skip the check
+        return cls(*iterable)
 
 
 def dimension_table(d: int, imax: int = 6) -> DimensionTable:

@@ -1,0 +1,78 @@
+"""Cold start: what `import ratsurf.cli` loads, and the record types it exposes."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import ratsurf
+from ratsurf.blowup import MultiplicityTree
+from ratsurf.formulas import AnalysisReport, BoundedValue, ObstructionReport
+from ratsurf.resgraph import fundamental_cycle, parse_graph
+from ratsurf.series import DimensionTable, IntegralityError
+
+SRC = os.path.dirname(os.path.dirname(ratsurf.__file__))
+CONE4 = '{"vertices": [{"id": "E0", "b": 4}], "edges": []}'
+
+
+def test_importing_the_cli_loads_no_dataclasses_typing_or_acceptance():
+    # -S skips site, which may preload typing on its own
+    probe = (
+        "import sys; sys.path.insert(0, %r); import ratsurf.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing', 'ratsurf.acceptance') "
+        "if m in sys.modules))" % SRC
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""
+
+
+def test_every_exported_name_is_an_attribute_of_the_package():
+    missing = [name for name in ratsurf.__all__ if not hasattr(ratsurf, name)]
+    assert missing == []
+
+
+def test_bounded_value_and_obstruction_report_are_plain_named_tuples():
+    assert repr(BoundedValue(15, True)) == "BoundedValue(value=15, exact=True)"
+    assert BoundedValue(value=15, exact=False).exact is False
+    sum_d, sum_b, obstructed = ObstructionReport(4, 6, False)
+    assert (sum_d, sum_b, obstructed) == (4, 6, False)
+    assert ObstructionReport._fields == ("sum_d_minus_1", "sum_b_minus_1", "obstructed")
+
+
+def test_dimension_table_checks_its_entries_and_is_immutable():
+    t = DimensionTable(d=5, values={1: 6, 2: 8})
+    assert repr(t) == "DimensionTable(d=5, values={1: 6, 2: 8})"
+    for bad in ({1: -1}, {1: 6, 2: 8.0}, {1: "6"}):
+        with pytest.raises(IntegralityError):
+            DimensionTable(d=5, values=bad)
+    with pytest.raises(IntegralityError):
+        t._replace(values={1: -1})
+    assert t._replace(d=6) == DimensionTable(d=6, values={1: 6, 2: 8})
+    with pytest.raises(AttributeError):
+        t.d = 6
+    with pytest.raises(AttributeError):
+        t.extra = 1
+
+
+def test_multiplicity_trees_never_share_a_children_list():
+    g = parse_graph(CONE4)
+    z = fundamental_cycle(g)
+    first, second = MultiplicityTree(g, z, 3, True), MultiplicityTree(g, z, 3, True)
+    assert first.children == [] and first.dropped_rdp_count == 0
+    first.children.append(second)
+    assert second.children == []
+    assert repr(first) == "MultiplicityTree(mult=3, children=1, dropped=0)"
+
+
+def test_analysis_report_defaults_the_optional_fields_to_none():
+    g = parse_graph(CONE4)
+    z = fundamental_cycle(g)
+    report = AnalysisReport(status="not-rational", rational=False, cycle=z, p_a=1)
+    optional = ("mult", "reduced", "reduced_everywhere", "tree", "tdims", "t2", "codim_ac", "gmd")
+    assert all(getattr(report, name) is None for name in optional)
+    assert report.sum_d_minus_1 is None and report.gmd_obstructed is None
+    assert report.cycle is z and report.p_a == 1

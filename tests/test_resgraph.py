@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -338,6 +339,71 @@ def test_fundamental_cycle_is_independent_of_increment_order():
         want = fundamental_cycle(g).coefficients
         for _ in range(5):
             assert laufer_with_random_increments(g, rng) == want
+
+
+def laufer_first_in_input_order(g):
+    """Reference: after every bump, rescan from vertex 0 for a positive pairing."""
+    n = g.n
+    a = [1] * n
+    pair = [sum(g.neighbors(i).values()) - b for i, b in enumerate(g.b)]
+    while True:
+        i = next((t for t in range(n) if pair[t] > 0), None)
+        if i is None:
+            return {g.ids[t]: a[t] for t in range(n)}
+        a[i] += 1
+        pair[i] -= g.b[i]
+        for j, mult in g.neighbors(i).items():
+            pair[j] += mult
+
+
+def chain_json(bs):
+    vertices = [("E%d" % i, b) for i, b in enumerate(bs)]
+    return graph_json(vertices, [("E%d" % i, "E%d" % (i + 1)) for i in range(len(bs) - 1)])
+
+
+def d_graph(n):
+    """D_n, n >= 4: a chain E0..E(n-2) of (-2)-curves, E(n-1) hung on E(n-3)."""
+    vertices = [("E%d" % i, 2) for i in range(n)]
+    edges = [("E%d" % i, "E%d" % (i + 1)) for i in range(n - 2)] + [("E%d" % (n - 3), "E%d" % (n - 1))]
+    return parse_graph(graph_json(vertices, edges))
+
+
+def test_worklist_agrees_with_the_input_order_scan():
+    rng = random.Random(23)
+    graphs = [parse_graph(text) for text in (CONE4, CHAIN, STAR, D4, A3)]
+    # random trees as above, with (-1)-curves allowed so that Z gets large;
+    # the indefinite ones are dropped at parse time
+    for _ in range(1000):
+        n = rng.randint(1, 10)
+        vertices = [("V%d" % i, rng.randint(1, 4)) for i in range(n)]
+        edges = [("V%d" % rng.randrange(i), "V%d" % i) for i in range(1, n)]
+        try:
+            graphs.append(parse_graph(graph_json(vertices, edges)))
+        except GraphError:
+            pass
+    assert len(graphs) > 200
+    for n in list(range(4, 40)) + [64, 100, 150, 200, 256, 300]:
+        graphs.append(d_graph(n))
+    for n in range(1, 301, 13):
+        graphs.append(parse_graph(chain_json([2] * n)))
+        graphs.append(parse_graph(chain_json([rng.randint(2, 5) for _ in range(n)])))
+    bumped = 0
+    for g in graphs:
+        want = laufer_first_in_input_order(g)
+        assert fundamental_cycle(g).coefficients == want
+        bumped += any(a > 1 for a in want.values())
+    assert bumped > 60  # many comparisons run the loop, not just its start
+
+
+def test_d_3000_fundamental_cycle_is_linear_time():
+    g = d_graph(3000)
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        z = fundamental_cycle(g)
+        best = min(best, time.perf_counter() - t0)
+    assert sum(z.coefficients.values()) == 2 * 3000 - 3
+    assert best < 0.05
 
 
 def test_arithmetic_genus_values():
