@@ -31,15 +31,18 @@ relabeling. This is what keeps the search spaces small enough for exact
 arithmetic; a direct stacked-matrix computation over the full word space
 gives the same dimensions and is pinned by tests on small cases.
 
-Every matrix is sparse and eliminated once by qlinalg.Echelon, and the word
-budget is checked for every degree a computation touches before any work.
+A cochain is a sparse dict keyed alpha * n**k + word: alpha is the value
+coordinate and the word is read in base n, first letter most significant
+(itertools.product order). One differential routine on these keys builds the
+Harrison and the Hochschild matrices, each eliminated once by qlinalg.Echelon.
+The word budget is checked for every degree a computation touches first.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import log2
 from operator import itemgetter
 
@@ -92,10 +95,6 @@ class FiniteLocalAlgebra:
 
     def product(self, i: int, j: int):
         return self.products[i][j]
-
-    def expansions(self, v: int):
-        """All (i, j, c) with e_i e_j containing c * e_v, c != 0."""
-        return self._expansions[v]
 
     def _mul_elem_basis(self, elem, k: int):
         # elem = (scalar, vector); returns elem * e_k in the same form
@@ -300,17 +299,18 @@ def _blocks(n: int, k: int):
     """Content blocks of the degree-k word space on letters 0..n-1.
 
     Each block is (words, basis, free_words): words are the actual words of
-    that content, basis vectors are sparse dicts word -> value (the shape
-    kernel's entries, so ints on integral kernels), and free_words lists the
-    words whose values coordinatize the block's kernel.
+    that content as base-n integers, basis vectors are sparse dicts word ->
+    value (the shape kernel's entries, so ints on integral kernels), and
+    free_words lists the words whose values coordinatize the block's kernel.
     """
+    places = [n ** (k - 1 - t) for t in range(k)]
     out = []
     for content in itertools.combinations_with_replacement(range(n), k):
         counts = Counter(content)
         # canonical letter c gets the c-th largest multiplicity; ties by letter
         ordered = sorted(counts, key=lambda a: (-counts[a], a))
         cwords, cbasis, cfree = _shape_kernel(k, tuple(counts[a] for a in ordered))
-        words = tuple(tuple(ordered[c] for c in cw) for cw in cwords)
+        words = tuple(sum(ordered[c] * p for c, p in zip(cw, places)) for cw in cwords)
         basis = tuple({words[t]: x for t, x in enumerate(vec) if x} for vec in cbasis)
         out.append((words, basis, tuple(words[t] for t in cfree)))
     return tuple(out)
@@ -321,7 +321,7 @@ class CochainSpace:
 
     Basis functionals are indexed value-coordinate-major: functional
     alpha * scalar_dim + t is the t-th scalar kernel vector placed in value
-    coordinate alpha. Functionals are sparse dicts (alpha, word) -> value,
+    coordinate alpha. Functionals are sparse dicts keyed alpha * n**k + word,
     holding the scalar kernel entries as they are: ints wherever the kernel
     is integral, Fractions only where it is not.
     """
@@ -335,6 +335,7 @@ class CochainSpace:
         self.module = module
         self.k = k
         self.value_dim = module.dim(algebra)
+        self._words = algebra.n ** k
         blocks = _blocks(algebra.n, k)
         # the scalar kernel vectors in block order, and each one's index by its free word
         self._vectors = [vec for _, basis, _ in blocks for vec in basis]
@@ -346,7 +347,7 @@ class CochainSpace:
         if not (0 <= idx < self.dim):
             raise IndexError("functional index out of range")
         alpha, t = divmod(idx, self.scalar_dim)
-        return {(alpha, w): c for w, c in self._vectors[t].items()}
+        return {alpha * self._words + w: c for w, c in self._vectors[t].items()}
 
     def coords_of(self, func: dict) -> dict:
         """Coordinates {index: value} of a functional that lies in this space.
@@ -355,49 +356,54 @@ class CochainSpace:
         functional exactly; a mismatch means it was outside the invariant
         subspace, which no supported computation should produce.
         """
-        coords = {}
-        recon = {}
-        for (alpha, w), c in func.items():
+        coords, recon = {}, {}
+        for key, c in func.items():
+            alpha, w = divmod(key, self._words)
             t = self._free.get(w)
             if t is None or not c or not 0 <= alpha < self.value_dim:
                 continue
             coords[alpha * self.scalar_dim + t] = c
+            base = alpha * self._words
             for u, x in self._vectors[t].items():
-                recon[(alpha, u)] = recon.get((alpha, u), 0) + c * x
+                recon[base + u] = recon.get(base + u, 0) + c * x
         if {key: v for key, v in recon.items() if v} != {key: v for key, v in func.items() if v}:
             raise RuntimeError("functional does not lie in the shuffle-invariant subspace")
         return coords
 
 
-def apply_differential(algebra: FiniteLocalAlgebra, module: CoefficientModule,
-                       k: int, func: dict) -> dict:
+def _action_table(algebra: FiniteLocalAlgebra, module: CoefficientModule) -> list:
+    """acts[alpha] lists (i, beta, a) for every term a * beta of e_i . alpha."""
+    return [[(i, beta, a) for i in range(algebra.n) for beta, a in module.act(algebra, i, alpha)]
+            for alpha in range(module.dim(algebra))]
+
+
+def apply_differential(algebra: FiniteLocalAlgebra, k: int, func: dict, acts: list) -> dict:
     """Apply the degree-k differential to a sparse reduced cochain.
 
-    func maps (alpha, word) -> int or Fraction with words of length k; the
-    result uses words of length k+1 and stays integral when func and the
-    structure constants are. Scalar parts of interior products vanish in the
-    reduced complex, so only the linear parts of e_i e_j contribute there.
+    func and its image are keyed alpha * n**k + word in degrees k and k+1, and
+    acts is the module's _action_table. Prefixing letter i to word x gives
+    i * n**k + x and suffixing x * n + i; an interior product e_i e_j is spliced
+    into the word, its scalar part vanishing in the reduced complex.
     """
-    out = {}
-
-    def add(key, val):
-        cur = out.get(key, 0) + val
-        if cur:
-            out[key] = cur
-        elif key in out:
-            del out[key]
-
+    n, expansions = algebra.n, algebra._expansions
+    size, big = n ** k, n ** (k + 1)
+    places = [n ** (k - 1 - t) for t in range(k)] if any(expansions) else ()
     last_sign = (-1) ** (k + 1)
-    for (alpha, w), c in func.items():
-        for i in range(algebra.n):
-            for beta, a in module.act(algebra, i, alpha):
-                add((beta, (i,) + w), c * a)
-                add((beta, w + (i,)), last_sign * c * a)
-        for t, letter in enumerate(w):
-            sign = (-1) ** (t + 1)
-            for i, j, coef in algebra.expansions(letter):
-                add((alpha, w[:t] + (i, j) + w[t + 1:]), sign * c * coef)
-    return out
+    out = {}
+    get = out.get
+    for key, c in func.items():
+        alpha, x = divmod(key, size)
+        for i, beta, a in acts[alpha]:
+            first, last = beta * big + i * size + x, beta * big + x * n + i
+            out[first] = get(first, 0) + c * a
+            out[last] = get(last, 0) + last_sign * c * a
+        for t, place in enumerate(places):
+            head, letter, tail = x // (place * n), x // place % n, x % place
+            signed = -c if t % 2 == 0 else c
+            for i, j, coef in expansions[letter]:
+                u = alpha * big + ((head * n + i) * n + j) * place + tail
+                out[u] = get(u, 0) + signed * coef
+    return {u: v for u, v in out.items() if v}
 
 
 def shuffle_invariant_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
@@ -412,7 +418,8 @@ def coboundary_matrix(algebra: FiniteLocalAlgebra, module: CoefficientModule,
     in the CochainSpace bases, as sparse columns."""
     dom = CochainSpace(algebra, module, k, budget)
     cod = CochainSpace(algebra, module, k + 1, budget)
-    columns = [cod.coords_of(apply_differential(algebra, module, k, dom.functional(idx)))
+    acts = _action_table(algebra, module)
+    columns = [cod.coords_of(apply_differential(algebra, k, dom.functional(idx), acts))
                for idx in range(dom.dim)]
     return SparseMatrix(cod.dim, dom.dim, columns)
 
@@ -429,17 +436,11 @@ def harrison_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
 
 
 def _full_coboundary(algebra: FiniteLocalAlgebra, module: CoefficientModule, k: int) -> SparseMatrix:
-    """Differential on the full reduced complex (no shuffle restriction), as
-    sparse columns; words are numbered in itertools.product order."""
-    n = algebra.n
-    ncod = n ** (k + 1)
-    columns = []
-    for alpha in range(module.dim(algebra)):
-        for w in itertools.product(range(n), repeat=k):
-            image = apply_differential(algebra, module, k, {(alpha, w): 1})
-            columns.append({beta * ncod + reduce(lambda t, x: t * n + x, u, 0): val
-                            for (beta, u), val in image.items()})
-    return SparseMatrix(module.dim(algebra) * ncod, len(columns), columns)
+    """Differential on all reduced cochains as sparse columns, numbered by key."""
+    acts = _action_table(algebra, module)
+    ndom = module.dim(algebra) * algebra.n ** k
+    columns = [apply_differential(algebra, k, {key: 1}, acts) for key in range(ndom)]
+    return SparseMatrix(module.dim(algebra) * algebra.n ** (k + 1), ndom, columns)
 
 
 def hochschild_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
@@ -468,17 +469,16 @@ def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
         raise ValueError("need k >= 2")
     check_budget(m, k, budget)
     algebra = make_fat_point(m)
-    reg = CochainSpace(algebra, REGULAR, k, budget)
     outgoing = coboundary_matrix(algebra, REGULAR, k, budget)
     triv = CochainSpace(algebra, TRIVIAL, k, budget)
     # the span of the degree-(k-1) image, eliminated once for every cocycle
     triv_image = Echelon(coboundary_matrix(algebra, TRIVIAL, k - 1, budget).columns)
     for coords in outgoing.kernel_basis():
-        # residue projection: keep the unit coordinate (alpha = 0) of each value
+        # residue projection: the unit coordinate (alpha = 0), the trivial space's functionals
         projected = {}
         for idx, c in coords.items():
-            if idx < reg.scalar_dim:
-                for key, x in reg.functional(idx).items():
+            if idx < triv.scalar_dim:
+                for key, x in triv.functional(idx).items():
                     projected[key] = projected.get(key, 0) + c * x
         if triv_image.reduce(triv.coords_of(projected)):
             return False

@@ -21,6 +21,7 @@ dense matrix whose determinants and leading minors only the tests use.
 
 from __future__ import annotations
 
+from collections.abc import Iterable  # decimal, under fractions, loads it anyway
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -135,7 +136,7 @@ class SparseMatrix:
 
     __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, columns: Sequence[dict]) -> None:
+    def __init__(self, rows: int, cols: int, columns: list) -> None:
         if len(columns) != cols:
             raise ValueError("expected %d columns, got %d" % (cols, len(columns)))
         self.rows = rows
@@ -165,7 +166,7 @@ class QMatrix:
 
     __slots__ = ("rows", "cols", "_a")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
+    def __init__(self, rows: int, cols: int, entries: list) -> None:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         data = [as_fraction(x) for x in entries]
@@ -176,7 +177,7 @@ class QMatrix:
         self._a = data
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "QMatrix":
+    def from_rows(cls, rows: list) -> "QMatrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
         flat = []

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -31,11 +33,13 @@ from ratsurf.harrison import (
     shuffle_invariant_dim,
     signed_shuffles,
     zero_map_check,
+    _action_table,
     _blocks,
+    _full_coboundary,
     _shape_kernel,
 )
 from ratsurf import qlinalg
-from ratsurf.qlinalg import QMatrix
+from ratsurf.qlinalg import QMatrix, SparseMatrix
 from ratsurf.series import fatpoint_tdim, shuffle_dim
 from test_qlinalg import reference_kernel
 
@@ -214,11 +218,12 @@ def test_differential_squares_to_zero_on_sparse_cochains():
         (etale_quadratic(), REGULAR),
     ]
     for a, module in fixtures:
+        acts = _action_table(a, module)
         for k in (1, 2):
             for alpha in range(module.dim(a)):
-                for w in itertools.product(range(a.n), repeat=k):
-                    once = apply_differential(a, module, k, {(alpha, w): Fraction(1)})
-                    twice = apply_differential(a, module, k + 1, once)
+                for w in range(a.n ** k):
+                    once = apply_differential(a, k, {alpha * a.n ** k + w: Fraction(1)}, acts)
+                    twice = apply_differential(a, k + 1, once, acts)
                     assert twice == {}
 
 
@@ -256,12 +261,13 @@ def test_rank_nullity_on_the_first_differential():
 def test_coords_of_rejects_functionals_outside_the_subspace():
     a = make_fat_point(2)
     space = CochainSpace(a, TRIVIAL, 2)
-    antisymmetric = {(0, (0, 1)): Fraction(1), (0, (1, 0)): Fraction(-1)}
+    # keys alpha * 4 + word: the words (0, 1) and (1, 0) are 1 and 2
+    antisymmetric = {1: Fraction(1), 2: Fraction(-1)}
     with pytest.raises(RuntimeError):
         space.coords_of(antisymmetric)
-    # a value coordinate the trivial module does not have
+    # a value coordinate the trivial module does not have: alpha = 1, word (0, 0)
     with pytest.raises(RuntimeError):
-        space.coords_of({(1, (0, 0)): Fraction(1)})
+        space.coords_of({4: Fraction(1)})
 
 
 def test_functional_coords_roundtrip():
@@ -271,6 +277,17 @@ def test_functional_coords_roundtrip():
         for idx in range(space.dim):
             coords = space.coords_of(space.functional(idx))
             assert coords == {idx: 1}
+
+
+def test_unit_coordinate_functionals_are_the_trivial_ones():
+    # zero_map_check projects a regular cocycle to the residue field by
+    # reading its alpha = 0 coordinates in the trivial space's basis
+    for m, k in [(2, 2), (2, 4), (3, 3)]:
+        a = make_fat_point(m)
+        reg, triv = CochainSpace(a, REGULAR, k), CochainSpace(a, TRIVIAL, k)
+        assert reg.dim == (m + 1) * triv.dim
+        assert [reg.functional(idx) for idx in range(triv.dim)] == [
+            triv.functional(idx) for idx in range(triv.dim)]
 
 
 def test_fat_point_harrison_with_algebra_coefficients():
@@ -414,7 +431,7 @@ def test_make_fat_point_equals_the_checked_construction():
         fast = make_fat_point(m)
         assert fast.n == checked.n == m
         assert fast.products == checked.products
-        assert [fast.expansions(v) for v in range(m)] == [checked.expansions(v) for v in range(m)]
+        assert fast._expansions == checked._expansions
 
 
 def test_budget_is_checked_before_any_space_is_built():
@@ -431,6 +448,157 @@ def test_budget_is_checked_before_any_space_is_built():
     with pytest.raises(BudgetError, match=r"^word space 100\^2 = 10000 exceeds budget 1500$"):
         harrison_dim(make_fat_point(100), TRIVIAL, 1)
     assert time.perf_counter() - start < 1.0
+
+
+# ----- integer-keyed cochains against the tuple-keyed code they replaced ---
+
+def reference_differential(algebra, module, k, func):
+    """The differential on cochains keyed (alpha, word tuple), term by term."""
+    out = {}
+
+    def add(key, val):
+        cur = out.get(key, 0) + val
+        if cur:
+            out[key] = cur
+        elif key in out:
+            del out[key]
+
+    last_sign = (-1) ** (k + 1)
+    for (alpha, w), c in func.items():
+        for i in range(algebra.n):
+            for beta, a in module.act(algebra, i, alpha):
+                add((beta, (i,) + w), c * a)
+                add((beta, w + (i,)), last_sign * c * a)
+        for t, letter in enumerate(w):
+            sign = (-1) ** (t + 1)
+            for i, j, coef in algebra._expansions[letter]:
+                add((alpha, w[:t] + (i, j) + w[t + 1:]), sign * c * coef)
+    return out
+
+
+def base_n(w, n):
+    """A word tuple as its base-n integer, first letter most significant."""
+    x = 0
+    for letter in w:
+        x = x * n + letter
+    return x
+
+
+def encode(func, n, k):
+    """A tuple-keyed degree-k cochain keyed alpha * n**k + base_n(word) instead."""
+    return {alpha * n ** k + base_n(w, n): c for (alpha, w), c in func.items()}
+
+
+def word_of(x, n, k):
+    """The inverse of base_n on words of k letters."""
+    return tuple(x // n ** (k - 1 - t) % n for t in range(k))
+
+
+def decode(func, n, k):
+    """The inverse of encode."""
+    return {(key // n ** k, word_of(key % n ** k, n, k)): c for key, c in func.items()}
+
+
+def reference_full_coboundary(algebra, module, k):
+    """The Hochschild columns in itertools.product order, numbered by reduce."""
+    n = algebra.n
+    ncod = n ** (k + 1)
+    columns = []
+    for alpha in range(module.dim(algebra)):
+        for w in itertools.product(range(n), repeat=k):
+            image = reference_differential(algebra, module, k, {(alpha, w): 1})
+            columns.append({beta * ncod + reduce(lambda t, x: t * n + x, u, 0): val
+                            for (beta, u), val in image.items()})
+    return SparseMatrix(module.dim(algebra) * ncod, len(columns), columns)
+
+
+def differential_fixtures():
+    algebras = [make_fat_point(m) for m in (1, 2, 3)] + [
+        truncated_polynomial_algebra(1), truncated_polynomial_algebra(2), truncated_polynomial_algebra(3),
+        two_variable_square_zero(), etale_quadratic(), half_square()]
+    for a in algebras:
+        for module in (TRIVIAL, REGULAR):
+            for k in range(1, 5):
+                if k <= 3 or a.n ** (k + 1) <= 256:
+                    yield a, module, k
+
+
+def test_integer_keys_encode_words_in_product_order():
+    for n, k in [(1, 3), (2, 3), (3, 2), (4, 2)]:
+        words = list(itertools.product(range(n), repeat=k))
+        assert [base_n(w, n) for w in words] == list(range(n ** k))
+        for alpha in range(2):
+            func = {(alpha, w): t + 1 for t, w in enumerate(words)}
+            assert decode(encode(func, n, k), n, k) == func
+
+
+def reference_blocks(n, k):
+    """The content blocks with tuple words, relabeled from the shape kernels."""
+    out = []
+    for content in itertools.combinations_with_replacement(range(n), k):
+        counts = Counter(content)
+        ordered = sorted(counts, key=lambda a: (-counts[a], a))
+        cwords, cbasis, cfree = _shape_kernel(k, tuple(counts[a] for a in ordered))
+        words = tuple(tuple(ordered[c] for c in cw) for cw in cwords)
+        basis = tuple({words[t]: x for t, x in enumerate(vec) if x} for vec in cbasis)
+        out.append((words, basis, tuple(words[t] for t in cfree)))
+    return tuple(out)
+
+
+def test_blocks_match_the_tuple_keyed_reference():
+    for n, k in [(1, 3), (2, 4), (3, 3), (3, 4), (4, 3), (5, 2)]:
+        ref = reference_blocks(n, k)
+        assert len(_blocks(n, k)) == len(ref)
+        for (words, basis, free), (rwords, rbasis, rfree) in zip(_blocks(n, k), ref):
+            assert [word_of(x, n, k) for x in words] == list(rwords)
+            assert [word_of(x, n, k) for x in free] == list(rfree)
+            assert [{word_of(x, n, k): c for x, c in vec.items()} for vec in basis] == list(rbasis)
+
+
+def test_differential_matches_the_tuple_keyed_reference():
+    checked = 0
+    for a, module, k in differential_fixtures():
+        n, acts = a.n, _action_table(a, module)
+        # every basis cochain of the full complex, the Hochschild columns
+        full = _full_coboundary(a, module, k)
+        ref = reference_full_coboundary(a, module, k)
+        assert (full.rows, full.cols) == (ref.rows, ref.cols)
+        assert full.columns == ref.columns, (a.n, module, k)
+        for alpha in range(module.dim(a)):
+            for w in itertools.product(range(n), repeat=k):
+                image = apply_differential(a, k, {alpha * n ** k + base_n(w, n): 1}, acts)
+                assert image == encode(reference_differential(a, module, k, {(alpha, w): 1}), n, k + 1)
+        # every invariant basis functional, the Harrison columns before coords_of
+        space = CochainSpace(a, module, k)
+        for idx in range(space.dim):
+            func = space.functional(idx)
+            want = encode(reference_differential(a, module, k, decode(func, n, k)), n, k + 1)
+            assert apply_differential(a, k, func, acts) == want
+        checked += 1
+    assert checked == 72
+
+
+def reference_harrison_dim(algebra, module, k):
+    """Harrison columns from the tuple-keyed differential, read off by coords_of."""
+    n = algebra.n
+
+    def rank(d):
+        dom = CochainSpace(algebra, module, d)
+        cod = CochainSpace(algebra, module, d + 1)
+        columns = [cod.coords_of(encode(reference_differential(
+            algebra, module, d, decode(dom.functional(idx), n, d)), n, d + 1)) for idx in range(dom.dim)]
+        return SparseMatrix(cod.dim, dom.dim, columns).rank(), dom.dim
+
+    outgoing, dim = rank(k)
+    return dim - outgoing - (0 if k == 1 else rank(k - 1)[0])
+
+
+def test_dimensions_match_the_tuple_keyed_reference():
+    for a, module, k in differential_fixtures():
+        ref_out = reference_full_coboundary(a, module, k).kernel_dim()
+        ref_in = 0 if k == 1 else reference_full_coboundary(a, module, k - 1).rank()
+        assert hochschild_dim(a, module, k) == ref_out - ref_in, (a.n, module, k)
+        assert harrison_dim(a, module, k) == reference_harrison_dim(a, module, k), (a.n, module, k)
 
 
 # ----- the sparse engine against the dense path it replaced ----------------
@@ -488,7 +656,7 @@ def dense_harrison_dim(algebra, module, k):
         # dense matrix of d -> d+1 in the reference bases, read off at free words
         dom = [(alpha, vec) for alpha in range(vdim) for _, vec in dense_invariant_basis(algebra.n, d)]
         cod_free = [(beta, fw) for beta in range(vdim) for fw, _ in dense_invariant_basis(algebra.n, d + 1)]
-        images = [apply_differential(algebra, module, d, {(alpha, w): x for w, x in vec.items()})
+        images = [reference_differential(algebra, module, d, {(alpha, w): x for w, x in vec.items()})
                   for alpha, vec in dom]
         return [[image.get(key, 0) for image in images] for key in cod_free], len(dom)
 
@@ -506,7 +674,7 @@ def dense_hochschild_dim(algebra, module, k):
         rows = [[Fraction(0)] * (vdim * len(dom)) for _ in range(vdim * len(cod))]
         for ci in range(vdim * len(dom)):
             alpha, t = divmod(ci, len(dom))
-            image = apply_differential(algebra, module, d, {(alpha, dom[t]): Fraction(1)})
+            image = reference_differential(algebra, module, d, {(alpha, dom[t]): Fraction(1)})
             for (beta, w), val in image.items():
                 rows[beta * len(cod) + cod[w]][ci] = val
         return rows, vdim * len(dom)
@@ -532,7 +700,7 @@ def test_dimensions_match_the_dense_path(module):
 def test_blocks_cover_the_invariant_space_of_the_dense_reference():
     # relabeled shape kernels span the same functionals as per-content kernels
     for n, k in [(2, 4), (3, 3), (3, 4)]:
-        ours = [vec for _, basis, _ in _blocks(n, k) for vec in basis]
+        ours = [{word_of(x, n, k): c for x, c in vec.items()} for _, basis, _ in _blocks(n, k) for vec in basis]
         theirs = [vec for _, vec in dense_invariant_basis(n, k)]
         assert len(ours) == len(theirs)
         words = list(itertools.product(range(n), repeat=k))
@@ -553,8 +721,9 @@ def test_fat_point_cochains_are_plain_ints():
                 assert all(type(x) is int for vec in basis for x in vec.values()), (m, k)
             for module in (TRIVIAL, REGULAR):
                 space = CochainSpace(a, module, k)
+                acts = _action_table(a, module)
                 for idx in range(space.dim):
-                    image = apply_differential(a, module, k, space.functional(idx))
+                    image = apply_differential(a, k, space.functional(idx), acts)
                     assert all(type(x) is int for x in image.values()), (m, k, module)
                 columns = coboundary_matrix(a, module, k).columns
                 assert all(type(x) is int for col in columns for x in col.values()), (m, k, module)

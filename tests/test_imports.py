@@ -5,12 +5,14 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
 import ratsurf
 from ratsurf.blowup import MultiplicityTree
 from ratsurf.formulas import AnalysisReport, BoundedValue, ObstructionReport
+from ratsurf.qlinalg import Echelon, SparseMatrix
 from ratsurf.resgraph import fundamental_cycle, parse_graph
 from ratsurf.series import DimensionTable, IntegralityError
 
@@ -33,6 +35,36 @@ def test_importing_the_cli_loads_no_dataclasses_typing_or_acceptance():
 def test_every_exported_name_is_an_attribute_of_the_package():
     missing = [name for name in ratsurf.__all__ if not hasattr(ratsurf, name)]
     assert missing == []
+
+
+def functions_of(obj) -> list:
+    """obj if it is a function; for a class, every function, classmethod,
+    staticmethod and property getter that a ratsurf class in its MRO defines."""
+    if isinstance(obj, types.FunctionType):
+        return [obj]
+    out = []
+    for klass in getattr(obj, "__mro__", ()):
+        if klass.__module__.startswith("ratsurf"):
+            for attr in vars(klass).values():
+                attr = getattr(attr, "__func__", getattr(attr, "fget", attr))
+                if isinstance(attr, types.FunctionType):
+                    out.append(attr)
+    return out
+
+
+def test_every_annotation_of_the_public_surface_resolves():
+    import typing  # in the test process only; the import probe above runs in its own
+
+    objects = [getattr(ratsurf, name) for name in ratsurf.__all__] + [Echelon, SparseMatrix]
+    functions = [fn for obj in objects for fn in functions_of(obj)]
+    assert len(functions) > 100
+    unresolved = []
+    for fn in functions:
+        try:
+            typing.get_type_hints(fn)
+        except NameError as exc:
+            unresolved.append("%s: %s" % (fn.__qualname__, exc))
+    assert unresolved == []
 
 
 def test_bounded_value_and_obstruction_report_are_plain_named_tuples():
