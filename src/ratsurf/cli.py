@@ -29,7 +29,7 @@ from .harrison import (
     hochschild_dim,
     make_fat_point,
 )
-from .resgraph import GraphError, parse_graph
+from .resgraph import MAX_GRAPH_BYTES, GraphError, parse_graph
 
 EXIT_CODES = {
     "ok": 0,
@@ -70,14 +70,26 @@ def _cycle_text(cycle) -> str:
 
 def cmd_analyze(args) -> tuple:
     try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.path, "rb") as fh:
+            # a read of n bytes allocates n first, so only a large file gets
+            # the read that runs to one byte past the cap
+            raw = fh.read(1 << 16)
+            if len(raw) == 1 << 16:
+                raw += fh.read(MAX_GRAPH_BYTES + 1 - len(raw))
+        if len(raw) > MAX_GRAPH_BYTES:
+            error = "graph file is larger than %d bytes" % MAX_GRAPH_BYTES
+            return "budget-exceeded", {"error": error}, [error]
+        text = raw.decode("utf-8")
+        if "\r" in text:  # universal newlines, as open(path, encoding="utf-8") reads
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as e:
         return "invalid-input", {"error": str(e)}, ["cannot read %s: %s" % (args.path, e)]
     try:
         graph = parse_graph(text)
     except GraphError as e:
         return "invalid-input", {"error": str(e), "error_code": e.code}, [str(e)]
+    except BudgetError as e:
+        return "budget-exceeded", {"error": str(e)}, [str(e)]
     if args.max_i < 3:
         return "invalid-input", {"error": "--max-i must be at least 3"}, ["--max-i must be at least 3"]
     try:

@@ -331,9 +331,6 @@ class CochainSpace:
         if k < 1:
             raise ValueError("need degree k >= 1")
         _check_budget(algebra.n, (k,), budget)
-        self.algebra = algebra
-        self.module = module
-        self.k = k
         self.value_dim = module.dim(algebra)
         self._words = algebra.n ** k
         blocks = _blocks(algebra.n, k)

@@ -15,21 +15,29 @@ every distinct failure mode.
 
 The intersection form is sparse rows {j: E_i.E_j}. is_negative_definite
 eliminates it in one symmetric pass, always a vertex of least degree, and
-stops at the first pivot >= 0. On a tree that vertex is a leaf, so there is
-no fill and the pass is O(n); other graphs take the same pass with fill.
+stops at the first pivot >= 0. The pass is fraction-free: off-diagonal
+entries stay ints in rows with an implicit positive scale, each diagonal is
+a reduced integer pair. On a tree the pivot vertex is a leaf, so only one
+diagonal changes per step, there is no fill and the pass is O(n); other
+graphs take the same pass with fill, scaling each updated row to stay
+integral, and stop with BudgetError past FILL_BUDGET fill updates.
 
 Cycles are integer combinations of the vertices. fundamental_cycle computes
 the smallest cycle Z > 0 with Z.E_i <= 0 everywhere by the standard greedy
 increment loop (start at all ones, repeatedly bump a vertex with positive
-pairing, taken from a worklist); the singularity is rational when
-arithmetic_genus of Z is 0, and its multiplicity is then -Z.Z.
+pairing, taken from a worklist) and keeps the pairings Z.E_i it ends with on
+the Cycle, so Z.Z, Z.K and the blow-up components read them by vertex index.
+The singularity is rational when arithmetic_genus of Z is 0, and its
+multiplicity is then -Z.Z.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
+
+from .series import BudgetError
 
 GRAPH_ERROR_CODES = (
     "syntax",
@@ -41,6 +49,14 @@ GRAPH_ERROR_CODES = (
     "disconnected",
     "not-negative-definite",
 )
+
+
+# The work budget of a graph file. A file over MAX_GRAPH_BYTES is not read;
+# the definiteness pass stops after FILL_BUDGET fill updates, where K_n takes
+# about n^3/3 (K_120 0.56e6, K_154 1.19e6) and a dense random graph near the
+# cap about 2 s. Both end analyze in budget-exceeded.
+MAX_GRAPH_BYTES = 2_000_000
+FILL_BUDGET = 1_200_000
 
 
 class GraphError(ValueError):
@@ -84,12 +100,13 @@ class ResolutionGraph:
         norm_edges = []
         for e in edges:
             u, v = e
-            if u not in index or v not in index:
+            lo, hi = index.get(u), index.get(v)
+            if lo is None or hi is None:
                 raise GraphError("bad-edge", "edge %r references an unknown vertex id" % (list(e),))
-            iu, iv = index[u], index[v]
-            if iu == iv:
+            if lo == hi:
                 raise GraphError("self-loop", "vertex %r cannot meet itself" % u)
-            lo, hi = min(iu, iv), max(iu, iv)
+            if lo > hi:
+                lo, hi = hi, lo
             norm_edges.append((lo, hi))
             adj[lo][hi] = adj[lo].get(hi, 0) + 1
             adj[hi][lo] = adj[hi].get(lo, 0) + 1
@@ -123,9 +140,10 @@ class ResolutionGraph:
         seen = {0}
         order = [0]
         for i in order:
-            for j in self._adj[i].keys() - seen:
-                seen.add(j)
-                order.append(j)
+            for j in self._adj[i]:
+                if j not in seen:
+                    seen.add(j)
+                    order.append(j)
         if len(seen) != len(self.ids):
             raise GraphError("disconnected", "the graph must be connected")
 
@@ -148,7 +166,8 @@ class ResolutionGraph:
 
 
 def parse_graph(text: str) -> ResolutionGraph:
-    """Parse the JSON interchange format. Raises GraphError on any defect."""
+    """Parse the JSON interchange format. Raises GraphError on any defect,
+    and BudgetError when the definiteness check runs past FILL_BUDGET."""
     try:
         data = json.loads(text)
     except ValueError as e:  # a JSONDecodeError, or an int literal past Python's digit limit
@@ -179,7 +198,7 @@ def parse_graph(text: str) -> ResolutionGraph:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(x, str) for x in item)
+            or not (isinstance(item[0], str) and isinstance(item[1], str))
         ):
             raise GraphError("syntax", "each edge must be a pair of vertex ids")
         edges.append((item[0], item[1]))
@@ -192,9 +211,19 @@ def intersection_matrix(g: ResolutionGraph) -> list:
 
 
 def is_negative_definite(rows) -> bool:
-    """Are all pivots of P A P^T = L D L^T negative? rows are sparse dicts or
-    dense sequences; each step eliminates a vertex of least current degree
-    (ties by index), and the pivot signs do not depend on that order."""
+    """Are all pivots of P A P^T = L D L^T negative? rows are integer sparse
+    dicts or dense sequences; each step eliminates a vertex of least current
+    degree (ties by index), and the pivot signs do not depend on that order.
+
+    The pass is fraction-free. Row i is held as int off-diagonal entries
+    R_i[j] = s_i A_ij for an implicit scale s_i > 0, so R_i[j] and R_j[i] are
+    read separately, and its diagonal s_i A_ii as a reduced pair num/den,
+    den > 0. Eliminating a pivot with one neighbour changes only that
+    neighbour's diagonal; a pivot with more neighbours scales each neighbour
+    row by -num_p den_i > 0, which keeps it integral, and divides it by the
+    gcd of its entries. More than FILL_BUDGET entry updates of the second
+    kind raise BudgetError; a tree never makes one.
+    """
     n = len(rows)
     adj = [{j: x for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
            for r in rows]
@@ -202,36 +231,77 @@ def is_negative_definite(rows) -> bool:
         not 0 <= j < n or adj[j].get(i, 0) != x for i, r in enumerate(adj) for j, x in r.items()
     ):
         raise ValueError("negative definiteness needs a symmetric square matrix")
-    diag = [r.pop(i, 0) for i, r in enumerate(adj)]
-    heap = [(len(r), i) for i, r in enumerate(adj)]
+    num = [r.pop(i, 0) for i, r in enumerate(adj)]
+    den = [1] * n
+    # vertex i of current degree d waits on the heap as the int d * n + i, so
+    # the least key is the least degree, ties by index
+    heap = [len(r) * n + i for i, r in enumerate(adj)]
     heapify(heap)
+    fill = 0
     while heap:
-        degree, p = heappop(heap)
-        if adj[p] is None or degree != len(adj[p]):
+        degree, p = divmod(heappop(heap), n)
+        row = adj[p]
+        if row is None or degree != len(row):
             continue
-        if diag[p] >= 0:
+        a, d = num[p], den[p]
+        if a >= 0:
             return False
-        row, adj[p] = adj[p], None
-        for i in row:
-            del adj[i][p]
-        for i, x in row.items():
-            f = Fraction(x) / diag[p]
-            diag[i] -= f * x
-            for j, y in row.items():
+        adj[p] = None
+        if degree == 1:
+            # D_i -= R_i[p] R_p[i] d / a, added as the reduced c/e: gcd(d, a) = 1,
+            # so the small gcd(xy, a) is the only factor to take out; the sum is
+            # reduced by Knuth's gcds, as fractions.Fraction adds
+            (i, y), = row.items()
+            ri = adj[i]
+            xy = ri.pop(p) * y
+            g = gcd(xy, a)
+            c, e = xy // g * d, -a // g
+            di = den[i]
+            g = gcd(di, e)
+            t = num[i] * (e // g) + c * (di // g)
+            g2 = gcd(t, g)
+            num[i], den[i] = t // g2, e // g * (di // g2)
+            heappush(heap, len(ri) * n + i)
+            continue
+        fill += degree * (degree - 1)
+        if fill > FILL_BUDGET:
+            raise BudgetError(
+                "definiteness check: more than %d fill updates; the graph is too dense" % FILL_BUDGET
+            )
+        for i, y in row.items():
+            ri = adj[i]
+            di = den[i]
+            u = ri.pop(p) * d * di
+            s = -a * di
+            for j in ri:
+                ri[j] *= s
+            for j, w in row.items():
                 if j != i:
-                    v = adj[i].get(j, 0) - f * y
-                    if v:
-                        adj[i][j] = v
+                    x = ri.get(j, 0) + u * w
+                    if x:
+                        ri[j] = x
                     else:
-                        adj[i].pop(j, None)
-            heappush(heap, (len(adj[i]), i))
+                        del ri[j]
+            num[i], den[i] = -a * num[i] + u * y, 1
+            g = gcd(num[i], *ri.values())
+            if g > 1:
+                num[i] //= g
+                for j in ri:
+                    ri[j] //= g
+            heappush(heap, len(ri) * n + i)
     return True
 
 
 class Cycle:
-    """Integer combination of the exceptional curves of one graph."""
+    """Integer combination of the exceptional curves of one graph.
 
-    __slots__ = ("graph", "coefficients")
+    coefficients maps each vertex id to its coefficient, in the graph's
+    vertex order, and pairings[i] is Z.E_i for the vertex of index i. Both
+    are fixed when the cycle is built; every pairing read afterwards comes
+    from pairings.
+    """
+
+    __slots__ = ("graph", "coefficients", "pairings")
 
     def __init__(self, graph: ResolutionGraph, coefficients: dict) -> None:
         if set(coefficients) != set(graph.ids):
@@ -239,28 +309,24 @@ class Cycle:
         for vid, a in coefficients.items():
             if not isinstance(a, int) or isinstance(a, bool):
                 raise ValueError("coefficient of %r must be an integer" % vid)
-        self.graph = graph
-        self.coefficients = dict(coefficients)
+        a = [coefficients[vid] for vid in graph.ids]
+        pairings = [sum(mult * a[j] for j, mult in graph.neighbors(i).items()) - b * a[i]
+                    for i, b in enumerate(graph.b)]
+        _set_cycle(self, graph, a, pairings)
 
     def coefficient(self, vid: str) -> int:
         return self.coefficients[vid]
 
     def dot_vertex(self, vid: str) -> int:
         """Pairing Z.E_vid under the intersection form."""
-        g = self.graph
-        i = g.index_of(vid)
-        total = -g.b[i] * self.coefficients[vid]
-        for j, mult in g.neighbors(i).items():
-            total += mult * self.coefficients[g.ids[j]]
-        return total
+        return self.pairings[self.graph.index_of(vid)]
 
     def self_intersection(self) -> int:
-        return sum(self.coefficients[vid] * self.dot_vertex(vid) for vid in self.graph.ids)
+        return sum(a * p for a, p in zip(self.coefficients.values(), self.pairings))
 
     def canonical_pairing(self) -> int:
         """Z.K via adjunction on rational curves: sum a_i (b_i - 2)."""
-        g = self.graph
-        return sum(self.coefficients[vid] * (g.b_of(vid) - 2) for vid in g.ids)
+        return sum(a * (b - 2) for a, b in zip(self.coefficients.values(), self.graph.b))
 
     def __eq__(self, other) -> bool:
         return (
@@ -272,6 +338,14 @@ class Cycle:
     def __repr__(self) -> str:
         body = " ".join("%s:%d" % (vid, self.coefficients[vid]) for vid in self.graph.ids)
         return "Cycle(%s)" % body
+
+
+def _set_cycle(z: Cycle, g: ResolutionGraph, a: list, pairings: list) -> Cycle:
+    """Fill z from coefficients a and pairings by vertex index, unchecked."""
+    z.graph = g
+    z.coefficients = dict(zip(g.ids, a))
+    z.pairings = pairings
+    return z
 
 
 def is_reduced(z: Cycle) -> bool:
@@ -286,7 +360,7 @@ def fundamental_cycle(g: ResolutionGraph) -> Cycle:
     which a vertex joins when a neighbour's bump lifts its pairing above 0,
     so each step costs the degree of the bumped vertex. Negative
     definiteness guarantees termination, and the result does not depend on
-    the increment order.
+    the increment order. The cycle keeps the pairings the loop ends with.
     """
     a = [1] * g.n
     pair = [sum(g.neighbors(i).values()) - b for i, b in enumerate(g.b)]
@@ -300,7 +374,7 @@ def fundamental_cycle(g: ResolutionGraph) -> Cycle:
             if pair[j] <= 0 < pair[j] + steps * mult:
                 todo.append(j)
             pair[j] += steps * mult
-    return Cycle(g, {vid: a[i] for i, vid in enumerate(g.ids)})
+    return _set_cycle(object.__new__(Cycle), g, a, pair)
 
 
 def arithmetic_genus(g: ResolutionGraph, z: Cycle) -> int:

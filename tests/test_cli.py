@@ -395,3 +395,105 @@ def test_the_parser_is_built_on_first_use_and_reused(capsys):
     assert run(capsys, ["series", "--d", "3", "--order", "6"]) == first
     assert run(capsys, ["oracle", "--m", "2", "--k", "4"])[0] == 0
     assert cli._parser.cache_info().misses == 1
+
+
+def complete_graph_json(n, b):
+    ids = ["V%d" % i for i in range(n)]
+    return json.dumps({"vertices": [{"id": v, "b": b} for v in ids],
+                       "edges": [[ids[i], ids[j]] for i in range(n) for j in range(i)]})
+
+
+def assert_budget_exceeded(capsys, path, error):
+    code, raw = run(capsys, ["analyze", path, "--json"])
+    assert code == 5
+    env = json.loads(raw)
+    assert (env["status"], env["error"]) == ("budget-exceeded", error)
+    code, out = run(capsys, ["analyze", path])
+    assert code == 5
+    assert out == "%s\nstatus: budget-exceeded\n" % error
+
+
+def test_analyze_of_a_graph_past_the_fill_budget_exits_5(tmp_path, capsys):
+    start = time.perf_counter()
+    assert_budget_exceeded(capsys, write(tmp_path, complete_graph_json(160, 160)),
+                           "definiteness check: more than 1200000 fill updates; the graph is too dense")
+    assert time.perf_counter() - start < 4
+
+
+def test_analyze_of_a_file_past_the_byte_cap_exits_5(tmp_path, capsys, monkeypatch):
+    # the file is not read past the cap, and the check counts bytes
+    big = tmp_path / "big.json"
+    big.write_bytes(STAR.encode("utf-8") + b" " * cli.MAX_GRAPH_BYTES)
+    assert_budget_exceeded(capsys, str(big), "graph file is larger than 2000000 bytes")
+    # at the cap exactly the file is read; one byte more is refused, before decoding
+    text = STAR[:-1] + ', "\u00e9": 1}'
+    size = len(text.encode("utf-8"))
+    monkeypatch.setattr(cli, "MAX_GRAPH_BYTES", size)
+    path = write(tmp_path, text)
+    code, raw = run(capsys, ["analyze", path, "--json"])
+    assert (code, json.loads(raw)["error_code"]) == (2, "unknown-field")
+    monkeypatch.setattr(cli, "MAX_GRAPH_BYTES", size - 1)
+    assert_budget_exceeded(capsys, path, "graph file is larger than %d bytes" % (size - 1))
+    monkeypatch.setattr(cli, "MAX_GRAPH_BYTES", len(STAR))
+    assert run(capsys, ["analyze", write(tmp_path, STAR)])[0] == 0
+    # files around the size of the first read are read whole
+    monkeypatch.undo()
+    for size in ((1 << 16) - 1, 1 << 16, (1 << 16) + 1):
+        assert run(capsys, ["analyze", write(tmp_path, STAR + " " * (size - len(STAR)))])[0] == 0
+
+
+def test_analyze_reads_line_endings_as_text_mode_does(tmp_path, capsys):
+    # CRLF and lone CR become LF, so error positions match the LF file's
+    bad = '{"vertices": [{"id": "A",\n "b": 3}],\n "edges": [}'
+    want = run(capsys, ["analyze", write(tmp_path, bad)])
+    assert want[0] == 2 and "line 3 column 12" in want[1]
+    for newline in ("\r\n", "\r"):
+        path = tmp_path / "graph.json"
+        path.write_bytes(bad.replace("\n", newline).encode("utf-8"))
+        assert run(capsys, ["analyze", str(path)]) == want
+    path.write_bytes(STAR.replace(", ", ",\r\n").encode("utf-8"))
+    assert run(capsys, ["analyze", str(path)]) == run(capsys, ["analyze", write(tmp_path, STAR)])
+
+
+def reference_loop():
+    """Seconds taken by a fixed loop of integer arithmetic (perfbench's reference loop)."""
+    start = time.perf_counter()
+    x, acc = 1, 0
+    for i in range(1, 1000):
+        x = (x * 1103515245 + i) % 4294967291
+        acc += x // (i + 1)
+    return time.perf_counter() - start
+
+
+def slowdown():
+    """How many times slower than perfbench's reference speed (the loop in
+    0.25 ms) the CPU runs now, at least 1. On a shared VM the speed swings by
+    more than 2x for seconds at a time, so each bound below holds at the
+    reference speed and stretches by this factor when the CPU runs slower."""
+    loops = sorted(reference_loop() for _ in range(201))
+    return max(1.0, loops[100] / 0.00025)
+
+
+def best_of_3_analyze(capsys, path):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        code, _ = run(capsys, ["analyze", path, "--json"])
+        best = min(best, time.perf_counter() - start)
+    return code, best
+
+
+def test_large_graphs_analyze_in_bounded_time(tmp_path, capsys):
+    n = 20000
+    star = json.dumps({"vertices": [{"id": "C", "b": n + 1}] + [{"id": "L%d" % i, "b": 2} for i in range(1, n)],
+                       "edges": [["C", "L%d" % i] for i in range(1, n)]})
+    n = 3000
+    chain = json.dumps({"vertices": [{"id": "E%d" % i, "b": 3} for i in range(n)],
+                        "edges": [["E%d" % i, "E%d" % (i + 1)] for i in range(n - 1)]})
+    for name, text, status, limit in (("k120.json", complete_graph_json(120, 120), 3, 1.0),
+                                      ("star.json", star, 0, 0.3), ("chain.json", chain, 0, 0.3)):
+        path = write(tmp_path, text, name)
+        factor = slowdown()
+        code, best = best_of_3_analyze(capsys, path)
+        assert code == status, name
+        assert best < limit * factor, (name, best, factor)

@@ -1,14 +1,16 @@
 """Seeded fuzzing of the command line: every input ends in a documented status.
 
-Mutated graph files (built from the acceptance fixtures) and random argv for
-all four subcommands go through cli.main. Each call must return an exit code
-in {0, 2, 3, 4, 5} or stop in argparse with SystemExit(2); a traceback, a
-"failed" verdict or a slow run is a bug in the program. Numeric options are
+Mutated graph files (built from the acceptance fixtures), large dense
+graphs, files past the size cap and random argv for all four subcommands go
+through cli.main. Each call must return an exit code in {0, 2, 3, 4, 5} or
+stop in argparse with SystemExit(2); a traceback, a "failed" verdict or a
+slow run is a bug in the program. Numeric options are
 drawn either small or far past their caps, so no accepted run is slow.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import re
@@ -25,6 +27,12 @@ FIXTURES = [text for _, text in acceptance.analysis_fixtures()] + [
 ]
 
 ODD_VALUES = [None, True, False, 0, -1, 1, 2.5, 3.0, "3", [], {}, "", 10 ** 30]
+
+
+def odd(rng, extra=()):
+    """A fresh copy of an odd value: a list or dict shared between two
+    places of a graph could come to contain itself."""
+    return copy.deepcopy(rng.choice(ODD_VALUES + list(extra)))
 
 
 def huge(rng):
@@ -51,14 +59,14 @@ def mutate_graph(rng, data, op):
     elif op == 2:  # retype a top-level field or a whole vertex or edge
         key = rng.choice(["vertices", "edges"])
         if rng.random() < 0.4 or not isinstance(data.get(key), list) or not data[key]:
-            data[key] = rng.choice(ODD_VALUES)
+            data[key] = odd(rng)
         else:
-            data[key][rng.randrange(len(data[key]))] = rng.choice(ODD_VALUES + [["A"], ["A", "B", "C"]])
+            data[key][rng.randrange(len(data[key]))] = odd(rng, [["A"], ["A", "B", "C"]])
     elif op in (3, 4):  # an odd, huge, negative, float, bool or string b
         if isinstance(vertices, list) and vertices and isinstance(vertices[0], dict):
             v = rng.choice(vertices)
             if isinstance(v, dict):
-                v["b"] = rng.choice(ODD_VALUES + [huge(rng), rng.randint(-5, 12)])
+                v["b"] = odd(rng, [huge(rng), rng.randint(-5, 12)])
     elif op == 5:  # an edge to an unknown or equal id
         if isinstance(edges, list) and isinstance(vertices, list) and vertices:
             v = rng.choice(vertices)
@@ -80,7 +88,42 @@ def mutate_graph(rng, data, op):
     return data
 
 
+def dense_graph(rng):
+    """K_n near its singular boundary b = n - 1, or a random dense graph."""
+    if rng.random() < 0.5:
+        n = rng.randint(100, 150)
+        edges = [(i, j) for i in range(n) for j in range(i)]
+        bs = [rng.randint(n - 2, n + 1)] * n
+    else:
+        n = rng.randint(30, 80)
+        p = rng.uniform(0.3, 1.0)
+        edges = [(i, j) for i in range(n) for j in range(i) if j == i - 1 or rng.random() < p]
+        edges += rng.sample(edges, rng.randint(0, n))  # some double edges
+        degree = [0] * n
+        for i, j in edges:
+            degree[i] += 1
+            degree[j] += 1
+        bs = [max(2, d + rng.randint(-3, 6)) for d in degree]  # mostly diagonally dominant
+    return {"vertices": [{"id": "V%d" % i, "b": b} for i, b in enumerate(bs)],
+            "edges": [["V%d" % i, "V%d" % j] for i, j in edges]}
+
+
+def oversized(rng) -> bytes:
+    """A file just past the byte cap: a padded fixture, or a star that big."""
+    if rng.random() < 0.5:
+        text = rng.choice(FIXTURES).encode("utf-8")
+        return text + b" " * (cli.MAX_GRAPH_BYTES - len(text) + rng.randint(1, 1000))
+    n = cli.MAX_GRAPH_BYTES // 30
+    return json.dumps({"vertices": [{"id": "C", "b": n}] + [{"id": "L%d" % i, "b": 2} for i in range(1, n)],
+                       "edges": [["C", "L%d" % i] for i in range(1, n)]}).encode("utf-8")
+
+
 def graph_bytes(rng) -> bytes:
+    roll = rng.random()
+    if roll < 0.04:
+        return json.dumps(dense_graph(rng)).encode("utf-8")
+    if roll < 0.06:
+        return oversized(rng)
     data = json.loads(rng.choice(FIXTURES))
     if rng.random() < 0.45:  # a valid graph: a fixture, maybe grown
         for _ in range(rng.randint(0, 3)):

@@ -38,7 +38,7 @@ from ratsurf.harrison import (
     _full_coboundary,
     _shape_kernel,
 )
-from ratsurf import qlinalg
+from ratsurf import harrison, qlinalg
 from ratsurf.qlinalg import QMatrix, SparseMatrix
 from ratsurf.series import fatpoint_tdim, shuffle_dim
 from test_qlinalg import reference_kernel
@@ -393,6 +393,39 @@ def test_zero_map_check_eliminates_the_trivial_image_once(monkeypatch):
         assert zero_map_check(m, k)
         monkeypatch.undo()
         assert len(built) == 2, (m, k, len(built))
+
+
+def patch_outgoing(monkeypatch, columns_of):
+    """Replace the regular-coefficient outgoing differential of zero_map_check
+    by SparseMatrix(rows, cols, columns_of(cols)) of the same shape."""
+    real = harrison.coboundary_matrix
+
+    def fake(algebra, module, k, budget=None):
+        matrix = real(algebra, module, k, budget)
+        if module is not REGULAR:
+            return matrix
+        return SparseMatrix(matrix.rows, matrix.cols, columns_of(matrix.cols))
+
+    monkeypatch.setattr(harrison, "coboundary_matrix", fake)
+
+
+def test_zero_map_check_negative_control(monkeypatch):
+    # a zero outgoing differential makes every unit-coordinate cochain a
+    # cocycle; the residue-field ones do not bound, so the verdict is False
+    patch_outgoing(monkeypatch, lambda cols: [{} for _ in range(cols)])
+    assert not zero_map_check(2, 2)
+
+
+def test_zero_map_check_sees_every_residue_field_coordinate(monkeypatch):
+    # a kernel spanned by unit coordinate t alone: the check fails exactly
+    # when t is one of the unit value's (alpha = 0) functionals
+    scalar_dim = CochainSpace(make_fat_point(2), TRIVIAL, 2).scalar_dim
+    dim = coboundary_matrix(make_fat_point(2), REGULAR, 2).cols
+    assert 0 < scalar_dim < dim
+    for t in range(dim):
+        patch_outgoing(monkeypatch, lambda cols: [{} if j == t else {j: 1} for j in range(cols)])
+        assert zero_map_check(2, 2) == (t >= scalar_dim), t
+        monkeypatch.undo()
 
 
 def test_zero_map_check_rejects_degenerate_arguments():

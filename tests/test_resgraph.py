@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import random
 import time
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
 
+from ratsurf import resgraph
 from ratsurf.resgraph import (
     Cycle,
     GRAPH_ERROR_CODES,
@@ -22,6 +26,7 @@ from ratsurf.resgraph import (
     parse_graph,
 )
 from ratsurf.blowup import multiplicity_tree
+from ratsurf.series import BudgetError
 from ratsurf.qlinalg import QMatrix
 
 
@@ -186,6 +191,37 @@ def test_is_negative_definite_takes_sparse_rows_and_rejects_bad_shapes():
             is_negative_definite(bad)
 
 
+def reference_is_negative_definite(rows):
+    """Reference: the same least-degree symmetric pivot pass in Fractions,
+    as is_negative_definite ran before it became fraction-free."""
+    n = len(rows)
+    adj = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    diag = [r.pop(i, 0) for i, r in enumerate(adj)]
+    heap = [(len(r), i) for i, r in enumerate(adj)]
+    heapify(heap)
+    while heap:
+        degree, p = heappop(heap)
+        if adj[p] is None or degree != len(adj[p]):
+            continue
+        if diag[p] >= 0:
+            return False
+        row, adj[p] = adj[p], None
+        for i in row:
+            del adj[i][p]
+        for i, x in row.items():
+            f = Fraction(x) / diag[p]
+            diag[i] -= f * x
+            for j, y in row.items():
+                if j != i:
+                    v = adj[i].get(j, 0) - f * y
+                    if v:
+                        adj[i][j] = v
+                    else:
+                        adj[i].pop(j, None)
+            heappush(heap, (len(adj[i]), i))
+    return True
+
+
 def sylvester_negative_definite(rows):
     """Reference: (-1)^k times the k-th leading principal minor is > 0 for all k."""
     m = QMatrix.from_rows(rows)
@@ -215,6 +251,7 @@ def graph_form(n, bs, edges):
 
 def assert_agrees_with_sylvester(rows, rng):
     want = sylvester_negative_definite(rows)
+    assert reference_is_negative_definite(rows) == want, rows
     assert is_negative_definite(rows) == want, rows
     assert is_negative_definite([{j: x for j, x in enumerate(r) if x} for r in rows]) == want
     # definiteness does not depend on the vertex order the pivot choice reads
@@ -460,3 +497,116 @@ def test_resolution_graph_accepts_direct_construction():
     g = ResolutionGraph([("A", 3), ("B", 2)], [("A", "B")])
     assert g.n == 2
     assert multiplicity(g) == 3
+
+
+def complete_form(n, b):
+    return graph_form(n, [b] * n, [(i, j) for i in range(n) for j in range(i)])
+
+
+def test_integer_pass_agrees_with_the_fraction_pass_on_complete_graphs():
+    # K_n with all weights b is -(b+1) I + J: definite exactly when b >= n,
+    # singular at b = n - 1
+    for n in range(1, 41):
+        for b in range(max(n - 2, 1), n + 2):
+            rows = complete_form(n, b)
+            want = reference_is_negative_definite(rows)
+            assert want == (b >= n), (n, b)
+            assert is_negative_definite(rows) == want, (n, b)
+
+
+def test_integer_pass_agrees_with_the_fraction_pass_on_long_chains_and_stars():
+    n = 500
+    path = [(i, i + 1) for i in range(n - 1)]
+    spokes = [(0, i) for i in range(1, n)]
+    cases = []
+    for b in (2, 3):
+        cases.append(graph_form(n, [b] * n, path))
+        # the center is definite from 499 / b on: b = 2 needs 250, b = 3 needs 167
+        least = -(-(n - 1) // b)
+        for center in (b, least - 1, least, least + 1):
+            cases.append(graph_form(n, [center] + [b] * (n - 1), spokes))
+    verdicts = [reference_is_negative_definite(rows) for rows in cases]
+    assert verdicts == [True, False, False, True, True] * 2
+    assert [is_negative_definite(rows) for rows in cases] == verdicts
+
+
+def random_trees(rng, count):
+    """count parsed random trees, b = 1..4, drawn until that many are definite."""
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(1, 12)
+        vertices = [("V%d" % i, rng.randint(1, 4)) for i in range(n)]
+        edges = [("V%d" % rng.randrange(i), "V%d" % i) for i in range(1, n)]
+        try:
+            graphs.append(parse_graph(graph_json(vertices, edges)))
+        except GraphError:
+            pass
+    return graphs
+
+
+def assert_pairings_match_the_form(z):
+    g = z.graph
+    form = intersection_matrix(g)
+    a = [z.coefficients[vid] for vid in g.ids]
+    want = [sum(x * a[j] for j, x in row.items()) for row in form]
+    assert list(z.pairings) == want
+    assert [z.dot_vertex(vid) for vid in g.ids] == want
+    assert list(z.coefficients) == list(g.ids)
+    assert z.self_intersection() == sum(x * y for x, y in zip(a, want))
+    assert z.canonical_pairing() == sum(x * (b - 2) for x, b in zip(a, g.b))
+
+
+def test_cycle_pairings_by_index_equal_the_intersection_form():
+    rng = random.Random(31)
+    graphs = [parse_graph(text) for text in (CONE4, CHAIN, STAR, D4, A3)] + random_trees(rng, 1000)
+    nodes = 0
+    for g in graphs:
+        z = fundamental_cycle(g)
+        assert_pairings_match_the_form(z)
+        # a cycle built by hand, its coefficients in another order, pairs the same
+        shuffled = dict(rng.sample(sorted(z.coefficients.items()), g.n))
+        assert Cycle(g, shuffled).pairings == z.pairings
+        if arithmetic_genus(g, z) == 0 and -z.self_intersection() >= 3:
+            for node in multiplicity_tree(g).iter_nodes():
+                assert node.cycle.graph is node.graph
+                assert_pairings_match_the_form(node.cycle)
+                nodes += 1
+    assert nodes > 100
+
+
+def test_trees_make_no_fill(monkeypatch):
+    # every tree pivot has at most one neighbour, so a zero fill budget is enough
+    monkeypatch.setattr(resgraph, "FILL_BUDGET", 0)
+    random_trees(random.Random(37), 300)
+    assert parse_graph(chain_json([3] * 500)).n == 500
+    assert d_graph(500).n == 500
+    n = 400
+    star = graph_json([("C", n + 1)] + [("L%d" % i, 2) for i in range(1, n)],
+                      [("C", "L%d" % i) for i in range(1, n)])
+    assert parse_graph(star).n == n
+    cycle = graph_json([("V%d" % i, 3) for i in range(5)], [("V%d" % i, "V%d" % ((i + 1) % 5)) for i in range(5)])
+    with pytest.raises(BudgetError):
+        parse_graph(cycle)
+
+
+def test_fill_budget_boundary_on_complete_graphs(monkeypatch):
+    # K_n eliminates pivots of degree n-1, ..., 2 with fill: sum k(k-1) = (n-2)(n-1)n/3
+    def fill(n):
+        return (n - 2) * (n - 1) * n // 3
+
+    # the cap admits K_154 and stops K_155; K_120 needs less than half of it
+    assert fill(154) <= resgraph.FILL_BUDGET < fill(155)
+    assert fill(120) < resgraph.FILL_BUDGET // 2
+    rows = complete_form(30, 30)
+    monkeypatch.setattr(resgraph, "FILL_BUDGET", fill(30))
+    assert is_negative_definite(rows)
+    monkeypatch.setattr(resgraph, "FILL_BUDGET", fill(30) - 1)
+    with pytest.raises(BudgetError):
+        is_negative_definite(rows)
+
+
+def test_resgraph_does_not_import_fractions():
+    tree = ast.parse(open(resgraph.__file__, encoding="utf-8").read())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "json" in imported and "fractions" not in imported
