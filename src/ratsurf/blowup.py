@@ -106,22 +106,21 @@ def _build(g: ResolutionGraph, z: Cycle, mult: int) -> MultiplicityTree:
     )
 
 
-def multiplicity_tree(g: ResolutionGraph, z: Cycle | None = None,
-                      mult: int | None = None) -> MultiplicityTree:
+def multiplicity_tree(g: ResolutionGraph, z: Cycle | None = None) -> MultiplicityTree:
     """Tree of infinitely near singular points with multiplicity >= 3.
 
     Raises NotRationalError for non-rational input and NotApplicableError
     when the root itself is a rational double point. A caller that already
-    holds g's fundamental cycle z, with p_a(z) = 0 and mult = -z.z >= 3
-    checked, passes both, and neither is computed again.
+    holds g's fundamental cycle z, with p_a(z) = 0 checked, passes it, and
+    it is not computed again.
     """
     if z is None:
         z = fundamental_cycle(g)
         if arithmetic_genus(g, z) != 0:
             raise NotRationalError("the singularity is not rational")
-        mult = -z.self_intersection()
-        if mult <= 2:
-            raise NotApplicableError(
-                "the singularity is a rational double point; the tree starts at multiplicity 3"
-            )
+    mult = -z.self_intersection()
+    if mult <= 2:
+        raise NotApplicableError(
+            "the singularity is a rational double point; the tree starts at multiplicity 3"
+        )
     return _build(g, z, mult)

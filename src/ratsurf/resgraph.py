@@ -15,12 +15,12 @@ every distinct failure mode.
 
 The intersection form is sparse rows {j: E_i.E_j}. is_negative_definite
 eliminates it in one symmetric pass, always a vertex of least degree, and
-stops at the first pivot >= 0. The pass is fraction-free: off-diagonal
-entries stay ints in rows with an implicit positive scale, each diagonal is
-a reduced integer pair. On a tree the pivot vertex is a leaf, so only one
-diagonal changes per step, there is no fill and the pass is O(n); other
-graphs take the same pass with fill, scaling each updated row to stay
-integral, and stop with BudgetError past FILL_BUDGET fill updates.
+stops at the first pivot >= 0. The pass is fraction-free: every entry is a
+reduced pair of ints, and a step updates only the entries among the pivot's
+neighbours. On a tree the pivot vertex is a leaf, so only one diagonal
+changes per step, there is no fill and the pass is O(n); other graphs take
+the same pass with fill, at most degree^2 updates per step, and stop with
+BudgetError past FILL_BUDGET fill updates.
 
 Cycles are integer combinations of the vertices. fundamental_cycle computes
 the smallest cycle Z > 0 with Z.E_i <= 0 everywhere by the standard greedy
@@ -53,8 +53,9 @@ GRAPH_ERROR_CODES = (
 
 # The work budget of a graph file. A file over MAX_GRAPH_BYTES is not read;
 # the definiteness pass stops after FILL_BUDGET fill updates, where K_n takes
-# about n^3/3 (K_120 0.56e6, K_154 1.19e6) and a dense random graph near the
-# cap about 2 s. Both end analyze in budget-exceeded.
+# about n^3/3 (K_120 0.56e6, K_154 1.19e6, about 0.3 s) and a dense random
+# graph near the cap, whose entries grow to hundreds of digits, about 4 s.
+# Both end analyze in budget-exceeded.
 MAX_GRAPH_BYTES = 2_000_000
 FILL_BUDGET = 1_200_000
 
@@ -211,28 +212,30 @@ def intersection_matrix(g: ResolutionGraph) -> list:
 
 
 def is_negative_definite(rows) -> bool:
-    """Are all pivots of P A P^T = L D L^T negative? rows are integer sparse
-    dicts or dense sequences; each step eliminates a vertex of least current
-    degree (ties by index), and the pivot signs do not depend on that order.
+    """Are all pivots of P A P^T = L D L^T negative? rows are sparse dicts or
+    dense sequences of Python ints; each step eliminates a vertex of least
+    current degree (ties by index), and the pivot signs do not depend on
+    that order.
 
-    The pass is fraction-free. Row i is held as int off-diagonal entries
-    R_i[j] = s_i A_ij for an implicit scale s_i > 0, so R_i[j] and R_j[i] are
-    read separately, and its diagonal s_i A_ii as a reduced pair num/den,
-    den > 0. Eliminating a pivot with one neighbour changes only that
-    neighbour's diagonal; a pivot with more neighbours scales each neighbour
-    row by -num_p den_i > 0, which keeps it integral, and divides it by the
-    gcd of its entries. More than FILL_BUDGET entry updates of the second
-    kind raise BudgetError; a tree never makes one.
+    The pass is fraction-free: every entry of the matrix being eliminated is
+    a reduced pair num/den of ints, den > 0, and the Schur update of a pivot
+    touches only the entries among its neighbours. A pivot with one
+    neighbour changes only that neighbour's diagonal; one with more
+    neighbours fills in, and more than FILL_BUDGET updates of that kind
+    raise BudgetError, which a tree never does. Raises ValueError for a
+    matrix that is not square, symmetric and of ints.
     """
     n = len(rows)
     adj = [{j: x for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
            for r in rows]
     if any(not isinstance(r, dict) and len(r) != n for r in rows) or any(
-        not 0 <= j < n or adj[j].get(i, 0) != x for i, r in enumerate(adj) for j, x in r.items()
+        type(x) is not int or not 0 <= j < n or adj[j].get(i, 0) != x
+        for i, r in enumerate(adj) for j, x in r.items()
     ):
-        raise ValueError("negative definiteness needs a symmetric square matrix")
+        raise ValueError("negative definiteness needs a symmetric square matrix of ints")
     num = [r.pop(i, 0) for i, r in enumerate(adj)]
     den = [1] * n
+    adj = [{j: (x, 1) for j, x in r.items()} for r in adj]
     # vertex i of current degree d waits on the heap as the int d * n + i, so
     # the least key is the least degree, ties by index
     heap = [len(r) * n + i for i, r in enumerate(adj)]
@@ -248,19 +251,14 @@ def is_negative_definite(rows) -> bool:
             return False
         adj[p] = None
         if degree == 1:
-            # D_i -= R_i[p] R_p[i] d / a, added as the reduced c/e: gcd(d, a) = 1,
-            # so the small gcd(xy, a) is the only factor to take out; the sum is
-            # reduced by Knuth's gcds, as fractions.Fraction adds
-            (i, y), = row.items()
+            # D_i += A_ip^2 / -A_pp = x^2 d / (y^2 (-a)), reduced by the small gcds
+            (i, (x, y)), = row.items()
             ri = adj[i]
-            xy = ri.pop(p) * y
-            g = gcd(xy, a)
-            c, e = xy // g * d, -a // g
-            di = den[i]
-            g = gcd(di, e)
-            t = num[i] * (e // g) + c * (di // g)
-            g2 = gcd(t, g)
-            num[i], den[i] = t // g2, e // g * (di // g2)
+            del ri[p]
+            x *= x
+            y *= y
+            g, h = gcd(x, a), gcd(d, y)
+            num[i], den[i] = _add(num[i], den[i], x // g * (d // h), y // h * (-a // g))
             heappush(heap, len(ri) * n + i)
             continue
         fill += degree * (degree - 1)
@@ -268,28 +266,40 @@ def is_negative_definite(rows) -> bool:
             raise BudgetError(
                 "definiteness check: more than %d fill updates; the graph is too dense" % FILL_BUDGET
             )
-        for i, y in row.items():
+        # A_ij += w_i A_pj for the neighbours i, j of p, w_i = A_ip / -A_pp;
+        # every product is reduced by its two cross gcds, as Fraction multiplies
+        w = []
+        for i, (x, y) in row.items():
+            del adj[i][p]
+            g, h = gcd(x, a), gcd(d, y)
+            w.append((i, x, y, x // g * (d // h), y // h * (-a // g)))
+        for k, (i, x, y, wn, wd) in enumerate(w):
             ri = adj[i]
-            di = den[i]
-            u = ri.pop(p) * d * di
-            s = -a * di
-            for j in ri:
-                ri[j] *= s
-            for j, w in row.items():
-                if j != i:
-                    x = ri.get(j, 0) + u * w
-                    if x:
-                        ri[j] = x
-                    else:
-                        del ri[j]
-            num[i], den[i] = -a * num[i] + u * y, 1
-            g = gcd(num[i], *ri.values())
-            if g > 1:
-                num[i] //= g
-                for j in ri:
-                    ri[j] //= g
-            heappush(heap, len(ri) * n + i)
+            for j, xj, yj, _, _ in w[k + 1:]:
+                g, h = gcd(wn, yj), gcd(xj, wd)
+                c, e = ri.get(j, (0, 1))
+                c, e = _add(c, e, wn // g * (xj // h), wd // h * (yj // g))
+                if c:
+                    ri[j] = adj[j][i] = (c, e)
+                else:
+                    del ri[j], adj[j][i]
+            g, h = gcd(wn, y), gcd(x, wd)
+            num[i], den[i] = _add(num[i], den[i], wn // g * (x // h), wd // h * (y // g))
+        for i in row:
+            heappush(heap, len(adj[i]) * n + i)
     return True
+
+
+def _add(n1: int, d1: int, n2: int, d2: int) -> tuple:
+    """n1/d1 + n2/d2 as a reduced pair, for reduced pairs with d1, d2 > 0.
+    Only small gcds are taken (Knuth's trick, as fractions.Fraction adds)."""
+    g = gcd(d1, d2)
+    if g == 1:
+        return n1 * d2 + d1 * n2, d1 * d2
+    s = d1 // g
+    t = n1 * (d2 // g) + n2 * s
+    g = gcd(t, g)
+    return t // g, s * (d2 // g)
 
 
 class Cycle:

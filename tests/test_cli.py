@@ -490,8 +490,21 @@ def test_large_graphs_analyze_in_bounded_time(tmp_path, capsys):
     n = 3000
     chain = json.dumps({"vertices": [{"id": "E%d" % i, "b": 3} for i in range(n)],
                         "edges": [["E%d" % i, "E%d" % (i + 1)] for i in range(n - 1)]})
+    # fill pivots of degree 2 next to a hub with thousands of entries: m
+    # triangles sharing the hub, and a hub joined to a b = 4 path; both are
+    # definite and have cycles, so they are not rational
+    m = 5000
+    windmill = json.dumps({"vertices": [{"id": "C", "b": m + 1}] + [{"id": "%s%d" % (x, t), "b": 3}
+                                                                   for t in range(m) for x in "LM"],
+                           "edges": [e for t in range(m) for e in (["C", "L%d" % t], ["C", "M%d" % t],
+                                                                   ["L%d" % t, "M%d" % t])]})
+    k = 2000
+    fan = json.dumps({"vertices": [{"id": "C", "b": k // 2}] + [{"id": "P%d" % i, "b": 4} for i in range(k)],
+                      "edges": [["C", "P%d" % i] for i in range(k)] + [["P%d" % i, "P%d" % (i + 1)]
+                                                                        for i in range(k - 1)]})
     for name, text, status, limit in (("k120.json", complete_graph_json(120, 120), 3, 1.0),
-                                      ("star.json", star, 0, 0.3), ("chain.json", chain, 0, 0.3)):
+                                      ("star.json", star, 0, 0.3), ("chain.json", chain, 0, 0.3),
+                                      ("windmill.json", windmill, 3, 0.5), ("fan.json", fan, 3, 0.5)):
         path = write(tmp_path, text, name)
         factor = slowdown()
         code, best = best_of_3_analyze(capsys, path)

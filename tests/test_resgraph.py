@@ -191,11 +191,19 @@ def test_is_negative_definite_takes_sparse_rows_and_rejects_bad_shapes():
             is_negative_definite(bad)
 
 
+def test_is_negative_definite_takes_only_int_entries():
+    for bad in ([[Fraction(-2)]], [[-2.0]], [[True]], [[-2, 0.5], [0.5, -2]],
+                [{0: -2, 1: Fraction(1)}, {0: Fraction(1), 1: -2}]):
+        with pytest.raises(ValueError, match="of ints"):
+            is_negative_definite(bad)
+
+
 def reference_is_negative_definite(rows):
     """Reference: the same least-degree symmetric pivot pass in Fractions,
     as is_negative_definite ran before it became fraction-free."""
     n = len(rows)
-    adj = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    adj = [{j: x for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
+           for r in rows]
     diag = [r.pop(i, 0) for i, r in enumerate(adj)]
     heap = [(len(r), i) for i, r in enumerate(adj)]
     heapify(heap)
@@ -528,6 +536,49 @@ def test_integer_pass_agrees_with_the_fraction_pass_on_long_chains_and_stars():
     verdicts = [reference_is_negative_definite(rows) for rows in cases]
     assert verdicts == [True, False, False, True, True] * 2
     assert [is_negative_definite(rows) for rows in cases] == verdicts
+
+
+def sparse_form(n, bs, edges):
+    rows = [{i: -b} for i, b in enumerate(bs)]
+    for i, j in edges:
+        rows[i][j] = rows[i].get(j, 0) + 1
+        rows[j][i] = rows[j].get(i, 0) + 1
+    return rows
+
+
+def windmill_form(m, hub):
+    """m triangles C-L-M sharing the hub C (index 0), every blade b = 3. Each
+    blade pair adds 1 to the hub's pivot, so the form is definite exactly
+    when hub > m."""
+    edges = [e for t in range(1, 2 * m, 2) for e in ((0, t), (0, t + 1), (t, t + 1))]
+    return sparse_form(2 * m + 1, [hub] + [3] * (2 * m), edges)
+
+
+def fan_form(k, hub):
+    """The hub (index 0) joined to every vertex of a b = 4 path of k vertices;
+    for even k it is definite from hub = k/2 on."""
+    edges = [(0, i) for i in range(1, k + 1)] + [(i, i + 1) for i in range(1, k)]
+    return sparse_form(k + 1, [hub] + [4] * k, edges)
+
+
+def test_fill_pivots_next_to_a_hub_cost_no_more_than_in_the_fraction_pass():
+    # every blade and path vertex is a fill pivot of degree 2 with the hub,
+    # and its thousands of entries, as a neighbour; a step that touched all
+    # of them would make the pass quadratic
+    cases = [(windmill_form(5000, 5000), False), (windmill_form(5000, 5001), True),
+             (fan_form(2000, 999), False), (fan_form(2000, 1000), True)]
+    for rows, want in cases:
+        t0 = time.perf_counter()
+        assert reference_is_negative_definite(rows) == want
+        reference = time.perf_counter() - t0
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert is_negative_definite(rows) == want
+            best = min(best, time.perf_counter() - t0)
+        # the integer pass is 1.5-3 times faster; the slack is for a CPU that
+        # slows down between the two timings, a quadratic pass is 20-80 times slower
+        assert best < 2 * reference, (len(rows), best, reference)
 
 
 def random_trees(rng, count):
