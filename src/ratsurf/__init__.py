@@ -14,105 +14,81 @@ Everything runs on exact rational arithmetic (qlinalg); there is no floating
 point anywhere. The cli module exposes the analyze / series / oracle /
 selftest subcommands, and acceptance.run_all() re-verifies every shipped
 correctness claim in one call.
-"""
 
-from .qlinalg import QMatrix
-from .series import (
-    DimensionTable,
-    IntegralityError,
-    cone_tdim,
-    dimension_table,
-    fatpoint_tdim,
-    poincare_series,
-    shuffle_dim,
-    shuffle_dim_series,
-)
-from .harrison import (
-    BudgetError,
-    CochainSpace,
-    CoefficientModule,
-    DEFAULT_BUDGET,
-    FiniteLocalAlgebra,
-    REGULAR,
-    TRIVIAL,
-    coboundary_matrix,
-    harrison_dim,
-    hochschild_dim,
-    make_fat_point,
-    shuffle_invariant_dim,
-    signed_shuffles,
-    zero_map_check,
-)
-from .resgraph import (
-    Cycle,
-    GraphError,
-    NotRationalError,
-    ResolutionGraph,
-    arithmetic_genus,
-    fundamental_cycle,
-    intersection_matrix,
-    is_negative_definite,
-    is_reduced,
-    parse_graph,
-)
-from .blowup import MultiplicityTree, NotApplicableError, blowup_components, multiplicity_tree
-from .formulas import (
-    AnalysisReport,
-    BoundedValue,
-    ObstructionReport,
-    analyze,
-    codim_ac_report,
-    gmd_check,
-    t2_report,
-    tdim,
-)
+The package loads lazily (PEP 562): each exported name imports its module on
+first access. `import ratsurf` loads no layer, and `import ratsurf.cli` only
+the closed-form half; the brute-force half loads when it is first used.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QMatrix",
-    "DimensionTable",
-    "IntegralityError",
-    "shuffle_dim",
-    "shuffle_dim_series",
-    "poincare_series",
-    "cone_tdim",
-    "fatpoint_tdim",
-    "dimension_table",
-    "FiniteLocalAlgebra",
-    "CoefficientModule",
-    "CochainSpace",
-    "TRIVIAL",
-    "REGULAR",
-    "BudgetError",
-    "DEFAULT_BUDGET",
-    "make_fat_point",
-    "signed_shuffles",
-    "shuffle_invariant_dim",
-    "coboundary_matrix",
-    "harrison_dim",
-    "hochschild_dim",
-    "zero_map_check",
-    "ResolutionGraph",
-    "Cycle",
-    "GraphError",
-    "NotRationalError",
-    "parse_graph",
-    "intersection_matrix",
-    "is_negative_definite",
-    "fundamental_cycle",
-    "is_reduced",
-    "arithmetic_genus",
-    "MultiplicityTree",
-    "NotApplicableError",
-    "blowup_components",
-    "multiplicity_tree",
-    "AnalysisReport",
-    "BoundedValue",
-    "ObstructionReport",
-    "tdim",
-    "t2_report",
-    "codim_ac_report",
-    "gmd_check",
-    "analyze",
-]
+# module -> the names it exports here
+_EXPORTS = {
+    "qlinalg": ("QMatrix",),
+    "series": (
+        "BudgetError",
+        "DimensionTable",
+        "IntegralityError",
+        "shuffle_dim",
+        "shuffle_dim_series",
+        "poincare_series",
+        "cone_tdim",
+        "fatpoint_tdim",
+        "dimension_table",
+    ),
+    "harrison": (
+        "FiniteLocalAlgebra",
+        "CoefficientModule",
+        "CochainSpace",
+        "TRIVIAL",
+        "REGULAR",
+        "DEFAULT_BUDGET",
+        "make_fat_point",
+        "signed_shuffles",
+        "shuffle_invariant_dim",
+        "coboundary_matrix",
+        "harrison_dim",
+        "hochschild_dim",
+        "zero_map_check",
+    ),
+    "resgraph": (
+        "ResolutionGraph",
+        "Cycle",
+        "GraphError",
+        "NotRationalError",
+        "parse_graph",
+        "intersection_matrix",
+        "is_negative_definite",
+        "fundamental_cycle",
+        "is_reduced",
+        "arithmetic_genus",
+    ),
+    "blowup": ("MultiplicityTree", "NotApplicableError", "blowup_components", "multiplicity_tree"),
+    "formulas": (
+        "AnalysisReport",
+        "BoundedValue",
+        "ObstructionReport",
+        "tdim",
+        "t2_report",
+        "codim_ac_report",
+        "gmd_check",
+        "analyze",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module("." + module, __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

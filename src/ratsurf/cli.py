@@ -10,6 +10,8 @@ counts (vertices, children) stay plain numbers.
 Exit codes are a function of the status alone:
     ok 0, failed 1, invalid-input 2, not-rational 3, not-applicable 4,
     budget-exceeded 5.
+The console script exits 141 instead, with nothing on stderr, when its
+stdout is closed before the output is written (as under `| head`).
 """
 
 from __future__ import annotations
@@ -20,16 +22,8 @@ import sys
 from functools import lru_cache
 
 from . import formulas, series
-from .harrison import (
-    BudgetError,
-    REGULAR,
-    TRIVIAL,
-    check_budget,
-    harrison_dim,
-    hochschild_dim,
-    make_fat_point,
-)
 from .resgraph import MAX_GRAPH_BYTES, GraphError, parse_graph
+from .series import BudgetError
 
 EXIT_CODES = {
     "ok": 0,
@@ -39,6 +33,33 @@ EXIT_CODES = {
     "not-applicable": 4,
     "budget-exceeded": 5,
 }
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+
+
+# the brute-force engine's names, bound into this module by _load_engine
+_ENGINE = ("REGULAR", "TRIVIAL", "check_budget", "harrison_dim", "hochschild_dim", "make_fat_point")
+
+
+def _load_engine() -> None:
+    """Import harrison (and qlinalg under it) on first use, not with the CLI.
+
+    Each engine name becomes a global of this module. setdefault keeps a
+    name that was set from outside first, such as a timing wrapper, so
+    cmd_oracle calls whatever the module attribute holds.
+    """
+    from . import harrison
+
+    names = globals()
+    for name in _ENGINE:
+        names.setdefault(name, getattr(harrison, name))
+
+
+def __getattr__(name):
+    # PEP 562: reading an engine name off the module loads the engine
+    if name not in _ENGINE:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    _load_engine()
+    return globals()[name]
 
 
 def _num(x) -> str:
@@ -46,10 +67,15 @@ def _num(x) -> str:
     return str(int(x))
 
 
-def _tree_dict(node) -> dict:
+def _cycle_dict(cycle) -> dict:
+    return {vid: _num(a) for vid, a in cycle.coefficients.items()}
+
+
+def _tree_dict(node, cycle=None) -> dict:
+    """A node and its subtree; cycle is the node's cycle already rendered, if any."""
     return {
         "mult": _num(node.mult),
-        "cycle": {vid: _num(a) for vid, a in node.cycle.coefficients.items()},
+        "cycle": _cycle_dict(node.cycle) if cycle is None else cycle,
         "reduced": node.reduced,
         "dropped_rdps": node.dropped_rdp_count,
         "children": [_tree_dict(child) for child in node.children],
@@ -101,7 +127,7 @@ def cmd_analyze(args) -> tuple:
         "vertices": graph.n,
         "edges": len(graph.edges),
         "rational": report.rational,
-        "fundamental_cycle": {vid: _num(a) for vid, a in report.cycle.coefficients.items()},
+        "fundamental_cycle": _cycle_dict(report.cycle),
     }
     lines = [
         "vertices: %d, edges: %d" % (graph.n, len(graph.edges)),
@@ -120,7 +146,8 @@ def cmd_analyze(args) -> tuple:
         lines.append("rational double point: the dimension formulas need multiplicity >= 3")
         return "not-applicable", data, lines
     data["reduced_everywhere"] = report.reduced_everywhere
-    data["tree"] = _tree_dict(report.tree)
+    # the tree's root carries the fundamental cycle, rendered once for both
+    data["tree"] = _tree_dict(report.tree, data["fundamental_cycle"])
     data["tdims"] = {str(i): _num(v) for i, v in report.tdims.items()}
     data["t2"] = {"value": _num(report.t2.value), "exact": report.t2.exact}
     data["codim_ac"] = {"value": _num(report.codim_ac.value), "exact": report.codim_ac.exact}
@@ -178,6 +205,7 @@ def cmd_oracle(args) -> tuple:
         return "invalid-input", {"error": "need --m >= 1 and --k >= 1"}, ["need --m >= 1 and --k >= 1"]
     if args.budget is not None and args.budget < 1:
         return "invalid-input", {"error": "--budget must be at least 1"}, ["--budget must be at least 1"]
+    _load_engine()
     module = TRIVIAL if args.coeffs == "trivial" else REGULAR
     try:
         check_budget(args.m, args.k, args.budget, args.hochschild)
@@ -233,7 +261,12 @@ def cmd_selftest(args) -> tuple:
     return status, data, lines
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def _parser() -> tuple:
+    """The full parser and a dict command -> that subcommand's own parser.
+
+    Built on the first main() call, not at import, and reused by later calls.
+    """
     parser = argparse.ArgumentParser(
         prog="ratsurf",
         description="Cotangent cohomology dimensions of rational surface singularities, exactly.",
@@ -265,17 +298,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="structured output")
     p.set_defaults(func=cmd_selftest)
 
-    return parser
+    return parser, sub.choices
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    # built on the first main() call, not at import, and reused by later calls
-    return build_parser()
+def _parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv as the full parser's parse_args would, in fewer steps.
+
+    A well-formed call goes straight to its subcommand's parser. Anything
+    else (no command, an unknown one, or arguments the subcommand does not
+    take) goes through the full parser, so errors and usage read as before.
+    """
+    parser, commands = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     status, data, lines = args.func(args)
     if getattr(args, "json", False):
         envelope = {"schema": "1", "command": args.command, "status": status}
@@ -289,5 +334,26 @@ def main(argv=None) -> int:
     return EXIT_CODES[status]
 
 
+def console_main() -> int:
+    """The `ratsurf` console script: main on sys.argv, ending quietly when
+    stdout closes early (as under `| head`) with exit code EXIT_CLOSED_STDOUT.
+
+    Only this entry point handles it, since pointing stdout at devnull acts
+    on the whole process; main itself, which callers run in-process, does not.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()  # a write that fails at exit would go unreported
+    except BrokenPipeError:
+        # the recipe of the Python signal docs: whatever is still buffered is
+        # flushed at shutdown, and devnull takes it without a second error
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

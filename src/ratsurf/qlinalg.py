@@ -13,7 +13,8 @@ reduced echelon form is unique, so this does not depend on the row order;
 callers read a kernel element's coordinates off its free-column entries.
 Each kernel entry is -v/a for a stored row's entry v and pivot a: an int
 when a divides v, a Fraction only otherwise, so integral kernels stay in
-ints for the callers' arithmetic too.
+ints for the callers' arithmetic too. The fractions module is imported only
+where a Fraction is built or checked, so integral work never loads it.
 
 SparseMatrix holds the cochain differentials as sparse columns. QMatrix is a
 dense matrix whose determinants and leading minors only the tests use.
@@ -21,13 +22,15 @@ dense matrix whose determinants and leading minors only the tests use.
 
 from __future__ import annotations
 
-from collections.abc import Iterable  # decimal, under fractions, loads it anyway
-from fractions import Fraction
+from collections.abc import Iterable  # site has loaded it at startup already
 from math import gcd, lcm
+from numbers import Rational
 
 
-def as_fraction(x) -> Fraction:
+def as_fraction(x) -> Rational:
     """Coerce int/Fraction to Fraction, rejecting anything inexact."""
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -37,6 +40,8 @@ def as_fraction(x) -> Fraction:
 
 def as_exact(x):
     """Like as_fraction, but an integral value comes back as a plain int."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
     x = as_fraction(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -127,7 +132,11 @@ class Echelon:
             for j, v in row.items():
                 if j != c:
                     q, r = divmod(-v, a)
-                    basis[j][c] = Fraction(-v, a) if r else q
+                    if r:
+                        from fractions import Fraction
+
+                        q = Fraction(-v, a)
+                    basis[j][c] = q
         return [basis[f] for f in free]
 
 
@@ -191,7 +200,7 @@ class QMatrix:
     def zero(cls, rows: int, cols: int) -> "QMatrix":
         return cls(rows, cols, [0] * (rows * cols))
 
-    def __getitem__(self, ij) -> Fraction:
+    def __getitem__(self, ij) -> Rational:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("index out of range")
@@ -237,7 +246,9 @@ class QMatrix:
         """Free (non-pivot) column indices, matching kernel_basis order."""
         return self._echelon().free_columns(self.cols)
 
-    def det(self) -> Fraction:
+    def det(self) -> Rational:
+        from fractions import Fraction
+
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
@@ -264,7 +275,7 @@ class QMatrix:
                             wi[jj] -= f * prow[jj]
         return det * sign
 
-    def leading_principal_minor(self, k: int) -> Fraction:
+    def leading_principal_minor(self, k: int) -> Rational:
         if not (0 <= k <= min(self.rows, self.cols)):
             raise ValueError("minor size out of range")
         sub = []

@@ -9,6 +9,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from ratsurf import acceptance, cli
 from ratsurf.cli import EXIT_CODES, main
 
@@ -395,6 +397,28 @@ def test_the_parser_is_built_on_first_use_and_reused(capsys):
     assert run(capsys, ["series", "--d", "3", "--order", "6"]) == first
     assert run(capsys, ["oracle", "--m", "2", "--k", "4"])[0] == 0
     assert cli._parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv, keep", [
+    # several megabytes fill the pipe, and the reader leaves after 20 bytes
+    # as `| head -c 20` does
+    (["series", "--d", "5", "--order", "3000", "--json"], 20),
+    # the reader is gone before the first write, so the whole output is
+    # still buffered when the script flushes it
+    (["series", "--d", "5", "--json"], 0),
+])
+def test_a_closed_stdout_ends_the_console_script_quietly(argv, keep):
+    script = "import sys; from ratsurf.cli import console_main; sys.exit(console_main())"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", script] + argv, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    head = proc.stdout.read(keep)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
+    assert head == b'{\n  "command": "seri'[:keep]
+    assert err == b""
 
 
 def complete_graph_json(n, b):

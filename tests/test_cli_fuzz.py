@@ -228,3 +228,52 @@ def test_fuzzed_inputs_end_in_a_documented_status(tmp_path, capsys):
     # the generator reaches every documented status
     assert seen == ALLOWED
     assert time.perf_counter() - start < 30
+
+
+# option spellings argparse also accepts: prefixes of each long option
+ABBREVIATIONS = {"--max-i": "--max", "--order": "--ord", "--coeffs": "--coe",
+                 "--hochschild": "--hoch", "--budget": "--bud", "--json": "--js"}
+
+
+def parser_argv(rng):
+    """random_argv with spellings and mistakes that reach argparse's own paths."""
+    argv = [] if rng.random() < 0.03 else random_argv(rng, "graph.json")
+    for _ in range(rng.randint(0, 3)):
+        roll = rng.random()
+        i = rng.randint(0, len(argv))
+        if roll < 0.15:  # help, anywhere
+            argv.insert(i, rng.choice(["-h", "--help"]))
+        elif roll < 0.35:  # an unknown option, a stray word, or the end of options
+            argv.insert(i, rng.choice(["--nosuch", "-x", "extra", "--", "--json=1", "analyze", "--d"]))
+        elif roll < 0.7 and argv:  # --opt value as --opt=value
+            j = rng.randrange(len(argv))
+            if argv[j].startswith("--") and j + 1 < len(argv):
+                argv[j:j + 2] = [argv[j] + "=" + argv[j + 1]]
+        elif argv:  # an abbreviated option
+            j = rng.randrange(len(argv))
+            argv[j] = ABBREVIATIONS.get(argv[j], argv[j])
+    return argv
+
+
+def parse_outcome(parse, argv, capsys):
+    """(parsed namespace as a dict or None, exit code or None, stdout, stderr)."""
+    try:
+        parsed, code = vars(parse(argv)), None
+    except SystemExit as e:
+        parsed, code = None, e.code
+    out, err = capsys.readouterr()
+    return parsed, code, out, err
+
+
+def test_the_subcommand_parser_reads_argv_as_the_full_parser_does(capsys):
+    # main hands a well-formed argv to its subcommand's parser alone; every
+    # argv must parse, fail or print help exactly as the full parser does
+    rng = random.Random(1422)
+    full = cli._parser()[0]
+    kinds = set()
+    for _ in range(320):
+        argv = parser_argv(rng)
+        fast = parse_outcome(cli._parse_args, argv, capsys)
+        assert fast == parse_outcome(full.parse_args, argv, capsys), argv
+        kinds.add(fast[1])
+    assert kinds == {None, 0, 2}  # parsed, help, error

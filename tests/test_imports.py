@@ -20,16 +20,63 @@ SRC = os.path.dirname(os.path.dirname(ratsurf.__file__))
 CONE4 = '{"vertices": [{"id": "E0", "b": 4}], "edges": []}'
 
 
-def test_importing_the_cli_loads_no_dataclasses_typing_or_acceptance():
+def loaded_after(code: str, modules: tuple) -> list:
+    """Which of modules a fresh interpreter holds after `import ratsurf.cli as cli` and code."""
     # -S skips site, which may preload typing on its own
-    probe = (
-        "import sys; sys.path.insert(0, %r); import ratsurf.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing', 'ratsurf.acceptance') "
-        "if m in sys.modules))" % SRC
-    )
+    probe = "\n".join([
+        "import sys",
+        "sys.path.insert(0, %r)" % SRC,
+        "import ratsurf.cli as cli",
+        code,
+        "print('loaded:', *[m for m in %r if m in sys.modules])" % (modules,),
+    ])
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == ""
+    last = out.stdout.splitlines()[-1].split()
+    assert last[0] == "loaded:", out.stdout[-500:]
+    return last[1:]
+
+
+ENGINE = ("ratsurf.harrison", "ratsurf.qlinalg", "fractions", "decimal")
+
+
+def test_importing_the_cli_loads_no_dataclasses_typing_or_acceptance():
+    assert loaded_after("", ("dataclasses", "inspect", "typing", "ratsurf.acceptance")) == []
+
+
+def test_analyze_and_series_load_neither_the_engine_nor_fractions(tmp_path):
+    path = tmp_path / "cone4.json"
+    path.write_text(CONE4)
+    code = "assert cli.main(['analyze', %r, '--json']) == 0; assert cli.main(['series', '--d', '5']) == 0"
+    assert loaded_after(code % str(path), ENGINE) == []
+
+
+def test_an_integral_oracle_call_loads_the_engine_but_not_fractions():
+    code = "assert cli.main(['oracle', '--m', '2', '--k', '4']) == 0"
+    assert loaded_after(code, ENGINE) == ["ratsurf.harrison", "ratsurf.qlinalg"]
+
+
+@pytest.mark.parametrize("setup, engine_loaded", [
+    # as a tracer does: read the engine's function off the CLI, then replace it
+    ("real = cli.harrison_dim", True),
+    # with the engine still unloaded: the wrapper finds the function itself
+    ("real = None", False),
+])
+def test_a_wrapper_set_on_the_cli_before_the_first_oracle_call_is_the_one_that_runs(setup, engine_loaded):
+    code = "\n".join([
+        setup,
+        "calls = []",
+        "def wrapper(*args, **kwargs):",
+        "    calls.append(args[2])",
+        "    from ratsurf.harrison import harrison_dim",
+        "    return (real or harrison_dim)(*args, **kwargs)",
+        "cli.harrison_dim = wrapper",
+        "assert ('ratsurf.harrison' in sys.modules) is %r" % engine_loaded,
+        "assert cli.main(['oracle', '--m', '2', '--k', '4']) == 0",
+        "assert cli.main(['oracle', '--m', '2', '--k', '3']) == 0",
+        "assert calls == [4, 3] and cli.harrison_dim is wrapper, calls",
+    ])
+    assert loaded_after(code, ("ratsurf.harrison",)) == ["ratsurf.harrison"]
 
 
 def test_every_exported_name_is_an_attribute_of_the_package():
