@@ -29,13 +29,17 @@ splits into blocks indexed by letter content, and blocks whose letter
 multiplicities agree as partitions share one kernel computation up to
 relabeling. This is what keeps the search spaces small enough for exact
 arithmetic; a direct stacked-matrix computation over the full word space
-gives the same dimensions and is pinned by tests on small cases.
+gives the same dimensions and is pinned by tests on small cases. A block
+needs the shuffle row sh(w[:p], w[p:]) only when the prefix w[:p] is a free
+word of its own shape kernel, which spans the same rows (see _shape_kernel).
 
 A cochain is a sparse dict keyed alpha * n**k + word: alpha is the value
 coordinate and the word is read in base n, first letter most significant
 (itertools.product order). One differential routine on these keys builds the
 Harrison and the Hochschild matrices, each eliminated once by qlinalg.Echelon.
-The word budget is checked for every degree a computation touches first.
+The word budget is checked for every degree a computation touches first; a
+dimension then reuses the ranks of d_(k-1) and d_k, each kept per process by
+structure constants, coefficient kind and degree.
 """
 
 from __future__ import annotations
@@ -264,6 +268,21 @@ def _multiset_words(counts: list):
             counts[c] += 1
 
 
+def _relabel(content) -> tuple:
+    """A content's letters in canonical order (descending multiplicity, then letter) and its shape."""
+    counts = Counter(content)
+    ordered = sorted(counts, key=lambda a: (-counts[a], a))
+    return ordered, tuple(counts[a] for a in ordered)
+
+
+@lru_cache(maxsize=None)
+def _is_free(word: tuple) -> bool:
+    """Is word, relabeled canonically, a free word of its own shape kernel?"""
+    ordered, shape = _relabel(word)
+    words, _, free = _shape_kernel(len(word), shape)
+    return words.index(tuple(map(ordered.index, word))) in free
+
+
 @lru_cache(maxsize=None)
 def _shape_kernel(k: int, shape: tuple):
     """Shuffle-constraint kernel on the words with letter multiplicities `shape`.
@@ -274,6 +293,14 @@ def _shape_kernel(k: int, shape: tuple):
     free-position normalized, with int entries wherever the echelon pivot
     divides (Fractions otherwise); free_positions[t] is the word index at
     which basis vector t reads 1 and the others read 0.
+
+    The rows are the signed shuffles sh(w[:p], w[p:]), p <= k/2, whose prefix
+    w[:p] is a free word of its canonically relabeled degree-p shape kernel.
+    They span every row, so the echelon form and the result are unchanged.
+    By induction on p: modulo I_p, the span of the degree-p shuffle products,
+    every word is a sum of free words (the degree-p echelon form), and for
+    sh(y1, y2) in I_p, sh(sh(y1, y2), v) = sh(y1, sh(y2, v)) by associativity
+    of the signed shuffle, rows of the shorter split len(y1).
     """
     words = list(_multiset_words(list(shape)))
     index = {w: t for t, w in enumerate(words)}
@@ -283,6 +310,8 @@ def _shape_kernel(k: int, shape: tuple):
     for p in range(1, k // 2 + 1):
         movers = _movers(p, k)
         for w in words:
+            if not _is_free(w[:p]):
+                continue
             # constraint: the functional kills sh(w) = sum_s sgn(s) (w shuffled by s)
             row = {}
             for take, sign in movers:
@@ -306,10 +335,8 @@ def _blocks(n: int, k: int):
     places = [n ** (k - 1 - t) for t in range(k)]
     out = []
     for content in itertools.combinations_with_replacement(range(n), k):
-        counts = Counter(content)
-        # canonical letter c gets the c-th largest multiplicity; ties by letter
-        ordered = sorted(counts, key=lambda a: (-counts[a], a))
-        cwords, cbasis, cfree = _shape_kernel(k, tuple(counts[a] for a in ordered))
+        ordered, shape = _relabel(content)
+        cwords, cbasis, cfree = _shape_kernel(k, shape)
         words = tuple(sum(ordered[c] * p for c, p in zip(cw, places)) for cw in cwords)
         basis = tuple({words[t]: x for t, x in enumerate(vec) if x} for vec in cbasis)
         out.append((words, basis, tuple(words[t] for t in cfree)))
@@ -421,15 +448,28 @@ def coboundary_matrix(algebra: FiniteLocalAlgebra, module: CoefficientModule,
     return SparseMatrix(cod.dim, dom.dim, columns)
 
 
+_ranks = {}  # (structure constants, coefficient kind, hochschild, k) -> rank of d_k
+
+
+def _rank(algebra: FiniteLocalAlgebra, module: CoefficientModule, hochschild: bool,
+          k: int, budget: int | None) -> int:
+    """Rank of d_k (0 for k = 0), once per process; call it only after the caller's budget check."""
+    key = (algebra.products, module.kind, hochschild, k)
+    if k and key not in _ranks:
+        matrix = (_full_coboundary(algebra, module, k) if hochschild
+                  else coboundary_matrix(algebra, module, k, budget))
+        _ranks[key] = matrix.rank()
+    return _ranks.get(key, 0)
+
+
 def harrison_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
                  k: int, budget: int | None = None) -> int:
     """dim of degree-k Harrison cohomology (shuffle-invariant complex)."""
     if k < 1:
         raise ValueError("need k >= 1")
     check_budget(algebra.n, k, budget)
-    outgoing = coboundary_matrix(algebra, module, k, budget)
-    incoming_rank = 0 if k == 1 else coboundary_matrix(algebra, module, k - 1, budget).rank()
-    return outgoing.kernel_dim() - incoming_rank
+    cochains = module.dim(algebra) * sum(len(basis) for _, basis, _ in _blocks(algebra.n, k))
+    return cochains - sum(_rank(algebra, module, False, d, budget) for d in (k - 1, k))
 
 
 def _full_coboundary(algebra: FiniteLocalAlgebra, module: CoefficientModule, k: int) -> SparseMatrix:
@@ -446,9 +486,8 @@ def hochschild_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
     if k < 1:
         raise ValueError("need k >= 1")
     check_budget(algebra.n, k, budget, hochschild=True)
-    outgoing = _full_coboundary(algebra, module, k)
-    incoming_rank = 0 if k == 1 else _full_coboundary(algebra, module, k - 1).rank()
-    return outgoing.kernel_dim() - incoming_rank
+    cochains = module.dim(algebra) * algebra.n ** k
+    return cochains - sum(_rank(algebra, module, True, d, budget) for d in (k - 1, k))
 
 
 def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:

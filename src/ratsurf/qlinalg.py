@@ -93,8 +93,9 @@ class Echelon:
     def reduce(self, row) -> dict:
         """A nonzero multiple of row minus its part in the span; {} iff row is in the span."""
         row = {j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
-        den = lcm(*(x.denominator for x in row.values()))  # clear denominators
-        row = {j: int(x * den) for j, x in row.items()}
+        if any(type(x) is not int for x in row.values()):  # clear denominators
+            den = lcm(*(x.denominator for x in row.values()))
+            row = {j: int(x * den) for j, x in row.items()}
         rows = self._rows
         # a stored row is zero at every other pivot, so one pass clears them all
         for c in [c for c in row if c in rows]:
@@ -157,9 +158,6 @@ class SparseMatrix:
 
     def rank(self) -> int:
         return Echelon(self.columns).rank
-
-    def kernel_dim(self) -> int:
-        return self.cols - self.rank()
 
     def kernel_basis(self) -> list:
         """Right kernel as sparse dicts, free-column normalized (see module doc)."""

@@ -9,6 +9,7 @@ counting answers from the series module.
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -39,6 +40,7 @@ from ratsurf.harrison import (
     _shape_kernel,
 )
 from ratsurf import harrison, qlinalg
+from ratsurf.cli import main
 from ratsurf.qlinalg import QMatrix, SparseMatrix
 from ratsurf.series import fatpoint_tdim, shuffle_dim
 from test_qlinalg import reference_kernel
@@ -255,7 +257,7 @@ def test_rank_nullity_on_the_first_differential():
     assert dom.dim == 6
     cob = coboundary_matrix(a, REGULAR, 1)
     assert cob.cols == 6
-    assert cob.rank() + cob.kernel_dim() == 6
+    assert cob.rank() + len(cob.kernel_basis()) == 6
 
 
 def test_coords_of_rejects_functionals_outside_the_subspace():
@@ -628,7 +630,8 @@ def reference_harrison_dim(algebra, module, k):
 
 def test_dimensions_match_the_tuple_keyed_reference():
     for a, module, k in differential_fixtures():
-        ref_out = reference_full_coboundary(a, module, k).kernel_dim()
+        full = reference_full_coboundary(a, module, k)
+        ref_out = full.cols - full.rank()
         ref_in = 0 if k == 1 else reference_full_coboundary(a, module, k - 1).rank()
         assert hochschild_dim(a, module, k) == ref_out - ref_in, (a.n, module, k)
         assert harrison_dim(a, module, k) == reference_harrison_dim(a, module, k), (a.n, module, k)
@@ -816,3 +819,169 @@ def test_one_letter_shuffle_count_is_held_to_the_budget():
     assert hochschild_dim(a, TRIVIAL, 12) == hochschild_dim(a, TRIVIAL, 2)
     for i in range(1, 7):
         assert harrison_dim(a, REGULAR, i + 1) == fatpoint_tdim(1, i), i
+
+
+# ----- free-prefix constraint rows against every row -----------------------
+
+def all_rows_shape_kernel(k, shape):
+    """_shape_kernel with the row sh(w[:p], w[p:]) of every word for each
+    split p <= k/2, whatever its prefix: the construction it replaced."""
+    words = list(harrison._multiset_words(list(shape)))
+    index = {w: t for t, w in enumerate(words)}
+    constraints = qlinalg.Echelon()
+    for p in range(1, k // 2 + 1):
+        movers = harrison._movers(p, k)
+        for w in words:
+            row = {}
+            for take, sign in movers:
+                j = index[take(w)]
+                row[j] = row.get(j, 0) + sign
+            constraints.add(row)
+    n = len(words)
+    basis = tuple(tuple(v.get(t, 0) for t in range(n)) for v in constraints.kernel_basis(n))
+    return tuple(words), basis, tuple(constraints.free_columns(n))
+
+
+def default_budget_shapes(max_letters=None):
+    """Every (k, shape) whose kernel a default-budget job builds: harrison_dim
+    on m letters in degree k touches the shapes of at most m letters in
+    degrees k and k + 1."""
+    out = set()
+    for m in range(1, 40 if max_letters is None else max_letters + 1):
+        for k in range(1, 12):
+            if _within_default_budget(m, k):
+                out |= {(d, s) for d in (k, k + 1) for s in partitions(d) if len(s) <= m}
+    return sorted(out)
+
+
+def test_shape_kernel_matches_the_all_rows_reference():
+    shapes = default_budget_shapes()
+    assert len(shapes) == 45 and (11, (11,)) in shapes and (4, (1,) * 4) in shapes
+    for k, shape in shapes:
+        assert _shape_kernel(k, shape) == all_rows_shape_kernel(k, shape), (k, shape)
+
+
+def test_free_prefix_rows_are_fewer(monkeypatch):
+    # k = 9, shape (5, 4): 4 splits of 126 words give 504 rows, 277 of them free-prefix
+    harrison._shape_kernel.cache_clear()
+    for k in range(1, 5):
+        for shape in partitions(k):
+            _shape_kernel(k, shape)
+    added = []
+    real_add = qlinalg.Echelon.add
+    monkeypatch.setattr(qlinalg.Echelon, "add", lambda self, row: added.append(row) or real_add(self, row))
+    assert _shape_kernel(9, (5, 4)) == all_rows_shape_kernel(9, (5, 4))
+    assert len(added) == 277 + 504
+
+
+# ----- an independent count: the super-Lyndon words of each shape ----------
+
+def lyndon_words(letters, length):
+    """The Lyndon words of length at most `length` on letters 0..letters-1,
+    in lexicographic order (Duval 1983)."""
+    w = [-1]
+    while w:
+        w[-1] += 1
+        yield tuple(w)
+        period = len(w)
+        while len(w) < length:
+            w.append(w[len(w) - period])
+        while w and w[-1] == letters - 1:
+            w.pop()
+
+
+def super_lyndon_count(k, shape):
+    """Dimension of the free Lie superalgebra on odd generators in the letter
+    content `shape` (letter c shape[c] times): the Lyndon words of that content,
+    plus the squares [P_u, P_u] of the odd-length Lyndon words u of half of it."""
+    def content(w):
+        counts = Counter(w)
+        return tuple(counts[c] for c in range(len(shape)))
+
+    words = list(lyndon_words(len(shape), k))
+    count = sum(1 for w in words if len(w) == k and content(w) == shape)
+    if k % 4 == 2 and all(c % 2 == 0 for c in shape):
+        half = tuple(c // 2 for c in shape)
+        count += sum(1 for w in words if len(w) == k // 2 and content(w) == half)
+    return count
+
+
+def test_lyndon_words_by_duval():
+    assert list(lyndon_words(2, 4)) == [(0,), (0, 0, 0, 1), (0, 0, 1), (0, 0, 1, 1), (0, 1), (0, 1, 1),
+                                         (0, 1, 1, 1), (1,)]
+    # Witt's formula: 3 letters, length 6 gives (3^6 - 3^3 - 3^2 + 3) / 6 = 116
+    assert sum(1 for w in lyndon_words(3, 6) if len(w) == 6) == 116
+
+
+def test_shape_kernel_dimension_is_the_super_lyndon_count():
+    shapes = default_budget_shapes(max_letters=3)
+    assert (11, (11,)) in shapes and (10, (5, 5)) in shapes and (6, (2, 2, 2)) in shapes
+    for k, shape in shapes:
+        assert len(_shape_kernel(k, shape)[1]) == super_lyndon_count(k, shape), (k, shape)
+
+
+# ----- each differential's rank is computed once per process ---------------
+
+def cold_rank_cache():
+    harrison._ranks.clear()
+
+
+def test_dimensions_do_not_depend_on_the_call_order():
+    algebras = [make_fat_point(1), make_fat_point(2), make_fat_point(3),
+                truncated_polynomial_algebra(3), two_variable_square_zero()]
+    calls = [(dim, a, module, k) for dim in (harrison_dim, hochschild_dim)
+             for a in range(len(algebras)) for module in (TRIVIAL, REGULAR)
+             for k in range(1, 6) if algebras[a].n ** (k + 1) <= 250]
+
+    def answer(call):
+        dim, a, module, k = call
+        return dim(algebras[a], module, k)
+
+    want = {}
+    for call in calls:
+        cold_rank_cache()
+        want[call] = answer(call)
+    shuffled = calls[:]
+    random.Random(15).shuffle(shuffled)
+    for order in (calls, calls[::-1], shuffled):
+        cold_rank_cache()
+        assert {call: answer(call) for call in order} == want
+
+
+def test_a_cached_rank_does_not_lift_the_budget(capsys):
+    cold_rank_cache()
+    assert main(["oracle", "--m", "3", "--k", "6"]) == 5
+    refused = capsys.readouterr().out
+    assert refused == "word space 3^7 = 2187 exceeds budget 1500\nstatus: budget-exceeded\n"
+    fat = make_fat_point(3)
+    assert harrison_dim(fat, TRIVIAL, 6, budget=5000) == shuffle_dim(3, 6)
+    assert hochschild_dim(fat, TRIVIAL, 6, budget=5000) == 3 ** 6
+    assert (fat.products, "trivial", False, 6) in harrison._ranks
+    with pytest.raises(BudgetError, match=r"^word space 3\^7 = 2187 exceeds budget 1500$"):
+        harrison_dim(fat, TRIVIAL, 6)
+    with pytest.raises(BudgetError, match=r"^word space for the full degree-6 differential exceeds budget 1500$"):
+        hochschild_dim(fat, TRIVIAL, 6)
+    assert main(["oracle", "--m", "3", "--k", "6"]) == 5
+    assert capsys.readouterr().out == refused
+
+
+def test_equal_structure_constants_share_one_rank(monkeypatch):
+    built = []
+    real = harrison.coboundary_matrix
+
+    def counting(algebra, module, k, budget=None):
+        built.append(k)
+        return real(algebra, module, k, budget)
+
+    monkeypatch.setattr(harrison, "coboundary_matrix", counting)
+    cold_rank_cache()
+    fat = make_fat_point(2)  # kept alive, so the checked algebra cannot reuse its id
+    want = harrison_dim(fat, REGULAR, 3)
+    assert sorted(built) == [2, 3] and len(harrison._ranks) == 2
+    zero = (Fraction(0), _vec(2))
+    checked = FiniteLocalAlgebra([[zero, zero], [zero, zero]])
+    assert harrison_dim(checked, REGULAR, 3) == want
+    assert sorted(built) == [2, 3] and len(harrison._ranks) == 2
+    # other constants on as many letters get ranks of their own
+    harrison_dim(truncated_polynomial_algebra(2), REGULAR, 3)
+    assert sorted(built) == [2, 2, 3, 3] and len(harrison._ranks) == 4
