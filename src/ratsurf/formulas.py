@@ -112,7 +112,7 @@ def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
             mult=mult,
             reduced=is_reduced(z),
         )
-    tree = multiplicity_tree(g, z)
+    tree = multiplicity_tree(g)
     mults = tree.multiplicities()
     check_digits(max(mults), imax, len(mults))
     return AnalysisReport(

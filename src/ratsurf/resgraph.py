@@ -13,22 +13,19 @@ ids are nonempty unique strings, b positive integers; unknown fields are
 rejected. parse_graph raises GraphError with a machine-readable code for
 every distinct failure mode.
 
-The intersection form is sparse rows {j: E_i.E_j}. is_negative_definite
-eliminates it in one symmetric pass, always a vertex of least degree, and
-stops at the first pivot >= 0. The pass is fraction-free: every entry is a
-reduced pair of ints, and a step updates only the entries among the pivot's
-neighbours. On a tree the pivot vertex is a leaf, so only one diagonal
-changes per step, there is no fill and the pass is O(n); other graphs take
-the same pass with fill, at most degree^2 updates per step, and stop with
-BudgetError past FILL_BUDGET fill updates.
+One loop per graph decides definiteness and finds the fundamental cycle,
+the smallest Z > 0 with Z.E_i <= 0 everywhere: Laufer's loop bumps the
+vertices that pair positively, from all ones on, and tracks Z.Z. On a
+connected graph -A is an irreducible symmetric Z-matrix, so the form is
+negative definite exactly when the loop ends with Z.Z < 0 (Berman &
+Plemmons 1979, ch. 6); Z.Z >= 0 at any step means it is not. The graph
+keeps the Cycle with the pairings Z.E_i the loop ends with, so Z.Z, Z.K and
+the blow-up components read them by vertex index. The singularity is
+rational when arithmetic_genus of Z is 0, and its multiplicity is then -Z.Z.
 
-Cycles are integer combinations of the vertices. fundamental_cycle computes
-the smallest cycle Z > 0 with Z.E_i <= 0 everywhere by the standard greedy
-increment loop (start at all ones, repeatedly bump a vertex with positive
-pairing, taken from a worklist) and keeps the pairings Z.E_i it ends with on
-the Cycle, so Z.Z, Z.K and the blow-up components read them by vertex index.
-The singularity is rational when arithmetic_genus of Z is 0, and its
-multiplicity is then -Z.Z.
+is_negative_definite is the library's test for any symmetric int matrix: one
+fraction-free least-degree pivot pass over the sparse rows, stopped at the
+first pivot >= 0 or past FILL_BUDGET fill updates.
 """
 
 from __future__ import annotations
@@ -51,12 +48,12 @@ GRAPH_ERROR_CODES = (
 )
 
 
-# The work budget of a graph file. A file over MAX_GRAPH_BYTES is not read;
-# the definiteness pass stops after FILL_BUDGET fill updates, where K_n takes
-# about n^3/3 (K_120 0.56e6, K_154 1.19e6, about 0.3 s) and a dense random
-# graph near the cap, whose entries grow to hundreds of digits, about 4 s.
-# Both end analyze in budget-exceeded.
+# The work budget of a graph file: a file over MAX_GRAPH_BYTES is not read, and
+# Laufer's loop stops after LOOP_BUDGET units of work, one per neighbour of each
+# bumped vertex. is_negative_definite stops after FILL_BUDGET fill updates, where
+# K_n takes about n^3/3 (K_120 0.56e6, K_154 1.19e6, about 0.3 s).
 MAX_GRAPH_BYTES = 2_000_000
+LOOP_BUDGET = 1_000_000
 FILL_BUDGET = 1_200_000
 
 
@@ -76,7 +73,7 @@ class NotRationalError(ValueError):
 class ResolutionGraph:
     """Validated resolution dual graph. Construction implies validity."""
 
-    __slots__ = ("ids", "b", "edges", "_index", "_adj")
+    __slots__ = ("ids", "b", "edges", "_index", "_adj", "_cycle")
 
     def __init__(self, vertices, edges) -> None:
         ids = []
@@ -117,14 +114,11 @@ class ResolutionGraph:
         self._index = index
         self._adj = tuple(adj)
         self._check_connected()
-        if not is_negative_definite(intersection_matrix(self)):
-            raise GraphError(
-                "not-negative-definite", "the intersection matrix is not negative definite"
-            )
+        self._cycle = _laufer(self)
 
     def _restrict(self, keep: list) -> "ResolutionGraph":
         """Induced subgraph on sorted connected indices keep, equal to what
-        __init__ builds but unchecked: it inherits definiteness from self."""
+        __init__ builds; definite like self, so its loop can only run out of budget."""
         sub = object.__new__(ResolutionGraph)
         pos = {i: k for k, i in enumerate(keep)}
         sub.ids = tuple(self.ids[i] for i in keep)
@@ -135,6 +129,7 @@ class ResolutionGraph:
         sub._index = {vid: k for k, vid in enumerate(sub.ids)}
         sub._adj = tuple({pos[j]: mult for j, mult in self._adj[i].items() if j in pos}
                          for i in keep)
+        sub._cycle = _laufer(sub)
         return sub
 
     def _check_connected(self) -> None:
@@ -168,7 +163,7 @@ class ResolutionGraph:
 
 def parse_graph(text: str) -> ResolutionGraph:
     """Parse the JSON interchange format. Raises GraphError on any defect,
-    and BudgetError when the definiteness check runs past FILL_BUDGET."""
+    and BudgetError when Laufer's loop runs past LOOP_BUDGET."""
     try:
         data = json.loads(text)
     except ValueError as e:  # a JSONDecodeError, or an int literal past Python's digit limit
@@ -363,28 +358,44 @@ def is_reduced(z: Cycle) -> bool:
 
 
 def fundamental_cycle(g: ResolutionGraph) -> Cycle:
-    """Smallest Z > 0 with Z.E_i <= 0 for all i, by greedy increments.
+    """Smallest Z > 0 with Z.E_i <= 0 for all i, found once when g was built."""
+    return g._cycle
 
-    Start from all ones; while some vertex pairs positively, bump it until
-    it no longer does. The vertices that pair positively wait on a worklist,
-    which a vertex joins when a neighbour's bump lifts its pairing above 0,
-    so each step costs the degree of the bumped vertex. Negative
-    definiteness guarantees termination, and the result does not depend on
-    the increment order. The cycle keeps the pairings the loop ends with.
+
+def _laufer(g: ResolutionGraph) -> Cycle:
+    """Fundamental cycle of connected g by greedy increments, or GraphError
+    if the form is not negative definite. Start from all ones; while some
+    vertex pairs positively, bump it until it no longer does. Such vertices
+    wait on a worklist, which a vertex joins when a neighbour's bump lifts
+    its pairing above 0, so each step costs the degree of the bumped vertex;
+    past LOOP_BUDGET of that work the loop raises BudgetError. On a definite
+    form Z.Z < 0 throughout and the loop ends at the same Z in any order; an
+    end with Z.Z < 0 has some Z.E_i < 0, which certifies definiteness.
     """
+    bs, adj = g.b, g._adj
     a = [1] * g.n
-    pair = [sum(g.neighbors(i).values()) - b for i, b in enumerate(g.b)]
+    pair = [sum(adj[i].values()) - b for i, b in enumerate(bs)]
+    zz = sum(pair)
     todo = [i for i, p in enumerate(pair) if p > 0]
-    while todo:
+    budget = LOOP_BUDGET
+    while zz < 0:
+        if not todo:
+            return _set_cycle(object.__new__(Cycle), g, a, pair)
         i = todo.pop()
-        steps = -(-pair[i] // g.b[i])  # the fewest bumps that bring Z.E_i to <= 0
+        b, p, row = bs[i], pair[i], adj[i]
+        budget -= len(row)
+        if budget < 0:
+            raise BudgetError("fundamental cycle: more than %d units of loop work" % LOOP_BUDGET)
+        steps = -(-p // b)  # the fewest bumps that bring Z.E_i to <= 0
         a[i] += steps
-        pair[i] -= steps * g.b[i]
-        for j, mult in g.neighbors(i).items():
-            if pair[j] <= 0 < pair[j] + steps * mult:
+        pair[i] = q = p - steps * b
+        zz += steps * (p + q)  # (Z + sE_i)^2 = Z^2 + s(2 Z.E_i - s b_i)
+        for j, mult in row.items():
+            x = pair[j]
+            pair[j] = y = x + steps * mult
+            if x <= 0 < y:
                 todo.append(j)
-            pair[j] += steps * mult
-    return _set_cycle(object.__new__(Cycle), g, a, pair)
+    raise GraphError("not-negative-definite", "the intersection matrix is not negative definite")
 
 
 def arithmetic_genus(g: ResolutionGraph, z: Cycle) -> int:

@@ -437,11 +437,23 @@ def assert_budget_exceeded(capsys, path, error):
     assert out == "%s\nstatus: budget-exceeded\n" % error
 
 
-def test_analyze_of_a_graph_past_the_fill_budget_exits_5(tmp_path, capsys):
+def heavy_chain_json(m, n):
+    """A (-2)-chain E1..En whose E1 meets a b = m^2 vertex in m edges. The form
+    is negative definite, and its fundamental cycle falls from about m on E1
+    along the chain, so Laufer's loop does about m n units of work."""
+    return json.dumps({"vertices": [{"id": "H", "b": m * m}] + [{"id": "E%d" % i, "b": 2} for i in range(1, n + 1)],
+                       "edges": [["H", "E1"]] * m + [["E%d" % i, "E%d" % (i + 1)] for i in range(1, n)]})
+
+
+def test_analyze_of_a_graph_past_the_loop_budget_exits_5(tmp_path, capsys):
     start = time.perf_counter()
-    assert_budget_exceeded(capsys, write(tmp_path, complete_graph_json(160, 160)),
-                           "definiteness check: more than 1200000 fill updates; the graph is too dense")
+    assert_budget_exceeded(capsys, write(tmp_path, heavy_chain_json(1500, 1500)),
+                           "fundamental cycle: more than 1000000 units of loop work")
     assert time.perf_counter() - start < 4
+    # the same family under the budget is decided: not rational
+    assert run(capsys, ["analyze", write(tmp_path, heavy_chain_json(300, 300))])[0] == 3
+    # K_160, which once ran the fill budget out, pairs every vertex to -1 at once
+    assert run(capsys, ["analyze", write(tmp_path, complete_graph_json(160, 160))])[0] == 3
 
 
 def test_analyze_of_a_file_past_the_byte_cap_exits_5(tmp_path, capsys, monkeypatch):
@@ -514,9 +526,9 @@ def test_large_graphs_analyze_in_bounded_time(tmp_path, capsys):
     n = 3000
     chain = json.dumps({"vertices": [{"id": "E%d" % i, "b": 3} for i in range(n)],
                         "edges": [["E%d" % i, "E%d" % (i + 1)] for i in range(n - 1)]})
-    # fill pivots of degree 2 next to a hub with thousands of entries: m
-    # triangles sharing the hub, and a hub joined to a b = 4 path; both are
-    # definite and have cycles, so they are not rational
+    # a hub with thousands of neighbours: m triangles sharing the hub, and a
+    # hub joined to a b = 4 path; both are definite and have cycles, so they
+    # are not rational
     m = 5000
     windmill = json.dumps({"vertices": [{"id": "C", "b": m + 1}] + [{"id": "%s%d" % (x, t), "b": 3}
                                                                    for t in range(m) for x in "LM"],

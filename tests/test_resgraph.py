@@ -300,9 +300,8 @@ def test_pivot_pass_agrees_with_sylvester_on_trees_cycles_and_double_edges():
 
 
 def test_star_with_center_first_at_the_definiteness_boundary():
-    # the leaves are eliminated before the center, whatever the input order;
-    # 399 leaves of weight 2 add 399/2 to the center pivot, so b = 200 is the
-    # least definite center
+    # 399 leaves of weight 2 add 399/2 to the center's pivot, so b = 200 is
+    # the least definite center
     n = 400
     leaves = [("L%d" % i, 2) for i in range(1, n)]
     edges = [("C", leaf) for leaf, _ in leaves]
@@ -406,11 +405,15 @@ def chain_json(bs):
     return graph_json(vertices, [("E%d" % i, "E%d" % (i + 1)) for i in range(len(bs) - 1)])
 
 
-def d_graph(n):
+def d_parts(n):
     """D_n, n >= 4: a chain E0..E(n-2) of (-2)-curves, E(n-1) hung on E(n-3)."""
     vertices = [("E%d" % i, 2) for i in range(n)]
     edges = [("E%d" % i, "E%d" % (i + 1)) for i in range(n - 2)] + [("E%d" % (n - 3), "E%d" % (n - 1))]
-    return parse_graph(graph_json(vertices, edges))
+    return vertices, edges
+
+
+def d_graph(n):
+    return parse_graph(graph_json(*d_parts(n)))
 
 
 def test_worklist_agrees_with_the_input_order_scan():
@@ -441,14 +444,119 @@ def test_worklist_agrees_with_the_input_order_scan():
 
 
 def test_d_3000_fundamental_cycle_is_linear_time():
-    g = d_graph(3000)
+    # the loop runs when the graph is built
+    vertices, edges = d_parts(3000)
     best = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        z = fundamental_cycle(g)
+        g = ResolutionGraph(vertices, edges)
         best = min(best, time.perf_counter() - t0)
-    assert sum(z.coefficients.values()) == 2 * 3000 - 3
+    assert sum(fundamental_cycle(g).coefficients.values()) == 2 * 3000 - 3
     assert best < 0.05
+
+
+def test_the_loop_ends_with_a_negative_pairing_on_definite_graphs():
+    # D_4 needs one bump of its center; the others are decided at all ones
+    for text in (CONE4, CHAIN, STAR, D4, A3):
+        z = fundamental_cycle(parse_graph(text))
+        assert min(z.pairings) < 0 and z.self_intersection() < 0
+    assert fundamental_cycle(parse_graph(D4)).coefficients["C"] == 2
+
+
+def test_the_loop_rejects_a_singular_form_where_every_pairing_is_zero():
+    # the four-leaf b = 2 star: one bump of the center reaches Z = (2, 1, 1, 1, 1),
+    # which the form kills
+    rows = sparse_form(5, [2] * 5, [(0, i) for i in range(1, 5)])
+    z = [2, 1, 1, 1, 1]
+    assert all(sum(x * z[j] for j, x in row.items()) == 0 for row in rows)
+    expect_code(graph_json([("C", 2)] + [("L%d" % i, 2) for i in range(4)],
+                           [("C", "L%d" % i) for i in range(4)]), "not-negative-definite")
+
+
+def test_the_loop_rejects_a_form_once_z_z_is_not_negative(monkeypatch):
+    # a b = 2 center with five b = 2 leaves: from all ones (Z.Z = -2) the first
+    # bump, of the center by 2, costs 5 units and gives Z = (3, 1, 1, 1, 1),
+    # Z.Z = 3 * -1 + 5 * 1 = 2 while every leaf still pairs to 1, so the loop
+    # is cut short there
+    star = graph_json([("C", 2)] + [("L%d" % i, 2) for i in range(5)], [("C", "L%d" % i) for i in range(5)])
+    monkeypatch.setattr(resgraph, "LOOP_BUDGET", 5)
+    expect_code(star, "not-negative-definite")
+    monkeypatch.setattr(resgraph, "LOOP_BUDGET", 4)
+    with pytest.raises(BudgetError):
+        parse_graph(star)
+
+
+def test_loop_budget_boundary(monkeypatch):
+    # on D_n the worklist holds one vertex at a time: the fork (degree 3), then
+    # the chain back to E1 (degree 2 each), so the loop does 3 + 2(n - 4) units
+    for n in (4, 5, 40):
+        vertices, edges = d_parts(n)
+        monkeypatch.setattr(resgraph, "LOOP_BUDGET", 2 * n - 5)
+        assert fundamental_cycle(ResolutionGraph(vertices, edges)).coefficients["E%d" % (n - 3)] == 2
+        monkeypatch.setattr(resgraph, "LOOP_BUDGET", 2 * n - 6)
+        with pytest.raises(BudgetError, match="more than %d units of loop work" % (2 * n - 6)):
+            ResolutionGraph(vertices, edges)
+
+
+def random_connected_form(rng):
+    """A random connected graph, n <= 40, b = 2..6, with extra and doubled edges."""
+    n = rng.randint(1, 40)
+    bs = [rng.randint(2, 6) for _ in range(n)]
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    for _ in range(rng.randint(0, n // 2) if n > 1 else 0):
+        edges.append(tuple(rng.sample(range(n), 2)) if rng.random() < 0.7 else rng.choice(edges))
+    return bs, edges
+
+
+def assert_minimal(z):
+    """Wherever Z_i > 1, Z - E_i is not antinef: some j has (Z - E_i).E_j > 0."""
+    g = z.graph
+    a = list(z.coefficients.values())
+    for i, b in enumerate(g.b):
+        if a[i] > 1:
+            assert z.pairings[i] + b > 0 or any(
+                z.pairings[j] - mult > 0 for j, mult in g.neighbors(i).items()), (z, i)
+
+
+def test_the_loop_agrees_with_the_pivot_pass_on_random_graphs():
+    rng = random.Random(41)
+    definite = []
+    for _ in range(3000):
+        bs, edges = random_connected_form(rng)
+        want = is_negative_definite(sparse_form(len(bs), bs, edges))
+        try:
+            g = ResolutionGraph([("V%d" % i, b) for i, b in enumerate(bs)],
+                                [("V%d" % i, "V%d" % j) for i, j in edges])
+        except GraphError as e:
+            assert not want and e.code == "not-negative-definite", (bs, edges)
+        else:
+            assert want, (bs, edges)
+            definite.append(g)
+    # both verdicts occur often, and many definite graphs need bumps
+    assert 1000 <= len(definite) <= 2000
+    assert sum(max(fundamental_cycle(g).coefficients.values()) > 1 for g in definite) >= 500
+    for g in definite:
+        assert_pairings_match_the_form(fundamental_cycle(g))
+        assert_minimal(fundamental_cycle(g))
+
+
+def test_graphs_and_their_components_are_built_without_the_pivot_pass(monkeypatch):
+    monkeypatch.setattr(resgraph, "is_negative_definite", None)
+    for text in (CONE4, CHAIN, D4, A3):
+        parse_graph(text)
+    assert multiplicity_tree(parse_graph(STAR)).multiplicities() == [6, 3]
+
+
+def test_every_multiplicity_tree_node_has_a_minimal_cycle():
+    rng = random.Random(43)
+    nodes = 0
+    for g in [parse_graph(text) for text in (CONE4, CHAIN, STAR)] + random_trees(rng, 400):
+        z = fundamental_cycle(g)
+        if arithmetic_genus(g, z) == 0 and -z.self_intersection() >= 3:
+            for node in multiplicity_tree(g).iter_nodes():
+                assert_minimal(node.cycle)
+                nodes += 1
+    assert nodes > 50
 
 
 def test_arithmetic_genus_values():
@@ -627,17 +735,17 @@ def test_cycle_pairings_by_index_equal_the_intersection_form():
 
 def test_trees_make_no_fill(monkeypatch):
     # every tree pivot has at most one neighbour, so a zero fill budget is enough
-    monkeypatch.setattr(resgraph, "FILL_BUDGET", 0)
-    random_trees(random.Random(37), 300)
-    assert parse_graph(chain_json([3] * 500)).n == 500
-    assert d_graph(500).n == 500
     n = 400
     star = graph_json([("C", n + 1)] + [("L%d" % i, 2) for i in range(1, n)],
                       [("C", "L%d" % i) for i in range(1, n)])
-    assert parse_graph(star).n == n
-    cycle = graph_json([("V%d" % i, 3) for i in range(5)], [("V%d" % i, "V%d" % ((i + 1) % 5)) for i in range(5)])
+    trees = random_trees(random.Random(37), 300)
+    trees += [parse_graph(chain_json([3] * 500)), d_graph(500), parse_graph(star)]
+    cycle = parse_graph(graph_json([("V%d" % i, 3) for i in range(5)],
+                                   [("V%d" % i, "V%d" % ((i + 1) % 5)) for i in range(5)]))
+    monkeypatch.setattr(resgraph, "FILL_BUDGET", 0)
+    assert all(is_negative_definite(intersection_matrix(g)) for g in trees)
     with pytest.raises(BudgetError):
-        parse_graph(cycle)
+        is_negative_definite(intersection_matrix(cycle))
 
 
 def test_fill_budget_boundary_on_complete_graphs(monkeypatch):
