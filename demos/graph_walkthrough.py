@@ -4,11 +4,13 @@
 Shows each stage separately: parse, fundamental cycle, rationality,
 multiplicity tree, and the assembled report, for a star that blows up once
 and a chain whose only infinitely near point is a rational double point.
+The closing claims about the two reports are checked; a failed one exits 1.
 """
 
 import json
+import sys
 
-from ratsurf import analyze, fundamental_cycle, multiplicity_tree, parse_graph
+from ratsurf import analyze, cone_tdim, fundamental_cycle, multiplicity_tree, parse_graph
 
 STAR = {
     "vertices": [
@@ -32,7 +34,7 @@ def walk(name, payload):
     print("=" * 60)
     g = parse_graph(json.dumps(payload))
     z = fundamental_cycle(g)
-    print("fundamental cycle:", " ".join("%s:%d" % (v, z.coefficient(v)) for v in g.ids))
+    print("fundamental cycle:", " ".join("%s:%d" % (v, z.coefficients[v]) for v in g.ids))
     print("Z.Z = %d, so the multiplicity is %d" % (z.self_intersection(), -z.self_intersection()))
 
     tree = multiplicity_tree(g)
@@ -46,10 +48,15 @@ def walk(name, payload):
     print("T^2 %s %d" % ("=" if report.t2.exact else ">=", report.t2.value))
     print("cod_AC %s %d" % ("=" if report.codim_ac.exact else ">=", report.codim_ac.value))
     print()
+    return report
 
 
-walk("star: one blow-up, then a cubic cone", STAR)
-walk("chain 3-2-3: the infinitely near point is an A_1", CHAIN)
+star = walk("star: one blow-up, then a cubic cone", STAR)
+chain = walk("chain 3-2-3: the infinitely near point is an A_1", CHAIN)
 
+if (star.tree.multiplicities(), star.tdims[3], cone_tdim(3, 6), cone_tdim(3, 3)) != ([6, 3], 30, 30, 0):
+    sys.exit("MISMATCH: the star's T^3 is not f_3(6) + f_3(3) = 30 + 0")
+if chain.tree.multiplicities() != [4] or any(v != cone_tdim(i, 4) for i, v in chain.tdims.items()):
+    sys.exit("MISMATCH: the chain's dimensions are not the cone values for d = 4")
 print("the star's T^3 splits as 30 = f_3(6) + f_3(3) = 30 + 0,")
 print("the chain's dimensions are pure cone values for d = 4")

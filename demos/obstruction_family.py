@@ -9,10 +9,12 @@ multiplicity k, and both sides of the inequality
 
 come out to 6k - 8. Equality is the interesting case: it certifies a
 generically obstructed deformation space. The root cycle is non-reduced, so
-the T^2 and cod_AC sums are honest lower bounds, not exact values.
+the T^2 and cod_AC sums are honest lower bounds, not exact values. Each of
+these claims is checked for every k printed; a failed check exits 1.
 """
 
 import json
+import sys
 
 from ratsurf import analyze, parse_graph
 
@@ -31,6 +33,7 @@ def family(k):
     return parse_graph(json.dumps({"vertices": vertices, "edges": edges}))
 
 
+wrong = []
 print("  k  mult  children      sum(d-1)  sum(b-1)  obstructed  T^2>=  cod>=")
 for k in range(3, 8):
     r = analyze(family(k))
@@ -41,14 +44,19 @@ for k in range(3, 8):
             k,
             r.mult,
             children,
-            r.sum_d_minus_1,
-            r.sum_b_minus_1,
-            "yes" if r.gmd_obstructed else "no",
+            r.gmd.sum_d_minus_1,
+            r.gmd.sum_b_minus_1,
+            "yes" if r.gmd.obstructed else "no",
             r.t2.value,
             r.codim_ac.value,
         )
     )
+    claimed = (3 * k - 4, [k, k, k], (6 * k - 8, 6 * k - 8, True), False, False)
+    if (r.mult, children, r.gmd, r.t2.exact, r.codim_ac.exact) != claimed:
+        wrong.append(k)
 
+if wrong:
+    sys.exit("MISMATCH: the claims fail for k in %s" % wrong)
 print()
 print("root multiplicity 3k-4, three infinitely near points of multiplicity k,")
 print("and the two sums agree for every k")

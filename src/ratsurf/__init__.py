@@ -27,14 +27,12 @@ _EXPORTS = {
     "qlinalg": ("QMatrix",),
     "series": (
         "BudgetError",
-        "DimensionTable",
         "IntegralityError",
         "shuffle_dim",
         "shuffle_dim_series",
         "poincare_series",
         "cone_tdim",
         "fatpoint_tdim",
-        "dimension_table",
     ),
     "harrison": (
         "FiniteLocalAlgebra",
@@ -45,7 +43,6 @@ _EXPORTS = {
         "DEFAULT_BUDGET",
         "make_fat_point",
         "signed_shuffles",
-        "shuffle_invariant_dim",
         "coboundary_matrix",
         "harrison_dim",
         "hochschild_dim",

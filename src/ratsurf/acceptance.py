@@ -272,12 +272,12 @@ def _crit_obstruction_family() -> str:
             child_mults == [k, k, k],
             "family k=%d: first-level children %s" % (k, child_mults),
         )
+        sum_d, sum_b, obstructed = report.gmd
         _expect(
-            report.sum_d_minus_1 == 6 * k - 8 and report.sum_b_minus_1 == 6 * k - 8,
-            "family k=%d: sums (%d, %d), expected both %d"
-            % (k, report.sum_d_minus_1, report.sum_b_minus_1, 6 * k - 8),
+            sum_d == 6 * k - 8 and sum_b == 6 * k - 8,
+            "family k=%d: sums (%d, %d), expected both %d" % (k, sum_d, sum_b, 6 * k - 8),
         )
-        _expect(report.gmd_obstructed is True, "family k=%d: not flagged obstructed" % k)
+        _expect(obstructed is True, "family k=%d: not flagged obstructed" % k)
     return "family k=3,4 verified (mult 3k-4, children {k,k,k}, sums 6k-8, obstructed)"
 
 

@@ -1,11 +1,14 @@
 """Command-line front end: analyze, series, oracle, selftest.
 
-Each subcommand builds one report dict; the human printer and the JSON
-printer both render that dict, so the two output modes always carry the same
-numeric content. JSON output is versioned ("schema": "1") and renders every
-mathematical quantity (dimensions, coefficients, multiplicities, sums) as a
-decimal string, since those can exceed 64 bits for large inputs; structural
-counts (vertices, children) stay plain numbers.
+Each subcommand returns its status with two renderings built side by side:
+the dict that the JSON printer puts in its envelope, and the lines that the
+human printer writes. Both carry every dimension, multiplicity and sum; only
+the JSON has each multiplicity-tree node's cycle, analyze's
+reduced_everywhere flag and each selftest criterion's seconds. JSON output
+is versioned ("schema": "1") and renders every mathematical quantity
+(dimensions, coefficients, multiplicities, sums) as a decimal string, since
+those can exceed 64 bits for large inputs; structural counts (vertices,
+children) stay plain numbers.
 
 Exit codes are a function of the status alone:
     ok 0, failed 1, invalid-input 2, not-rational 3, not-applicable 4,
@@ -151,10 +154,11 @@ def cmd_analyze(args) -> tuple:
     data["tdims"] = {str(i): _num(v) for i, v in report.tdims.items()}
     data["t2"] = {"value": _num(report.t2.value), "exact": report.t2.exact}
     data["codim_ac"] = {"value": _num(report.codim_ac.value), "exact": report.codim_ac.exact}
+    gmd = report.gmd
     data["gmd"] = {
-        "sum_d_minus_1": _num(report.sum_d_minus_1),
-        "sum_b_minus_1": _num(report.sum_b_minus_1),
-        "obstructed": report.gmd_obstructed,
+        "sum_d_minus_1": _num(gmd.sum_d_minus_1),
+        "sum_b_minus_1": _num(gmd.sum_b_minus_1),
+        "obstructed": gmd.obstructed,
     }
     lines.append("multiplicity tree:")
     _tree_lines(report.tree, 1, lines)
@@ -164,9 +168,9 @@ def cmd_analyze(args) -> tuple:
     lines.append("T^2 = %d (%s)" % (report.t2.value, suffix))
     suffix = "exact" if report.codim_ac.exact else "lower bound (correction term unknown)"
     lines.append("cod_AC = %d (%s)" % (report.codim_ac.value, suffix))
-    lines.append("sum(d(P)-1) = %d" % report.sum_d_minus_1)
-    lines.append("sum(b_i-1) = %d" % report.sum_b_minus_1)
-    lines.append("gmd obstructed: %s" % ("yes" if report.gmd_obstructed else "no"))
+    lines.append("sum(d(P)-1) = %d" % gmd.sum_d_minus_1)
+    lines.append("sum(b_i-1) = %d" % gmd.sum_b_minus_1)
+    lines.append("gmd obstructed: %s" % ("yes" if gmd.obstructed else "no"))
     return "ok", data, lines
 
 

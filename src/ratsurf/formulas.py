@@ -76,18 +76,6 @@ class AnalysisReport(
 
     __slots__ = ()
 
-    @property
-    def sum_d_minus_1(self):
-        return None if self.gmd is None else self.gmd.sum_d_minus_1
-
-    @property
-    def sum_b_minus_1(self):
-        return None if self.gmd is None else self.gmd.sum_b_minus_1
-
-    @property
-    def gmd_obstructed(self):
-        return None if self.gmd is None else self.gmd.obstructed
-
 
 def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
     """Full dimension report for one graph.

@@ -226,6 +226,14 @@ def _far_over(n: int, k: int, cap: int) -> bool:
     return n > 1 and k > (max(cap.bit_length(), 13000) + 1) / log2(n)
 
 
+def _cap(budget: int | None) -> int:
+    """The word-space cap a budget argument sets: DEFAULT_BUDGET for None, else budget >= 1."""
+    cap = DEFAULT_BUDGET if budget is None else budget
+    if cap < 1:
+        raise ValueError("budget must be positive")
+    return cap
+
+
 def _check_budget(n: int, degrees, budget: int | None) -> None:
     """Raise BudgetError, before any work, if some degree's word space n^k is over the cap.
 
@@ -234,9 +242,7 @@ def _check_budget(n: int, degrees, budget: int | None) -> None:
     length and is never computed. It binds only for n = 1, since n^k >= 2^k
     otherwise.
     """
-    cap = DEFAULT_BUDGET if budget is None else budget
-    if cap < 1:
-        raise ValueError("budget must be positive")
+    cap = _cap(budget)
     for k in degrees:
         if _far_over(n, k, cap):
             raise BudgetError("word space %d^%d exceeds budget %d" % (n, k, cap))
@@ -251,7 +257,7 @@ def check_budget(n: int, k: int, budget: int | None = None, hochschild: bool = F
     with hochschild, of hochschild_dim (the full degree-k differential)."""
     if not hochschild:
         return _check_budget(n, (k, k + 1), budget)
-    cap = DEFAULT_BUDGET if budget is None else budget
+    cap = _cap(budget)
     if _far_over(n, k + 1, cap) or n ** (k + 1) > cap:
         raise BudgetError("word space for the full degree-%d differential exceeds budget %d" % (k, cap))
 
@@ -428,12 +434,6 @@ def apply_differential(algebra: FiniteLocalAlgebra, k: int, func: dict, acts: li
                 u = alpha * big + ((head * n + i) * n + j) * place + tail
                 out[u] = get(u, 0) + signed * coef
     return {u: v for u, v in out.items() if v}
-
-
-def shuffle_invariant_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
-                          k: int, budget: int | None = None) -> int:
-    """Dimension of the shuffle-invariant reduced k-cochains."""
-    return CochainSpace(algebra, module, k, budget).dim
 
 
 def coboundary_matrix(algebra: FiniteLocalAlgebra, module: CoefficientModule,

@@ -84,9 +84,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def pivots(self) -> list:
-        return sorted(self._rows)
-
     def free_columns(self, ncols: int) -> list:
         return [c for c in range(ncols) if c not in self._rows]
 
@@ -152,9 +149,6 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         self.columns = columns
-
-    def column(self, j: int) -> dict:
-        return self.columns[j]
 
     def rank(self) -> int:
         return Echelon(self.columns).rank

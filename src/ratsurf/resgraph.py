@@ -73,7 +73,7 @@ class NotRationalError(ValueError):
 class ResolutionGraph:
     """Validated resolution dual graph. Construction implies validity."""
 
-    __slots__ = ("ids", "b", "edges", "_index", "_adj", "_cycle")
+    __slots__ = ("ids", "b", "edges", "_adj", "_cycle")
 
     def __init__(self, vertices, edges) -> None:
         ids = []
@@ -111,7 +111,6 @@ class ResolutionGraph:
         self.ids = tuple(ids)
         self.b = tuple(bs)
         self.edges = tuple(sorted(norm_edges))
-        self._index = index
         self._adj = tuple(adj)
         self._check_connected()
         self._cycle = _laufer(self)
@@ -126,7 +125,6 @@ class ResolutionGraph:
         sub.edges = tuple((k, pos[j]) for k, i in enumerate(keep)
                           for j, mult in sorted(self._adj[i].items()) if j > i and j in pos
                           for _ in range(mult))
-        sub._index = {vid: k for k, vid in enumerate(sub.ids)}
         sub._adj = tuple({pos[j]: mult for j, mult in self._adj[i].items() if j in pos}
                          for i in keep)
         sub._cycle = _laufer(sub)
@@ -146,12 +144,6 @@ class ResolutionGraph:
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    def index_of(self, vid: str) -> int:
-        return self._index[vid]
-
-    def b_of(self, vid: str) -> int:
-        return self.b[self._index[vid]]
 
     def neighbors(self, i: int):
         """Adjacency of vertex index i as {j: edge multiplicity}."""
@@ -318,13 +310,6 @@ class Cycle:
         pairings = [sum(mult * a[j] for j, mult in graph.neighbors(i).items()) - b * a[i]
                     for i, b in enumerate(graph.b)]
         _set_cycle(self, graph, a, pairings)
-
-    def coefficient(self, vid: str) -> int:
-        return self.coefficients[vid]
-
-    def dot_vertex(self, vid: str) -> int:
-        """Pairing Z.E_vid under the intersection form."""
-        return self.pairings[self.graph.index_of(vid)]
 
     def self_intersection(self) -> int:
         return sum(a * p for a, p in zip(self.coefficients.values(), self.pairings))

@@ -26,7 +26,6 @@ numbers too long to print; check_digits refuses those up front.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from math import log10
 
@@ -192,26 +191,3 @@ def fatpoint_tdim(m: int, i: int) -> int:
     if val < 0:
         raise IntegralityError("fat point dimension came out negative: m=%d i=%d" % (m, i))
     return val
-
-
-class DimensionTable(namedtuple("DimensionTable", "d values")):
-    """Cotangent dimensions of one cone: values[i] == cone_tdim(i, d)."""
-
-    __slots__ = ()
-
-    def __new__(cls, d, values):
-        for i, v in values.items():
-            if not isinstance(v, int) or v < 0:
-                raise IntegralityError("table entry T^%s = %r is not a nonnegative integer" % (i, v))
-        return super().__new__(cls, d, values)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls too, would skip the check
-        return cls(*iterable)
-
-
-def dimension_table(d: int, imax: int = 6) -> DimensionTable:
-    if imax < 1:
-        raise ValueError("need imax >= 1")
-    return DimensionTable(d=d, values={i: cone_tdim(i, d) for i in range(1, imax + 1)})

@@ -249,7 +249,6 @@ def test_restricted_components_equal_validated_graphs():
                 assert [comp.neighbors(i) for i in range(comp.n)] == [
                     ref.neighbors(i) for i in range(ref.n)
                 ]
-                assert [comp.index_of(v) for v in comp.ids] == list(range(comp.n))
                 todo.append(comp)
                 checked += 1
     assert checked >= 100

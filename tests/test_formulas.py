@@ -133,7 +133,7 @@ def test_analyze_ok_report():
     assert rep.tdims == {3: 30, 4: 111, 5: 462, 6: 1944}
     assert rep.t2 == (15, True)
     assert rep.codim_ac == (3, True)
-    assert (rep.sum_d_minus_1, rep.sum_b_minus_1, rep.gmd_obstructed) == (7, 8, False)
+    assert (rep.gmd.sum_d_minus_1, rep.gmd.sum_b_minus_1, rep.gmd.obstructed) == (7, 8, False)
 
 
 def test_analyze_respects_imax():
@@ -229,3 +229,27 @@ def test_analyze_is_invariant_under_relabeling_on_generated_trees():
     for key in (("rational", "ok"), ("tower", "ok"), ("mixed", "not-rational"),
                 ("mixed", "not-negative-definite")):
         assert seen[key] >= 3, seen
+
+
+def test_tdim_is_the_recursive_sum_on_generated_tower_trees():
+    # at every node, dim T^i is the node's own cone value plus its children's
+    # subtree sums; tower trees blow up over several levels
+    rng = random.Random(37)
+    nodes = deep = 0
+    for _ in range(200):
+        try:
+            g = parse_graph(random_tree_json(rng, rng.randint(2, 14), "tower"))
+        except GraphError:
+            continue
+        if analyze(g).status != "ok":
+            continue
+        todo = [multiplicity_tree(g)]
+        while todo:
+            node = todo.pop()
+            for i in range(3, 7):
+                children = sum(tdim(child, i) for child in node.children)
+                assert tdim(node, i) == cone_tdim(i, node.mult) + children
+            todo.extend(node.children)
+            nodes += 1
+            deep += any(child.children for child in node.children)
+    assert nodes >= 300 and deep >= 20, (nodes, deep)

@@ -31,7 +31,6 @@ from ratsurf.harrison import (
     harrison_dim,
     hochschild_dim,
     make_fat_point,
-    shuffle_invariant_dim,
     signed_shuffles,
     zero_map_check,
     _action_table,
@@ -147,20 +146,20 @@ def test_signed_shuffles_counts_and_signs():
 
 def test_degree_one_space_has_no_constraints():
     a = make_fat_point(3)
-    assert shuffle_invariant_dim(a, TRIVIAL, 1) == 3
-    assert shuffle_invariant_dim(a, REGULAR, 1) == 12
+    assert CochainSpace(a, TRIVIAL, 1).dim == 3
+    assert CochainSpace(a, REGULAR, 1).dim == 12
 
 
 def test_degree_two_invariants_are_the_symmetric_functionals():
     # pins the shuffle-action orientation: symmetric m(m+1)/2, not m(m-1)/2
     for m in range(1, 6):
         a = make_fat_point(m)
-        assert shuffle_invariant_dim(a, TRIVIAL, 2) == m * (m + 1) // 2
+        assert CochainSpace(a, TRIVIAL, 2).dim == m * (m + 1) // 2
 
 
 def test_degree_three_count_separates_the_action_from_its_inverse():
     # both conventions agree in degree 2; c_{2,3} = 2 only for the right one
-    assert shuffle_invariant_dim(make_fat_point(2), TRIVIAL, 3) == 2
+    assert CochainSpace(make_fat_point(2), TRIVIAL, 3).dim == 2
 
 
 def constraint_rows(words, k):
@@ -191,8 +190,8 @@ def test_invariant_dim_matches_direct_stacked_matrix():
     for n, k in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)]:
         a = make_fat_point(n)
         direct = stacked_constraint_dim(n, k)
-        assert shuffle_invariant_dim(a, TRIVIAL, k) == direct
-        assert shuffle_invariant_dim(a, REGULAR, k) == (n + 1) * direct
+        assert CochainSpace(a, TRIVIAL, k).dim == direct
+        assert CochainSpace(a, REGULAR, k).dim == (n + 1) * direct
 
 
 def test_invariant_dim_agrees_with_moebius_count():
@@ -201,7 +200,7 @@ def test_invariant_dim_agrees_with_moebius_count():
         for k in range(1, 5):
             if m ** k > DEFAULT_BUDGET:
                 continue
-            assert shuffle_invariant_dim(a, TRIVIAL, k) == shuffle_dim(m, k)
+            assert CochainSpace(a, TRIVIAL, k).dim == shuffle_dim(m, k)
 
 
 def test_fat_point_trivial_differential_vanishes():
@@ -209,7 +208,7 @@ def test_fat_point_trivial_differential_vanishes():
         a = make_fat_point(m)
         for k in (1, 2, 3):
             assert not any(coboundary_matrix(a, TRIVIAL, k).columns)
-            assert harrison_dim(a, TRIVIAL, k) == shuffle_invariant_dim(a, TRIVIAL, k)
+            assert harrison_dim(a, TRIVIAL, k) == CochainSpace(a, TRIVIAL, k).dim
 
 
 def test_differential_squares_to_zero_on_sparse_cochains():
@@ -447,6 +446,21 @@ def test_budget_is_enforced():
         CochainSpace(make_fat_point(2), TRIVIAL, 5, budget=16)
     # a raised budget admits the same request
     assert CochainSpace(make_fat_point(2), TRIVIAL, 5, budget=32).dim == 6
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_a_budget_below_one_is_refused_alike_by_every_entry_point(budget):
+    a = make_fat_point(2)
+    calls = [
+        lambda: harrison_dim(a, TRIVIAL, 2, budget=budget),
+        lambda: hochschild_dim(a, TRIVIAL, 2, budget=budget),
+        lambda: check_budget(2, 2, budget, hochschild=True),
+        lambda: zero_map_check(2, 2, budget=budget),
+        lambda: CochainSpace(a, TRIVIAL, 2, budget=budget),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^budget must be positive$"):
+            call()
 
 
 def test_degree_must_be_positive():

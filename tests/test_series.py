@@ -20,7 +20,6 @@ from ratsurf.qlinalg import as_fraction
 from ratsurf.series import (
     IntegralityError,
     cone_tdim,
-    dimension_table,
     fatpoint_tdim,
     poincare_series,
     shuffle_dim,
@@ -369,12 +368,10 @@ def test_fatpoint_tdim_is_the_advertised_combination():
             assert fatpoint_tdim(m, i) == m * shuffle_dim(m, i + 1) - shuffle_dim(m, i)
 
 
-def test_dimension_table():
-    t = dimension_table(5, imax=4)
-    assert t.d == 5
-    assert t.values == {1: 6, 2: 8, 3: 12, 4: 38}
+def test_cone_tdim_reads_the_degree_5_table():
+    assert [cone_tdim(i, 5) for i in range(1, 5)] == [6, 8, 12, 38]
     with pytest.raises(ValueError):
-        dimension_table(5, imax=0)
+        cone_tdim(0, 5)
 
 
 def test_coefficients_stay_under_the_digit_estimate():
