@@ -40,6 +40,13 @@ Harrison and the Hochschild matrices, each eliminated once by qlinalg.Echelon.
 The word budget is checked for every degree a computation touches first; a
 dimension then reuses the ranks of d_(k-1) and d_k, each kept per process by
 structure constants, coefficient kind and degree.
+
+A value coordinate alpha is silent when no product has a linear part and
+e_i . alpha = 0 for every i: the differential's interior terms come only from
+the linear parts and its outer terms only from the action on alpha, so every
+cochain with values in alpha has image zero. Its columns are empty without
+being computed, and a differential all of whose coordinates are silent (any
+fat point with trivial coefficients) has rank 0 without its codomain.
 """
 
 from __future__ import annotations
@@ -436,14 +443,27 @@ def apply_differential(algebra: FiniteLocalAlgebra, k: int, func: dict, acts: li
     return {u: v for u, v in out.items() if v}
 
 
+def _silent(algebra: FiniteLocalAlgebra, acts: list) -> set:
+    """The value coordinates alpha whose cochains d maps to zero in every degree.
+
+    When no product has a linear part, apply_differential has no interior
+    terms, and its outer terms come from acts[alpha] alone.
+    """
+    if any(algebra._expansions):
+        return set()
+    return {alpha for alpha, row in enumerate(acts) if not row}
+
+
 def coboundary_matrix(algebra: FiniteLocalAlgebra, module: CoefficientModule,
                       k: int, budget: int | None = None) -> SparseMatrix:
     """Matrix of the differential between shuffle-invariant spaces k -> k+1,
-    in the CochainSpace bases, as sparse columns."""
+    in the CochainSpace bases, as sparse columns; a silent coordinate's are empty."""
     dom = CochainSpace(algebra, module, k, budget)
     cod = CochainSpace(algebra, module, k + 1, budget)
     acts = _action_table(algebra, module)
-    columns = [cod.coords_of(apply_differential(algebra, k, dom.functional(idx), acts))
+    silent = _silent(algebra, acts)
+    columns = [{} if idx // dom.scalar_dim in silent
+               else cod.coords_of(apply_differential(algebra, k, dom.functional(idx), acts))
                for idx in range(dom.dim)]
     return SparseMatrix(cod.dim, dom.dim, columns)
 
@@ -453,12 +473,19 @@ _ranks = {}  # (structure constants, coefficient kind, hochschild, k) -> rank of
 
 def _rank(algebra: FiniteLocalAlgebra, module: CoefficientModule, hochschild: bool,
           k: int, budget: int | None) -> int:
-    """Rank of d_k (0 for k = 0), once per process; call it only after the caller's budget check."""
+    """Rank of d_k (0 for k = 0), once per process; call it only after the caller's budget check.
+
+    When every value coordinate is silent (_silent), d_k is zero by
+    construction: its rank is 0, and no space and no column is built.
+    """
     key = (algebra.products, module.kind, hochschild, k)
     if k and key not in _ranks:
-        matrix = (_full_coboundary(algebra, module, k) if hochschild
-                  else coboundary_matrix(algebra, module, k, budget))
-        _ranks[key] = matrix.rank()
+        if len(_silent(algebra, _action_table(algebra, module))) == module.dim(algebra):
+            _ranks[key] = 0
+        else:
+            matrix = (_full_coboundary(algebra, module, k) if hochschild
+                      else coboundary_matrix(algebra, module, k, budget))
+            _ranks[key] = matrix.rank()
     return _ranks.get(key, 0)
 
 
@@ -475,8 +502,10 @@ def harrison_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
 def _full_coboundary(algebra: FiniteLocalAlgebra, module: CoefficientModule, k: int) -> SparseMatrix:
     """Differential on all reduced cochains as sparse columns, numbered by key."""
     acts = _action_table(algebra, module)
-    ndom = module.dim(algebra) * algebra.n ** k
-    columns = [apply_differential(algebra, k, {key: 1}, acts) for key in range(ndom)]
+    silent, size = _silent(algebra, acts), algebra.n ** k
+    ndom = module.dim(algebra) * size
+    columns = [{} if key // size in silent else apply_differential(algebra, k, {key: 1}, acts)
+               for key in range(ndom)]
     return SparseMatrix(module.dim(algebra) * algebra.n ** (k + 1), ndom, columns)
 
 

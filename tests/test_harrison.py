@@ -904,20 +904,26 @@ def lyndon_words(letters, length):
             w.pop()
 
 
-def super_lyndon_count(k, shape):
-    """Dimension of the free Lie superalgebra on odd generators in the letter
-    content `shape` (letter c shape[c] times): the Lyndon words of that content,
-    plus the squares [P_u, P_u] of the odd-length Lyndon words u of half of it."""
+def super_lyndon_words(k, shape):
+    """The leading words of a basis of the free Lie superalgebra on odd
+    generators in the letter content `shape` (letter c shape[c] times): the
+    Lyndon words w of that content, for the brackets P_w, and uu for each
+    odd-length Lyndon word u of half of it, for the squares [P_u, P_u]."""
     def content(w):
         counts = Counter(w)
         return tuple(counts[c] for c in range(len(shape)))
 
     words = list(lyndon_words(len(shape), k))
-    count = sum(1 for w in words if len(w) == k and content(w) == shape)
+    out = [w for w in words if len(w) == k and content(w) == shape]
     if k % 4 == 2 and all(c % 2 == 0 for c in shape):
         half = tuple(c // 2 for c in shape)
-        count += sum(1 for w in words if len(w) == k // 2 and content(w) == half)
-    return count
+        out += [w + w for w in words if len(w) == k // 2 and content(w) == half]
+    return out
+
+
+def super_lyndon_count(k, shape):
+    """Dimension of the free Lie superalgebra on odd generators in the content `shape`."""
+    return len(super_lyndon_words(k, shape))
 
 
 def test_lyndon_words_by_duval():
@@ -932,6 +938,59 @@ def test_shape_kernel_dimension_is_the_super_lyndon_count():
     assert (11, (11,)) in shapes and (10, (5, 5)) in shapes and (6, (2, 2, 2)) in shapes
     for k, shape in shapes:
         assert len(_shape_kernel(k, shape)[1]) == super_lyndon_count(k, shape), (k, shape)
+
+
+def concatenate(a, b):
+    """The product of two polynomials {word tuple: coefficient} in noncommuting letters."""
+    out = Counter()
+    for u, x in a.items():
+        for v, y in b.items():
+            out[u + v] += x * y
+    return out
+
+
+def bracket_vector(w):
+    """The super-Lie polynomial whose leading word is w, all letters odd.
+
+    A Lyndon word w of two or more letters gives its standard bracketing
+    P_w = [P_u, P_v], where v is the longest proper suffix of w that is a
+    Lyndon word (Reutenauer 1993, ch. 5), and [a, b] = ab - (-1)^(|a||b|) ba
+    for a and b of lengths |a| and |b|; a square uu gives [P_u, P_u] = 2 P_u P_u.
+    """
+    if len(w) == 1:
+        return {w: 1}
+    half = len(w) // 2
+    if w[:half] == w[half:]:
+        square = concatenate(bracket_vector(w[:half]), bracket_vector(w[half:]))
+        return {x: 2 * c for x, c in square.items()}
+    i = next(i for i in range(1, len(w)) if all(w[i:] < w[j:] for j in range(i + 1, len(w))))
+    u, v = bracket_vector(w[:i]), bracket_vector(w[i:])
+    out = concatenate(u, v)
+    out.subtract({x: (-1) ** (i * (len(w) - i)) * c for x, c in concatenate(v, u).items()})
+    return {x: c for x, c in out.items() if c}
+
+
+def test_bracket_vectors_are_a_triangular_basis_of_the_shape_kernel():
+    # Ree's theorem, for odd letters: a Lie polynomial is killed by every
+    # shuffle product. The bracket vectors are triangular in their leading
+    # words, so independent; they lie in the span of the kernel basis and are
+    # as many as its vectors, so they are a basis of the kernel.
+    pool = [(k, shape) for k, shape in default_budget_shapes(max_letters=3)
+            if 2 ** k * len(_shape_kernel(k, shape)[0]) <= 4000]
+    shapes = [(2, (2,)), (6, (2, 2, 2)), (6, (4, 2))] + random.Random(18).sample(pool, 10)
+    for k, shape in shapes:
+        words, basis, free = _shape_kernel(k, shape)
+        vectors = [(w, bracket_vector(w)) for w in super_lyndon_words(k, shape)]
+        assert len(vectors) == len(basis), (k, shape)
+        rows = [[(j, r) for j, r in enumerate(row) if r] for row in constraint_rows(words, k)]
+        for w, vec in vectors:
+            assert min(vec) == w and vec[w], (k, shape, w)
+            assert set(vec) <= set(words)
+            entries = [vec.get(x, 0) for x in words]
+            assert not any(sum(r * entries[j] for j, r in row) for row in rows), (k, shape, w)
+            rebuilt = [sum(vec.get(words[f], 0) * b[j] for f, b in zip(free, basis))
+                       for j in range(len(words))]
+            assert rebuilt == entries, (k, shape, w)
 
 
 # ----- each differential's rank is computed once per process ---------------
@@ -999,3 +1058,69 @@ def test_equal_structure_constants_share_one_rank(monkeypatch):
     # other constants on as many letters get ranks of their own
     harrison_dim(truncated_polynomial_algebra(2), REGULAR, 3)
     assert sorted(built) == [2, 2, 3, 3] and len(harrison._ranks) == 4
+
+
+# ----- a differential that is zero by construction builds nothing ----------
+
+def test_silent_coordinates_are_those_with_no_action_and_no_linear_part():
+    products = [truncated_polynomial_algebra(2), truncated_polynomial_algebra(3), two_variable_square_zero()]
+    cases = ([(make_fat_point(m), TRIVIAL, {0}) for m in (1, 2, 3)]
+             + [(make_fat_point(m), REGULAR, set(range(1, m + 1))) for m in (1, 2, 3)]
+             + [(a, module, set()) for a in products for module in (TRIVIAL, REGULAR)]
+             + [(etale_quadratic(), TRIVIAL, {0}), (etale_quadratic(), REGULAR, set())])
+    for a, module, want in cases:
+        assert harrison._silent(a, _action_table(a, module)) == want, (a.products, module)
+
+
+def test_skipped_columns_equal_the_computed_ones():
+    algebras = [make_fat_point(m) for m in (1, 2, 3)] + [
+        truncated_polynomial_algebra(2), truncated_polynomial_algebra(3), two_variable_square_zero(),
+        etale_quadratic()]
+    for a, module, k in itertools.product(algebras, (TRIVIAL, REGULAR), (1, 2, 3)):
+        acts = _action_table(a, module)
+        dom, cod = CochainSpace(a, module, k), CochainSpace(a, module, k + 1)
+        harrison_columns = [cod.coords_of(apply_differential(a, k, dom.functional(idx), acts))
+                            for idx in range(dom.dim)]
+        assert coboundary_matrix(a, module, k).columns == harrison_columns, (a.n, module, k)
+        ndom = module.dim(a) * a.n ** k
+        full_columns = [apply_differential(a, k, {key: 1}, acts) for key in range(ndom)]
+        assert _full_coboundary(a, module, k).columns == full_columns, (a.n, module, k)
+        for hochschild, rows, columns in ((False, cod.dim, harrison_columns),
+                                          (True, module.dim(a) * a.n ** (k + 1), full_columns)):
+            cold_rank_cache()
+            want = SparseMatrix(rows, len(columns), columns).rank()
+            assert harrison._rank(a, module, hochschild, k, None) == want, (a.n, module, hochschild, k)
+
+
+def test_a_zero_differential_builds_no_codomain(monkeypatch):
+    cobounds, spaces, blocks, applied = [], [], [], []
+    real_cob, real_init = harrison.coboundary_matrix, CochainSpace.__init__
+    real_blocks, real_apply = harrison._blocks, harrison.apply_differential
+
+    def counting_init(self, algebra, module, k, budget=None):
+        spaces.append(k)
+        real_init(self, algebra, module, k, budget)
+
+    def counting_cob(algebra, module, k, budget=None):
+        cobounds.append(k)
+        return real_cob(algebra, module, k, budget)
+
+    monkeypatch.setattr(harrison, "coboundary_matrix", counting_cob)
+    monkeypatch.setattr(CochainSpace, "__init__", counting_init)
+    monkeypatch.setattr(harrison, "_blocks", lambda n, k: blocks.append(k) or real_blocks(n, k))
+    monkeypatch.setattr(harrison, "apply_differential",
+                        lambda algebra, k, func, acts: applied.append(k) or real_apply(algebra, k, func, acts))
+    cold_rank_cache()
+    fat = make_fat_point(2)
+    # trivial coefficients: both ranks are 0, and only the degree-k kernels are built
+    assert harrison_dim(fat, TRIVIAL, 6) == shuffle_dim(2, 6)
+    assert (cobounds, spaces, blocks) == ([], [], [6])
+    assert hochschild_dim(fat, TRIVIAL, 6) == 2 ** 6 and applied == []
+    # regular coefficients: each map is built, but only the unit coordinate's columns are applied
+    assert harrison_dim(fat, REGULAR, 3) == fatpoint_tdim(2, 2)
+    assert sorted(cobounds) == [2, 3] and sorted(spaces) == [2, 3, 3, 4]
+    assert sorted(applied) == [2] * shuffle_dim(2, 2) + [3] * shuffle_dim(2, 3)
+    want = dense_hochschild_dim(fat, REGULAR, 3)
+    del applied[:]
+    assert hochschild_dim(fat, REGULAR, 3) == want
+    assert sorted(applied) == [2] * 2 ** 2 + [3] * 2 ** 3
