@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 
 # module -> the names it exports here
 _EXPORTS = {
-    "qlinalg": ("QMatrix",),
     "series": (
         "BudgetError",
         "IntegralityError",
@@ -66,9 +65,6 @@ _EXPORTS = {
         "BoundedValue",
         "ObstructionReport",
         "tdim",
-        "t2_report",
-        "codim_ac_report",
-        "gmd_check",
         "analyze",
     ),
 }

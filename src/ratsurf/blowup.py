@@ -48,10 +48,6 @@ class MultiplicityTree(
     def multiplicities(self) -> list:
         return [node.mult for node in self.iter_nodes()]
 
-    def reduced_everywhere(self) -> bool:
-        """Every node's fundamental cycle is reduced (pruned RDPs do not count)."""
-        return all(node.reduced for node in self.iter_nodes())
-
     def __repr__(self) -> str:
         return "MultiplicityTree(mult=%d, children=%d, dropped=%d)" % (
             self.mult,

@@ -8,8 +8,9 @@ d(P) alone:
     cod_AC  = sum over P of (d(P)-3) + c                same correction c
 
 The correction c vanishes when every fundamental cycle in the tower is
-reduced and no rational double points were pruned; then the T^2 and cod_AC
-values are exact, otherwise they are lower bounds and are flagged as such.
+reduced; the rational double points pruned from the tree do not count. Then
+the T^2 and cod_AC values are exact, otherwise they are lower bounds and are
+flagged as such.
 
 The obstruction check compares sum (d(P)-1) against sum (b_i-1) over the
 vertices of the resolution graph; the singularity with obstructed good
@@ -33,29 +34,8 @@ ObstructionReport = namedtuple("ObstructionReport", "sum_d_minus_1 sum_b_minus_1
 def tdim(tree: MultiplicityTree, i: int) -> int:
     """dim T^i for i >= 3, summed over the multiplicity tree."""
     if i < 3:
-        raise ValueError("tdim handles i >= 3; use t2_report for i = 2")
+        raise ValueError("tdim handles i >= 3; analyze reports T^2 as t2")
     return sum(cone_tdim(i, node.mult) for node in tree.iter_nodes())
-
-
-def t2_report(tree: MultiplicityTree) -> BoundedValue:
-    """dim T^2 as sum of (d-1)(d-3); exact iff the correction term vanishes."""
-    value = sum((node.mult - 1) * (node.mult - 3) for node in tree.iter_nodes())
-    return BoundedValue(value=value, exact=tree.reduced_everywhere())
-
-
-def codim_ac_report(tree: MultiplicityTree) -> BoundedValue:
-    """Codimension of the Artin component, same exactness rule as t2_report."""
-    value = sum(node.mult - 3 for node in tree.iter_nodes())
-    return BoundedValue(value=value, exact=tree.reduced_everywhere())
-
-
-def gmd_check(g: ResolutionGraph, tree: MultiplicityTree) -> ObstructionReport:
-    """Obstruction test for the good maximal deformation."""
-    sum_d = sum(node.mult - 1 for node in tree.iter_nodes())
-    sum_b = sum(b - 1 for b in g.b)
-    return ObstructionReport(
-        sum_d_minus_1=sum_d, sum_b_minus_1=sum_b, obstructed=sum_d >= sum_b
-    )
 
 
 class AnalysisReport(
@@ -101,8 +81,11 @@ def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
             reduced=is_reduced(z),
         )
     tree = multiplicity_tree(g)
-    mults = tree.multiplicities()
-    check_digits(max(mults), imax, len(mults))
+    nodes = list(tree.iter_nodes())
+    mults = [node.mult for node in nodes]
+    check_digits(max(mults), imax, len(nodes))
+    everywhere = all(node.reduced for node in nodes)
+    sum_d, sum_b = sum(d - 1 for d in mults), sum(b - 1 for b in g.b)
     return AnalysisReport(
         status="ok",
         rational=True,
@@ -110,10 +93,10 @@ def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
         p_a=p_a,
         mult=mult,
         reduced=is_reduced(z),
-        reduced_everywhere=tree.reduced_everywhere(),
+        reduced_everywhere=everywhere,
         tree=tree,
         tdims={i: tdim(tree, i) for i in range(3, imax + 1)},
-        t2=t2_report(tree),
-        codim_ac=codim_ac_report(tree),
-        gmd=gmd_check(g, tree),
+        t2=BoundedValue(sum((d - 1) * (d - 3) for d in mults), everywhere),
+        codim_ac=BoundedValue(sum(d - 3 for d in mults), everywhere),
+        gmd=ObstructionReport(sum_d, sum_b, sum_d >= sum_b),
     )

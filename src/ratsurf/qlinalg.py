@@ -16,8 +16,10 @@ when a divides v, a Fraction only otherwise, so integral kernels stay in
 ints for the callers' arithmetic too. The fractions module is imported only
 where a Fraction is built or checked, so integral work never loads it.
 
-SparseMatrix holds the cochain differentials as sparse columns. QMatrix is a
-dense matrix whose determinants and leading minors only the tests use.
+SparseMatrix holds the cochain differentials as sparse columns. QMatrix is
+the tests' dense determinant reference (Sylvester's leading minors). No module
+of the package calls it; it stays here only because the benchmark's tracer
+wraps its rank, det and leading_principal_minor by name.
 """
 
 from __future__ import annotations
@@ -163,80 +165,19 @@ class SparseMatrix:
 
 
 class QMatrix:
-    """Immutable dense matrix over Q (row-major)."""
+    """Dense matrix over Q from equal-length rows; the tests' determinant reference (module doc)."""
 
     __slots__ = ("rows", "cols", "_a")
 
-    def __init__(self, rows: int, cols: int, entries: list) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        data = [as_fraction(x) for x in entries]
-        if len(data) != rows * cols:
-            raise ValueError("expected %d entries, got %d" % (rows * cols, len(data)))
-        self.rows = rows
-        self.cols = cols
-        self._a = data
-
-    @classmethod
-    def from_rows(cls, rows: list) -> "QMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(r, c, flat)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    def __getitem__(self, ij) -> Rational:
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("index out of range")
-        return self._a[i * self.cols + j]
-
-    def row(self, i: int) -> list:
-        return self._a[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> list:
-        return [self._a[i * self.cols + j] for i in range(self.rows)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._a == other._a
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self._a)))
-
-    def __repr__(self) -> str:
-        return "QMatrix(%d x %d)" % (self.rows, self.cols)
-
-    # ----- elimination ----------------------------------------------------
-
-    def _echelon(self) -> Echelon:
-        return Echelon(self.row(i) for i in range(self.rows))
+    def __init__(self, rows: list) -> None:
+        self._a = [[as_fraction(x) for x in row] for row in rows]
+        self.rows = len(self._a)
+        self.cols = len(self._a[0]) if self._a else 0
+        if any(len(row) != self.cols for row in self._a):
+            raise ValueError("ragged rows")
 
     def rank(self) -> int:
-        return self._echelon().rank
-
-    def kernel_dim(self) -> int:
-        return self.cols - self.rank()
-
-    def kernel_basis(self) -> list:
-        """Basis of the right kernel as dense lists, free-column normalized (see module doc)."""
-        return [[v.get(j, 0) for j in range(self.cols)]
-                for v in self._echelon().kernel_basis(self.cols)]
-
-    def kernel_free_columns(self) -> list:
-        """Free (non-pivot) column indices, matching kernel_basis order."""
-        return self._echelon().free_columns(self.cols)
+        return Echelon(self._a).rank
 
     def det(self) -> Rational:
         from fractions import Fraction
@@ -244,7 +185,7 @@ class QMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        work = [self.row(i) for i in range(n)]
+        work = [row[:] for row in self._a]
         sign = 1
         det = Fraction(1)
         for c in range(n):
@@ -270,7 +211,4 @@ class QMatrix:
     def leading_principal_minor(self, k: int) -> Rational:
         if not (0 <= k <= min(self.rows, self.cols)):
             raise ValueError("minor size out of range")
-        sub = []
-        for i in range(k):
-            sub.extend(self.row(i)[:k])
-        return QMatrix(k, k, sub).det()
+        return QMatrix([row[:k] for row in self._a[:k]]).det()

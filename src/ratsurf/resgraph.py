@@ -79,7 +79,11 @@ class ResolutionGraph:
         ids = []
         bs = []
         index = {}
-        for vid, b in vertices:
+        for vertex in vertices:
+            try:
+                vid, b = vertex
+            except (TypeError, ValueError):
+                raise GraphError("syntax", "vertex %r is not an (id, b) pair" % (vertex,)) from None
             if not isinstance(vid, str) or not vid:
                 raise GraphError("syntax", "vertex ids must be nonempty strings")
             if vid in index:
@@ -97,8 +101,11 @@ class ResolutionGraph:
         adj = [dict() for _ in range(n)]
         norm_edges = []
         for e in edges:
-            u, v = e
-            lo, hi = index.get(u), index.get(v)
+            try:
+                u, v = e
+                lo, hi = index.get(u), index.get(v)
+            except (TypeError, ValueError):  # not two items, or an unhashable id
+                raise GraphError("syntax", "edge %r is not a pair of vertex ids" % (e,)) from None
             if lo is None or hi is None:
                 raise GraphError("bad-edge", "edge %r references an unknown vertex id" % (list(e),))
             if lo == hi:

@@ -37,6 +37,10 @@ def multiplicity(g):
     return -fundamental_cycle(g).self_intersection()
 
 
+def reduced_everywhere(tree):
+    return all(node.reduced for node in tree.iter_nodes())
+
+
 def graph_json(vertices, edges):
     return json.dumps(
         {
@@ -125,13 +129,13 @@ def test_cone_tree_is_a_single_node():
         assert t.multiplicities() == [d]
         assert t.children == []
         assert t.dropped_rdp_count == 0
-        assert t.reduced and t.reduced_everywhere()
+        assert t.reduced and reduced_everywhere(t)
 
 
 def test_star_tree():
     t = multiplicity_tree(parse_graph(STAR))
     assert t.multiplicities() == [6, 3]
-    assert t.reduced_everywhere()
+    assert reduced_everywhere(t)
     assert t.dropped_rdp_count == 0
 
 
@@ -141,7 +145,7 @@ def test_chain_tree_prunes_the_double_point():
     assert t.children == []
     assert t.dropped_rdp_count == 1
     # pruned double points do not spoil exactness of the cycle record
-    assert t.reduced and t.reduced_everywhere()
+    assert t.reduced and reduced_everywhere(t)
 
 
 def test_family_trees():
@@ -151,7 +155,7 @@ def test_family_trees():
         assert [c.mult for c in t.children] == [k, k, k]
         assert not t.reduced
         assert all(c.reduced for c in t.children)
-        assert not t.reduced_everywhere()
+        assert not reduced_everywhere(t)
         assert t.multiplicities() == [3 * k - 4, k, k, k]
 
 

@@ -40,7 +40,7 @@ from ratsurf.harrison import (
 )
 from ratsurf import harrison, qlinalg
 from ratsurf.cli import main
-from ratsurf.qlinalg import QMatrix, SparseMatrix
+from ratsurf.qlinalg import Echelon, SparseMatrix
 from ratsurf.series import fatpoint_tdim, shuffle_dim
 from test_qlinalg import reference_kernel
 
@@ -183,7 +183,7 @@ def stacked_constraint_dim(n: int, k: int) -> int:
     # matrix of sh_{p,k-p} images of all words, then count the cokernel of
     # the transpose, i.e. n^k minus the rank of the stack
     words = list(itertools.product(range(n), repeat=k))
-    return len(words) - QMatrix.from_rows(constraint_rows(words, k)).rank()
+    return len(words) - Echelon(constraint_rows(words, k)).rank
 
 
 def test_invariant_dim_matches_direct_stacked_matrix():

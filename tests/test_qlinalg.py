@@ -2,6 +2,8 @@
 
 The sparse integer elimination (Echelon) is checked against the dense
 Fraction elimination it replaced, kept here as the reference oracle.
+Matrices are plain lists of rows; QMatrix is the dense determinant
+reference that the Sylvester test in test_resgraph relies on.
 """
 
 from __future__ import annotations
@@ -72,36 +74,45 @@ def reference_kernel(rows, ncols):
     return pivots, free, basis
 
 
-# ----- dense helpers the tests need and the package does not ---------------
+# ----- dense helpers on lists of rows -------------------------------------
 
 def identity(n):
-    return QMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def zero(rows, cols):
+    return [[0] * cols for _ in range(rows)]
 
 
 def transpose(m):
-    return QMatrix.from_rows([m.column(j) for j in range(m.cols)])
+    return [list(col) for col in zip(*m)]
 
 
 def matmul(a, b):
-    if a.cols != b.rows:
+    if any(len(row) != len(b) for row in a):
         raise ValueError("shape mismatch in product")
-    return QMatrix.from_rows(
-        [[sum(a[i, t] * b[t, j] for t in range(a.cols)) for j in range(b.cols)] for i in range(a.rows)]
-    )
+    return [[sum(x * y for x, y in zip(row, col)) for col in transpose(b)] for row in a]
 
 
 def is_zero(m):
-    return not any(m[i, j] for i in range(m.rows) for j in range(m.cols))
+    return not any(x for row in m for x in row)
 
 
 def is_symmetric(m):
-    return m.rows == m.cols and transpose(m) == m
+    return all(len(row) == len(m) for row in m) and transpose(m) == m
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
-    return QMatrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
-    )
+    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def _sparse_to_dense(vec, n):
+    return [vec.get(j, Fraction(0)) for j in range(n)]
+
+
+def kernel(m, ncols):
+    """Echelon's kernel basis of dense rows m, as dense lists."""
+    return [_sparse_to_dense(v, ncols) for v in Echelon(m).kernel_basis(ncols)]
 
 
 def random_rows(rng, rows, cols, density, rational=False):
@@ -137,40 +148,41 @@ def test_fraction_roundtrip():
 
 
 def test_rank_identity_and_zero():
-    assert identity(3).rank() == 3
-    assert QMatrix.zero(2, 5).rank() == 0
-    assert QMatrix.zero(2, 5).kernel_dim() == 5
+    assert Echelon(identity(3)).rank == 3
+    assert Echelon(zero(2, 5)).rank == 0
+    assert len(kernel(zero(2, 5), 5)) == 5
 
 
 def test_rank_known_matrices():
-    assert QMatrix.from_rows([[1, 2], [2, 4]]).rank() == 1
-    assert QMatrix.from_rows([[1, 2], [3, 4]]).rank() == 2
-    assert QMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).rank() == 2
+    assert Echelon([[1, 2], [2, 4]]).rank == 1
+    assert Echelon([[1, 2], [3, 4]]).rank == 2
+    assert Echelon([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).rank == 2
 
 
 def test_rank_equals_rank_of_transpose():
     rng = random.Random(5)
     for _ in range(60):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert m.rank() == transpose(m).rank()
+        assert Echelon(m).rank == Echelon(transpose(m)).rank
 
 
 def test_rank_plus_kernel_dim_is_column_count():
     rng = random.Random(6)
     for _ in range(60):
-        m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert m.rank() + m.kernel_dim() == m.cols
+        cols = rng.randint(1, 6)
+        m = random_matrix(rng, rng.randint(1, 6), cols)
+        assert Echelon(m).rank + len(kernel(m, cols)) == cols
 
 
 def test_kernel_basis_vectors_are_in_the_kernel():
     rng = random.Random(7)
     for _ in range(40):
-        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
-        basis = m.kernel_basis()
-        assert len(basis) == m.kernel_dim()
+        cols = rng.randint(1, 6)
+        m = random_matrix(rng, rng.randint(1, 5), cols)
+        basis = kernel(m, cols)
+        assert len(basis) == cols - Echelon(m).rank
         for v in basis:
-            col = QMatrix(m.cols, 1, v)
-            assert is_zero(matmul(m, col))
+            assert is_zero(matmul(m, transpose([v])))
 
 
 def test_kernel_basis_is_free_column_normalized():
@@ -178,9 +190,10 @@ def test_kernel_basis_is_free_column_normalized():
     # coboundary coordinate extraction depends on this shape
     rng = random.Random(8)
     for _ in range(40):
-        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
-        basis = m.kernel_basis()
-        free = m.kernel_free_columns()
+        cols = rng.randint(1, 6)
+        m = random_matrix(rng, rng.randint(1, 5), cols)
+        basis = kernel(m, cols)
+        free = Echelon(m).free_columns(cols)
         assert len(free) == len(basis)
         for t, v in enumerate(basis):
             for s, c in enumerate(free):
@@ -189,23 +202,23 @@ def test_kernel_basis_is_free_column_normalized():
 
 def test_matmul_and_shape_errors():
     # the dense product the determinant and kernel tests rely on
-    a = QMatrix.from_rows([[1, 2], [3, 4]])
-    b = QMatrix.from_rows([[0, 1], [1, 0]])
-    assert matmul(a, b) == QMatrix.from_rows([[2, 1], [4, 3]])
+    a = [[1, 2], [3, 4]]
+    b = [[0, 1], [1, 0]]
+    assert matmul(a, b) == [[2, 1], [4, 3]]
     with pytest.raises(ValueError):
-        matmul(a, QMatrix.from_rows([[1, 2, 3]]))
+        matmul(a, [[1, 2, 3]])
 
 
 def test_det_known_values():
-    assert QMatrix.from_rows([[2]]).det() == 2
-    assert QMatrix.from_rows([[1, 2], [3, 4]]).det() == -2
-    assert QMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]]).det() == 30
-    assert QMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
+    assert QMatrix([[2]]).det() == 2
+    assert QMatrix([[1, 2], [3, 4]]).det() == -2
+    assert QMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]]).det() == 30
+    assert QMatrix([[1, 2], [2, 4]]).det() == 0
 
 
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
-        QMatrix.from_rows([[1, 2, 3], [4, 5, 6]]).det()
+        QMatrix([[1, 2, 3], [4, 5, 6]]).det()
 
 
 def test_det_of_product_is_product_of_dets():
@@ -214,11 +227,11 @@ def test_det_of_product_is_product_of_dets():
         n = rng.randint(1, 4)
         a = random_matrix(rng, n, n)
         b = random_matrix(rng, n, n)
-        assert matmul(a, b).det() == a.det() * b.det()
+        assert QMatrix(matmul(a, b)).det() == QMatrix(a).det() * QMatrix(b).det()
 
 
 def test_leading_principal_minors():
-    m = QMatrix.from_rows([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+    m = QMatrix([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
     assert m.leading_principal_minor(1) == -2
     assert m.leading_principal_minor(2) == 3
     assert m.leading_principal_minor(3) == -4
@@ -226,9 +239,10 @@ def test_leading_principal_minors():
 
 
 def test_symmetry_and_zero_predicates():
-    assert is_symmetric(QMatrix.from_rows([[1, 2], [2, 3]]))
-    assert not is_symmetric(QMatrix.from_rows([[1, 2], [0, 3]]))
-    assert is_zero(QMatrix.zero(3, 3))
+    assert is_symmetric([[1, 2], [2, 3]])
+    assert not is_symmetric([[1, 2], [0, 3]])
+    assert not is_symmetric([[1, 2, 3], [2, 3, 4]])
+    assert is_zero(zero(3, 3))
     assert not is_zero(identity(2))
 
 
@@ -239,16 +253,13 @@ def test_mat_stack_vertical_rank_bounds():
         cols = rng.randint(1, 5)
         a = random_matrix(rng, rng.randint(1, 4), cols)
         b = random_matrix(rng, rng.randint(1, 4), cols)
-        rows = [a.row(i) for i in range(a.rows)] + [b.row(i) for i in range(b.rows)]
-        s = QMatrix.from_rows(rows)
-        assert s.rows == a.rows + b.rows
-        assert s.rank() <= a.rank() + b.rank()
-        assert s.rank() >= max(a.rank(), b.rank())
-        assert Echelon(rows).rank == s.rank()
+        rank_a, rank_b, rank = Echelon(a).rank, Echelon(b).rank, Echelon(a + b).rank
+        assert max(rank_a, rank_b) <= rank <= rank_a + rank_b
+        assert rank == len(reference_echelon(a + b, cols)[1])
 
 
 def test_mat_stack_vertical_duplicate_rows():
-    assert QMatrix.from_rows([[1, 2], [1, 2]]).rank() == 1
+    assert Echelon([[1, 2], [1, 2]]).rank == 1
     span = Echelon()
     assert span.add([1, 2]) and not span.add({0: 1, 1: 2}) and span.rank == 1
 
@@ -264,48 +275,46 @@ def test_mat_stack_vertical_empty_needs_columns():
 
 def test_mat_stack_vertical_rejects_column_mismatch():
     with pytest.raises(ValueError):
-        QMatrix.from_rows([[0, 0], [0, 0, 0]])
+        QMatrix([[0, 0], [0, 0, 0]])
+    with pytest.raises(TypeError):
+        QMatrix([[0, 0.5]])
     with pytest.raises(ValueError):
         SparseMatrix(1, 3, [{}, {}])
 
 
 def test_mat_rank_and_mat_kernel_dim_wrappers():
-    m = QMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
-    assert m.rank() == 2
-    assert m.kernel_dim() == 1
+    rows = [[1, 0, 1], [0, 1, 1]]
+    m = QMatrix(rows)
+    assert (m.rows, m.cols, m.rank()) == (2, 3, 2)
+    assert Echelon(rows).free_columns(3) == [2]
 
 
 def in_column_span(m, vec) -> bool:
     """Is vec (a sequence, or a dict row -> value) a combination of the columns of m?"""
-    if not isinstance(vec, dict) and len(vec) != m.rows:
+    nrows = m.rows if isinstance(m, SparseMatrix) else len(m)
+    if not isinstance(vec, dict) and len(vec) != nrows:
         raise ValueError("vector length must match row count")
-    columns = m.columns if isinstance(m, SparseMatrix) else [m.column(j) for j in range(m.cols)]
+    columns = m.columns if isinstance(m, SparseMatrix) else transpose(m)
     return not Echelon(columns).reduce(vec)
 
 
 def test_in_column_span():
-    m = QMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
+    m = [[1, 0], [0, 1], [0, 0]]
     assert in_column_span(m, [3, -2, 0])
     assert not in_column_span(m, [0, 0, 1])
-    assert in_column_span(QMatrix.zero(2, 3), [0, 0])
+    assert in_column_span(zero(2, 3), [0, 0])
 
 
 def test_in_column_span_on_random_combinations():
     rng = random.Random(12)
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        coeffs = [rng.randint(-3, 3) for _ in range(m.cols)]
-        vec = [
-            sum(coeffs[j] * m[i, j] for j in range(m.cols)) for i in range(m.rows)
-        ]
+        coeffs = [rng.randint(-3, 3) for _ in m[0]]
+        vec = [sum(c * x for c, x in zip(coeffs, row)) for row in m]
         assert in_column_span(m, vec)
 
 
 # ----- the sparse integer core against the reference ------------------------
-
-def _sparse_to_dense(vec, n):
-    return [vec.get(j, Fraction(0)) for j in range(n)]
-
 
 @pytest.mark.parametrize("rational", [False, True])
 def test_echelon_matches_the_dense_reference(rational):
@@ -319,8 +328,7 @@ def test_echelon_matches_the_dense_reference(rational):
         assert span.free_columns(ncols) == free
         assert [c for c in range(ncols) if c not in span.free_columns(ncols)] == pivots
         assert [_sparse_to_dense(v, ncols) for v in span.kernel_basis(ncols)] == basis
-        m = QMatrix.from_rows(rows) if rows else QMatrix.zero(0, ncols)
-        assert (m.rank(), m.kernel_free_columns(), m.kernel_basis()) == (len(pivots), free, basis)
+        assert QMatrix(rows).rank() == len(pivots)
 
 
 def test_echelon_does_not_depend_on_the_row_order_or_scaling():
@@ -355,14 +363,15 @@ def test_sparse_matrix_agrees_with_the_dense_matrix():
     for _ in range(60):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         rows = random_rows(rng, nrows, ncols, 0.4, rational=rng.random() < 0.5)
-        dense = QMatrix.from_rows(rows)
+        pivots, _, basis = reference_kernel(rows, ncols)
         columns = [{i: rows[i][j] for i in range(nrows) if rows[i][j]} for j in range(ncols)]
         sparse = SparseMatrix(nrows, ncols, columns)
-        assert sparse.rank() == dense.rank()
-        assert len(sparse.kernel_basis()) == dense.kernel_dim()
-        assert [_sparse_to_dense(v, ncols) for v in sparse.kernel_basis()] == dense.kernel_basis()
+        assert sparse.rank() == len(pivots)
+        assert [_sparse_to_dense(v, ncols) for v in sparse.kernel_basis()] == basis
         vec = {i: x for i, x in enumerate(random_rows(rng, 1, nrows, 0.5)[0]) if x}
-        assert in_column_span(sparse, vec) == in_column_span(dense, _sparse_to_dense(vec, nrows))
+        dense_vec = _sparse_to_dense(vec, nrows)
+        inside = len(reference_echelon(transpose(rows) + [dense_vec], nrows)[1]) == len(pivots)
+        assert in_column_span(sparse, vec) == inside
 
 
 def test_kernel_entries_are_ints_exactly_when_the_pivot_divides():

@@ -232,7 +232,7 @@ def reference_is_negative_definite(rows):
 
 def sylvester_negative_definite(rows):
     """Reference: (-1)^k times the k-th leading principal minor is > 0 for all k."""
-    m = QMatrix.from_rows(rows)
+    m = QMatrix(rows)
     return all((-1) ** k * m.leading_principal_minor(k) > 0 for k in range(1, m.rows + 1))
 
 
@@ -276,7 +276,7 @@ def test_pivot_pass_agrees_with_sylvester_on_random_symmetric_matrices():
     for _ in range(2400):
         rows = random_symmetric(rng, rng.randint(1, 8))
         verdicts[assert_agrees_with_sylvester(rows, rng)] += 1
-        m = QMatrix.from_rows(rows)
+        m = QMatrix(rows)
         singular += any(m.leading_principal_minor(k) == 0 for k in range(1, m.rows + 1))
     # both verdicts and zero pivots occur, so the comparison is not vacuous
     assert min(verdicts.values()) >= 100 and singular >= 100, (verdicts, singular)
@@ -610,6 +610,18 @@ def test_resolution_graph_accepts_direct_construction():
     g = ResolutionGraph([("A", 3), ("B", 2)], [("A", "B")])
     assert g.n == 2
     assert multiplicity(g) == 3
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    ([("A", 3), ("B", 2)], [("A", ["B"])]),      # an unhashable id
+    ([("A", 3), ("B", 2)], [("A", "B", "C")]),   # three ids
+    ([("A", 3), ("B", 2)], [("A",)]),            # one id
+    ([("A", 3, 1)], []),                         # a vertex that is not (id, b)
+])
+def test_direct_construction_rejects_malformed_items_with_a_graph_error(vertices, edges):
+    with pytest.raises(GraphError) as info:
+        ResolutionGraph(vertices, edges)
+    assert info.value.code == "syntax"
 
 
 def complete_form(n, b):
