@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import resgraph
 from .resgraph import (
     Cycle,
     NotRationalError,
@@ -21,6 +22,7 @@ from .resgraph import (
     fundamental_cycle,
     is_reduced,
 )
+from .series import BudgetError
 
 
 class NotApplicableError(ValueError):
@@ -79,7 +81,12 @@ def blowup_components(g: ResolutionGraph, z: Cycle) -> list:
     return components
 
 
-def _build(g: ResolutionGraph, z: Cycle, mult: int) -> MultiplicityTree:
+def _build(g: ResolutionGraph, z: Cycle, mult: int, depth: int, weight: list) -> MultiplicityTree:
+    """g's node at depth (the root's is 1) and its subtree; weight[0] is the tree budget spent."""
+    weight[0] += g.n * depth
+    if weight[0] > resgraph.TREE_BUDGET:
+        raise BudgetError("multiplicity tree: more than %d units of vertices times depth"
+                          % resgraph.TREE_BUDGET)
     children = []
     dropped = 0
     for comp in blowup_components(g, z):
@@ -91,7 +98,7 @@ def _build(g: ResolutionGraph, z: Cycle, mult: int) -> MultiplicityTree:
         if cmult <= 2:
             dropped += 1
         else:
-            children.append(_build(comp, cz, cmult))
+            children.append(_build(comp, cz, cmult, depth + 1, weight))
     return MultiplicityTree(
         graph=g,
         cycle=z,
@@ -105,8 +112,9 @@ def _build(g: ResolutionGraph, z: Cycle, mult: int) -> MultiplicityTree:
 def multiplicity_tree(g: ResolutionGraph) -> MultiplicityTree:
     """Tree of infinitely near singular points with multiplicity >= 3.
 
-    Raises NotRationalError for non-rational input and NotApplicableError
-    when the root itself is a rational double point.
+    Raises NotRationalError for non-rational input, NotApplicableError
+    when the root itself is a rational double point, and BudgetError for a
+    tree past resgraph.TREE_BUDGET.
     """
     z = fundamental_cycle(g)
     if arithmetic_genus(g, z) != 0:
@@ -116,4 +124,4 @@ def multiplicity_tree(g: ResolutionGraph) -> MultiplicityTree:
         raise NotApplicableError(
             "the singularity is a rational double point; the tree starts at multiplicity 3"
         )
-    return _build(g, z, mult)
+    return _build(g, z, mult, 1, [0])

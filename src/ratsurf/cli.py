@@ -133,7 +133,7 @@ def cmd_analyze(args) -> tuple:
         "fundamental_cycle": _cycle_dict(report.cycle),
     }
     lines = [
-        "vertices: %d, edges: %d" % (graph.n, len(graph.edges)),
+        "vertices: %d, edges: %d" % (graph.n, data["edges"]),
         "fundamental cycle: %s" % _cycle_text(report.cycle),
     ]
     if report.status == "not-rational":

@@ -10,7 +10,9 @@ d(P) alone:
 The correction c vanishes when every fundamental cycle in the tower is
 reduced; the rational double points pruned from the tree do not count. Then
 the T^2 and cod_AC values are exact, otherwise they are lower bounds and are
-flagged as such.
+flagged as such. The root's cycle decides: if it is reduced, b_i >= valence_i
+everywhere, so on a component C of {Z.E_i = 0} the all-ones cycle pairs to
+valence_C(i) - b_i <= 0 and is C's fundamental cycle; by induction, all are.
 
 The obstruction check compares sum (d(P)-1) against sum (b_i-1) over the
 vertices of the resolution graph; the singularity with obstructed good
@@ -81,10 +83,8 @@ def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
             reduced=is_reduced(z),
         )
     tree = multiplicity_tree(g)
-    nodes = list(tree.iter_nodes())
-    mults = [node.mult for node in nodes]
-    check_digits(max(mults), imax, len(nodes))
-    everywhere = all(node.reduced for node in nodes)
+    mults = tree.multiplicities()
+    check_digits(max(mults), imax, len(mults))
     sum_d, sum_b = sum(d - 1 for d in mults), sum(b - 1 for b in g.b)
     return AnalysisReport(
         status="ok",
@@ -92,11 +92,11 @@ def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
         cycle=z,
         p_a=p_a,
         mult=mult,
-        reduced=is_reduced(z),
-        reduced_everywhere=everywhere,
+        reduced=tree.reduced,
+        reduced_everywhere=tree.reduced,
         tree=tree,
         tdims={i: tdim(tree, i) for i in range(3, imax + 1)},
-        t2=BoundedValue(sum((d - 1) * (d - 3) for d in mults), everywhere),
-        codim_ac=BoundedValue(sum(d - 3 for d in mults), everywhere),
+        t2=BoundedValue(sum((d - 1) * (d - 3) for d in mults), tree.reduced),
+        codim_ac=BoundedValue(sum(d - 3 for d in mults), tree.reduced),
         gmd=ObstructionReport(sum_d, sum_b, sum_d >= sum_b),
     )

@@ -2,8 +2,10 @@
 
 A graph is a finite set of vertices (the exceptional curves, all rational),
 each with a self-intersection -b, b >= 2, plus edges for intersections
-(multiple edges allowed, no self-loops). Construction checks connectedness
-and negative definiteness, so a ResolutionGraph in hand is always valid.
+(multiple edges allowed, no self-loops), kept once in adjacency rows
+{j: multiplicity}; the edges property is a view of them. Construction checks
+connectedness and negative definiteness, so a ResolutionGraph in hand is
+always valid.
 
 The JSON interchange format is deliberately rigid:
 
@@ -48,12 +50,15 @@ GRAPH_ERROR_CODES = (
 )
 
 
-# The work budget of a graph file: a file over MAX_GRAPH_BYTES is not read, and
+# The work budget of a graph file: a file over MAX_GRAPH_BYTES is not read,
 # Laufer's loop stops after LOOP_BUDGET units of work, one per neighbour of each
-# bumped vertex. is_negative_definite stops after FILL_BUDGET fill updates, where
-# K_n takes about n^3/3 (K_120 0.56e6, K_154 1.19e6, about 0.3 s).
+# bumped vertex, and a multiplicity tree stops once its nodes' vertices times
+# depth (the root's is 1) sum past TREE_BUDGET, which caps the depth near 180.
+# is_negative_definite stops after FILL_BUDGET fill updates, where K_n takes
+# about n^3/3 (K_120 0.56e6, K_154 1.19e6, about 0.3 s).
 MAX_GRAPH_BYTES = 2_000_000
 LOOP_BUDGET = 1_000_000
+TREE_BUDGET = 1_000_000
 FILL_BUDGET = 1_200_000
 
 
@@ -73,7 +78,7 @@ class NotRationalError(ValueError):
 class ResolutionGraph:
     """Validated resolution dual graph. Construction implies validity."""
 
-    __slots__ = ("ids", "b", "edges", "_adj", "_cycle")
+    __slots__ = ("ids", "b", "_adj", "_cycle")
 
     def __init__(self, vertices, edges) -> None:
         ids = []
@@ -99,25 +104,20 @@ class ResolutionGraph:
             raise GraphError("syntax", "a graph needs at least one vertex")
         n = len(ids)
         adj = [dict() for _ in range(n)]
-        norm_edges = []
         for e in edges:
             try:
-                u, v = e
-                lo, hi = index.get(u), index.get(v)
+                u, v = () if isinstance(e, str) else e  # a str is no pair, even of two letters
+                i, j = index.get(u), index.get(v)
             except (TypeError, ValueError):  # not two items, or an unhashable id
                 raise GraphError("syntax", "edge %r is not a pair of vertex ids" % (e,)) from None
-            if lo is None or hi is None:
+            if i is None or j is None:
                 raise GraphError("bad-edge", "edge %r references an unknown vertex id" % (list(e),))
-            if lo == hi:
+            if i == j:
                 raise GraphError("self-loop", "vertex %r cannot meet itself" % u)
-            if lo > hi:
-                lo, hi = hi, lo
-            norm_edges.append((lo, hi))
-            adj[lo][hi] = adj[lo].get(hi, 0) + 1
-            adj[hi][lo] = adj[hi].get(lo, 0) + 1
+            adj[i][j] = adj[i].get(j, 0) + 1
+            adj[j][i] = adj[j].get(i, 0) + 1
         self.ids = tuple(ids)
         self.b = tuple(bs)
-        self.edges = tuple(sorted(norm_edges))
         self._adj = tuple(adj)
         self._check_connected()
         self._cycle = _laufer(self)
@@ -129,9 +129,6 @@ class ResolutionGraph:
         pos = {i: k for k, i in enumerate(keep)}
         sub.ids = tuple(self.ids[i] for i in keep)
         sub.b = tuple(self.b[i] for i in keep)
-        sub.edges = tuple((k, pos[j]) for k, i in enumerate(keep)
-                          for j, mult in sorted(self._adj[i].items()) if j > i and j in pos
-                          for _ in range(mult))
         sub._adj = tuple({pos[j]: mult for j, mult in self._adj[i].items() if j in pos}
                          for i in keep)
         sub._cycle = _laufer(sub)
@@ -151,6 +148,12 @@ class ResolutionGraph:
     @property
     def n(self) -> int:
         return len(self.ids)
+
+    @property
+    def edges(self) -> tuple:
+        """Sorted index pairs (i, j), i < j, each repeated by its multiplicity."""
+        return tuple((i, j) for i, row in enumerate(self._adj)
+                     for j in sorted(row) if j > i for _ in range(row[j]))
 
     def neighbors(self, i: int):
         """Adjacency of vertex index i as {j: edge multiplicity}."""
@@ -213,11 +216,10 @@ def is_negative_definite(rows) -> bool:
 
     The pass is fraction-free: every entry of the matrix being eliminated is
     a reduced pair num/den of ints, den > 0, and the Schur update of a pivot
-    touches only the entries among its neighbours. A pivot with one
-    neighbour changes only that neighbour's diagonal; one with more
-    neighbours fills in, and more than FILL_BUDGET updates of that kind
-    raise BudgetError, which a tree never does. Raises ValueError for a
-    matrix that is not square, symmetric and of ints.
+    touches only the entries among its neighbours: a pivot of degree k
+    makes k(k-1) fill updates between them, none for a leaf, and more than
+    FILL_BUDGET of those raise BudgetError, which a tree never does. Raises
+    ValueError for a matrix that is not square, symmetric and of ints.
     """
     n = len(rows)
     adj = [{j: x for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
@@ -244,17 +246,6 @@ def is_negative_definite(rows) -> bool:
         if a >= 0:
             return False
         adj[p] = None
-        if degree == 1:
-            # D_i += A_ip^2 / -A_pp = x^2 d / (y^2 (-a)), reduced by the small gcds
-            (i, (x, y)), = row.items()
-            ri = adj[i]
-            del ri[p]
-            x *= x
-            y *= y
-            g, h = gcd(x, a), gcd(d, y)
-            num[i], den[i] = _add(num[i], den[i], x // g * (d // h), y // h * (-a // g))
-            heappush(heap, len(ri) * n + i)
-            continue
         fill += degree * (degree - 1)
         if fill > FILL_BUDGET:
             raise BudgetError(

@@ -26,6 +26,8 @@ from ratsurf.resgraph import (
     is_negative_definite,
     parse_graph,
 )
+from ratsurf.series import BudgetError
+from test_cli import y_tower_json
 
 
 def is_rational(g):
@@ -218,9 +220,8 @@ def test_tree_repr_mentions_the_shape():
     assert isinstance(t, MultiplicityTree)
 
 
-def validated_copy(comp):
-    """The same graph built through the checking constructor."""
-    edges = [(comp.ids[i], comp.ids[j]) for i, j in comp.edges]
+def validated_copy(comp, edges):
+    """comp built through the checking constructor from its id pairs edges."""
     return ResolutionGraph(list(zip(comp.ids, comp.b)), edges)
 
 
@@ -242,18 +243,21 @@ def test_restricted_components_equal_validated_graphs():
     checked = 0
     for text in texts:
         try:
-            todo = [parse_graph(text)]
+            todo = [(parse_graph(text), [tuple(e) for e in json.loads(text)["edges"]])]
         except GraphError:
             continue  # a double edge can break definiteness
         while todo:
-            g = todo.pop()
+            g, edges = todo.pop()
             for comp in blowup_components(g, fundamental_cycle(g)):
-                ref = validated_copy(comp)
+                # the component's edges are the input edges with both ends in it
+                inside = set(comp.ids)
+                kept = [(u, v) for u, v in edges if u in inside and v in inside]
+                ref = validated_copy(comp, kept)
                 assert (comp.ids, comp.b, comp.edges) == (ref.ids, ref.b, ref.edges)
                 assert [comp.neighbors(i) for i in range(comp.n)] == [
                     ref.neighbors(i) for i in range(ref.n)
                 ]
-                todo.append(comp)
+                todo.append((comp, kept))
                 checked += 1
     assert checked >= 100
 
@@ -302,3 +306,44 @@ def test_analyze_computes_each_fundamental_cycle_once(monkeypatch, text, dropped
     assert cycles[id(g)] <= 2
     assert all(cycles[id(c)] == 1 for c in components)
     assert sum(cycles.values()) == cycles[id(g)] + len(components)
+
+
+def tree_weight(tree):
+    """Vertices times depth summed over the nodes, the root at depth 1."""
+    todo, weight = [(tree, 1)], 0
+    while todo:
+        node, depth = todo.pop()
+        weight += node.graph.n * depth
+        todo.extend((child, depth + 1) for child in node.children)
+    return weight
+
+
+def tree_shape(node):
+    return (node.graph.ids, node.mult, node.reduced, node.dropped_rdp_count,
+            [tree_shape(child) for child in node.children])
+
+
+def test_tree_budget_boundary(monkeypatch):
+    # the budget admits a tree of weight TREE_BUDGET and refuses one unit less;
+    # y_tower_json(3) weighs 4^2 * 5 / 2 = 40, the others branch
+    texts = [y_tower_json(3), STAR, family_json(4), obstruction_family_json(4)]
+    rng = random.Random(59)
+    texts += [random_tower_json(rng, rng.randint(6, 14)) for _ in range(40)]
+    weights = []
+    for text in texts:
+        try:
+            g = parse_graph(text)
+            want = multiplicity_tree(g)
+        except (GraphError, NotRationalError, NotApplicableError):
+            continue
+        weight = tree_weight(want)
+        monkeypatch.setattr(resgraph, "TREE_BUDGET", weight)
+        assert tree_shape(multiplicity_tree(g)) == tree_shape(want)
+        monkeypatch.setattr(resgraph, "TREE_BUDGET", weight - 1)
+        with pytest.raises(BudgetError, match="more than %d units" % (weight - 1)):
+            multiplicity_tree(g)
+        monkeypatch.undo()
+        weights.append((weight, len(want.multiplicities())))
+    assert weights[0] == (40, 4)
+    assert len(weights) >= 15 and sum(nodes > 2 for _, nodes in weights) >= 5
+    assert resgraph.TREE_BUDGET == 1_000_000

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -454,6 +455,52 @@ def test_analyze_of_a_graph_past_the_loop_budget_exits_5(tmp_path, capsys):
     assert run(capsys, ["analyze", write(tmp_path, heavy_chain_json(300, 300))])[0] == 3
     # K_160, which once ran the fill budget out, pairs every vertex to -1 at once
     assert run(capsys, ["analyze", write(tmp_path, complete_graph_json(160, 160))])[0] == 3
+
+
+def y_tower_json(arm):
+    """A b = 3 vertex C with three (-2)-arms of arm vertices each. Each blow-up
+    drops one vertex from every arm, so the multiplicity tree is a path of
+    arm + 1 mult-3 nodes, and its weight (vertices times depth) is
+    (arm+1)^2 (arm+2)/2."""
+    vertices = [{"id": "C", "b": 3}] + [{"id": "%s%d" % (x, i), "b": 2} for x in "ABD" for i in range(1, arm + 1)]
+    edges = [["%s%d" % (x, i - 1) if i > 1 else "C", "%s%d" % (x, i)] for x in "ABD" for i in range(1, arm + 1)]
+    return json.dumps({"vertices": vertices, "edges": edges})
+
+
+# SHA-256 of the analyze output of y_tower_json(arm), as printed before the
+# tree budget existed; towers under the budget print the same bytes
+Y_TOWER_SHA256 = {
+    (20, False): "ab085e422aed21ca2f0a8298728563d6affedee9351a7b4f16199d7482d8571e",
+    (20, True): "dd8816e2d7b7937eb8eb6a0b200110fa4dcfea33a22b8b6f1dedc48962bd9a96",
+    (100, False): "f79944671e33f552ce382335655c47ef664f2b4cd24e5da150428d5c6d30d7c3",
+    (100, True): "739414adce2ffc87dfdfc8fc53b1f3342e125f1717eaa4baf1d8336ebb7c630b",
+}
+
+
+def test_blow_up_towers_under_the_tree_budget_print_the_whole_tree(tmp_path, capsys):
+    for arm in (1, 2, 20, 100):
+        path = write(tmp_path, y_tower_json(arm))
+        code, out = run(capsys, ["analyze", path])
+        assert code == 0
+        tree = [line for line in out.splitlines() if "- mult" in line]
+        assert tree == ["  " * depth + "- mult 3 (reduced)" for depth in range(1, arm + 2)]
+        code, raw = run(capsys, ["analyze", path, "--json"])
+        assert code == 0 and json.loads(raw)["tdims"]["4"] == str(arm + 1)
+        for as_json, text in ((False, out), (True, raw)):
+            if (arm, as_json) in Y_TOWER_SHA256:
+                assert hashlib.sha256(text.encode("utf-8")).hexdigest() == Y_TOWER_SHA256[arm, as_json]
+    # the largest tower under the budget: weight 125^2 * 126 / 2 = 984375
+    assert run(capsys, ["analyze", write(tmp_path, y_tower_json(124))])[0] == 0
+
+
+def test_blow_up_towers_past_the_tree_budget_exit_5(tmp_path, capsys):
+    # arm = 125 weighs 1008126; 14500 is a file just under the byte cap, whose
+    # tree ended in a RecursionError or ran out of memory without the budget
+    for arm in (125, 340, 600, 14500):
+        text = y_tower_json(arm)
+        assert len(text) < cli.MAX_GRAPH_BYTES
+        assert_budget_exceeded(capsys, write(tmp_path, text),
+                               "multiplicity tree: more than 1000000 units of vertices times depth")
 
 
 def test_analyze_of_a_file_past_the_byte_cap_exits_5(tmp_path, capsys, monkeypatch):

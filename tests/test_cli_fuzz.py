@@ -17,6 +17,7 @@ import re
 import time
 
 from ratsurf import acceptance, cli
+from test_cli import y_tower_json
 
 ALLOWED = {0, 2, 3, 4, 5}
 
@@ -24,6 +25,7 @@ FIXTURES = [text for _, text in acceptance.analysis_fixtures()] + [
     acceptance.d4_graph_json(),
     acceptance.four_leaf_b2_star_json(),
     acceptance.four_leaf_b3_star_json(),
+    y_tower_json(20),  # a blow-up tower 21 levels deep
 ]
 
 ODD_VALUES = [None, True, False, 0, -1, 1, 2.5, 3.0, "3", [], {}, "", 10 ** 30]

@@ -10,7 +10,7 @@ import pytest
 
 from ratsurf.blowup import multiplicity_tree
 from ratsurf.formulas import analyze, tdim
-from ratsurf.resgraph import GraphError, parse_graph
+from ratsurf.resgraph import GraphError, ResolutionGraph, parse_graph
 from ratsurf.series import cone_tdim
 
 
@@ -261,3 +261,44 @@ def test_tdim_is_the_recursive_sum_on_generated_tower_trees():
     # both obstruction verdicts occur; every tower tree is reduced everywhere,
     # so the inexact flag is checked on the family fixtures above
     assert nodes >= 300 and deep >= 20 and 10 <= obstructed <= nodes - 10, (nodes, deep, obstructed)
+
+
+def random_multigraph(rng):
+    """A random connected graph, n <= 16, often with a double edge or a
+    cycle; each b is its vertex's valence give or take, so that reduced and
+    non-reduced fundamental cycles both occur."""
+    n = rng.randint(1, 16)
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    if n > 1 and rng.random() < 0.4:
+        for _ in range(rng.randint(1, 2)):
+            edges.append(tuple(rng.sample(range(n), 2)) if rng.random() < 0.6 else rng.choice(edges))
+    valence = Counter(v for e in edges for v in e)
+    bs = [max(2, valence[i] + rng.choice((-1, 0, 0, 1, 2))) for i in range(n)]
+    return bs, edges
+
+
+def test_exactness_is_the_reducedness_of_every_tree_node_on_multigraphs():
+    # analyze reads the flag off the root cycle; the walk here reads every node
+    rng = random.Random(53)
+    seen = Counter()
+    for _ in range(1500):
+        bs, edges = random_multigraph(rng)
+        is_tree = len(edges) == len(bs) - 1  # connected, so no cycle and no double edge
+        try:
+            r = analyze(ResolutionGraph([("V%d" % i, b) for i, b in enumerate(bs)],
+                                        [("V%d" % i, "V%d" % j) for i, j in edges]))
+        except GraphError as e:
+            seen[is_tree, e.code] += 1
+            continue
+        if r.status == "ok":
+            walk = all(node.reduced for node in r.tree.iter_nodes())
+            assert r.reduced_everywhere == r.t2.exact == r.codim_ac.exact == walk
+            seen[is_tree, "ok", walk, len(r.tree.children) > 0] += 1
+        else:
+            assert r.reduced_everywhere is r.t2 is r.codim_ac is None
+            seen[is_tree, r.status] += 1
+    # a cycle or a double edge makes p_a(Z) >= 1, so only trees reach the tree
+    assert seen[False, "not-rational"] >= 300 and not any(k[:2] == (False, "ok") for k in seen)
+    for walk in (True, False):
+        for deep in (True, False):
+            assert seen[True, "ok", walk, deep] >= 40, seen

@@ -25,7 +25,7 @@ from ratsurf.resgraph import (
     is_reduced,
     parse_graph,
 )
-from ratsurf.blowup import multiplicity_tree
+from ratsurf.blowup import blowup_components, multiplicity_tree
 from ratsurf.series import BudgetError
 from ratsurf.qlinalg import QMatrix
 
@@ -539,6 +539,31 @@ def test_the_loop_agrees_with_the_pivot_pass_on_random_graphs():
         assert_minimal(fundamental_cycle(g))
 
 
+def test_edges_view_equals_the_sorted_input_edges_on_multigraphs_and_components():
+    # graph.edges is read off the adjacency; the reference is the input list,
+    # each id pair turned into an index pair (i, j), i < j, then sorted
+    rng = random.Random(47)
+    graphs = components = 0
+    for _ in range(1500):
+        bs, edges = random_connected_form(rng)
+        given = [("V%d" % i, "V%d" % j) if rng.random() < 0.5 else ("V%d" % j, "V%d" % i)
+                 for i, j in edges]
+        try:
+            todo = [(ResolutionGraph([("V%d" % i, b) for i, b in enumerate(bs)], given), given)]
+        except GraphError:
+            continue
+        graphs += 1
+        while todo:
+            g, given = todo.pop()
+            index = {vid: k for k, vid in enumerate(g.ids)}
+            assert g.edges == tuple(sorted(tuple(sorted((index[u], index[v]))) for u, v in given))
+            for comp in blowup_components(g, fundamental_cycle(g)):
+                inside = set(comp.ids)
+                todo.append((comp, [(u, v) for u, v in given if u in inside and v in inside]))
+                components += 1
+    assert graphs >= 500 and components >= 500
+
+
 def test_graphs_and_their_components_are_built_without_the_pivot_pass(monkeypatch):
     monkeypatch.setattr(resgraph, "is_negative_definite", None)
     for text in (CONE4, CHAIN, D4, A3):
@@ -617,6 +642,7 @@ def test_resolution_graph_accepts_direct_construction():
     ([("A", 3), ("B", 2)], [("A", "B", "C")]),   # three ids
     ([("A", 3), ("B", 2)], [("A",)]),            # one id
     ([("A", 3, 1)], []),                         # a vertex that is not (id, b)
+    ([("A", 3), ("B", 3)], ["AB"]),              # a two-letter str
 ])
 def test_direct_construction_rejects_malformed_items_with_a_graph_error(vertices, edges):
     with pytest.raises(GraphError) as info:
