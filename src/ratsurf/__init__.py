@@ -10,10 +10,13 @@ The package has two independent halves that check each other:
   cohomology of small fat points by exact linear algebra, giving the same
   T^i dimensions with no formulas involved.
 
-Everything runs on exact rational arithmetic (qlinalg); there is no floating
-point anywhere. The cli module exposes the analyze / series / oracle /
-selftest subcommands, and acceptance.run_all() re-verifies every shipped
-correctness claim in one call.
+Every reported value is exact. The closed-form half computes in Python ints
+alone and never loads qlinalg; the brute-force half eliminates over exact
+rationals (qlinalg). Floats appear only in the budget estimates
+(series.check_digits, harrison's _far_over), which compare logarithms to
+refuse a request before its work starts. The cli module exposes the
+analyze / series / oracle / selftest subcommands, and acceptance.run_all()
+re-verifies every shipped correctness claim in one call.
 
 The package loads lazily (PEP 562): each exported name imports its module on
 first access. `import ratsurf` loads no layer, and `import ratsurf.cli` only
@@ -53,7 +56,6 @@ _EXPORTS = {
         "GraphError",
         "NotRationalError",
         "parse_graph",
-        "intersection_matrix",
         "is_negative_definite",
         "fundamental_cycle",
         "is_reduced",
@@ -64,7 +66,6 @@ _EXPORTS = {
         "AnalysisReport",
         "BoundedValue",
         "ObstructionReport",
-        "tdim",
         "analyze",
     ),
 }

@@ -294,8 +294,8 @@ def _crit_rejection_paths() -> str:
     _expect(report.status == "not-rational", "four-leaf b=3 star: status %s" % report.status)
     report = formulas.analyze(parse_graph(d4_graph_json()))
     _expect(
-        report.status == "not-applicable" and report.rational and report.mult == 2,
-        "D_4: status %s, rational %s, mult %s" % (report.status, report.rational, report.mult),
+        report.status == "not-applicable" and report.mult == 2,
+        "D_4: status %s, mult %s" % (report.status, report.mult),
     )
     return "all three rejection paths behave"
 
@@ -308,10 +308,9 @@ def _crit_recursion_flat_sum() -> str:
 
     checks = 0
     for name, text in analysis_fixtures():
-        tree = formulas.multiplicity_tree(parse_graph(text))
-        for i in range(3, 7):
-            flat = formulas.tdim(tree, i)
-            rec = recursive_sum(tree, i)
+        report = formulas.analyze(parse_graph(text))
+        for i, flat in report.tdims.items():
+            rec = recursive_sum(report.tree, i)
             _expect(flat == rec, "%s: flat T^%d = %d but recursion gives %d" % (name, i, flat, rec))
             checks += 1
     return "flat and recursive sums agree on %d fixture/degree pairs" % checks

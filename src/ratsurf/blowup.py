@@ -30,16 +30,12 @@ class NotApplicableError(ValueError):
 
 
 class MultiplicityTree(
-    namedtuple("MultiplicityTree", "graph cycle mult reduced children dropped_rdp_count")
+    namedtuple("MultiplicityTree", "cycle mult reduced children dropped_rdp_count")
 ):
-    """One singular point of the blow-up tower and everything beneath it."""
+    """One singular point of the blow-up tower and everything beneath it;
+    its graph is cycle.graph."""
 
     __slots__ = ()
-
-    def __new__(cls, graph, cycle, mult, reduced, children=None, dropped_rdp_count=0):
-        # a fresh list per node when none is given, never one shared default
-        children = [] if children is None else children
-        return super().__new__(cls, graph, cycle, mult, reduced, children, dropped_rdp_count)
 
     def iter_nodes(self):
         """Preorder traversal of the tree."""
@@ -58,15 +54,14 @@ class MultiplicityTree(
         )
 
 
-def blowup_components(g: ResolutionGraph, z: Cycle) -> list:
+def blowup_components(z: Cycle) -> list:
     """Connected components of {E_i : Z.E_i = 0} as graphs of their own.
 
     Components come back ordered by their smallest contained vertex id;
-    vertex ids and weights are inherited from g, as are internal edges with
-    multiplicity.
+    vertex ids and weights are inherited from z.graph, as are internal edges
+    with multiplicity.
     """
-    if z.graph is not g:
-        raise ValueError("cycle belongs to a different graph")
+    g = z.graph
     left = {i for i, p in enumerate(z.pairings) if p == 0}
     components = []
     while left:
@@ -81,26 +76,25 @@ def blowup_components(g: ResolutionGraph, z: Cycle) -> list:
     return components
 
 
-def _build(g: ResolutionGraph, z: Cycle, mult: int, depth: int, weight: list) -> MultiplicityTree:
-    """g's node at depth (the root's is 1) and its subtree; weight[0] is the tree budget spent."""
-    weight[0] += g.n * depth
+def _build(z: Cycle, mult: int, depth: int, weight: list) -> MultiplicityTree:
+    """z's node at depth (the root's is 1) and its subtree; weight[0] is the tree budget spent."""
+    weight[0] += z.graph.n * depth
     if weight[0] > resgraph.TREE_BUDGET:
         raise BudgetError("multiplicity tree: more than %d units of vertices times depth"
                           % resgraph.TREE_BUDGET)
     children = []
     dropped = 0
-    for comp in blowup_components(g, z):
+    for comp in blowup_components(z):
         cz = fundamental_cycle(comp)
-        if arithmetic_genus(comp, cz) != 0:
+        if arithmetic_genus(cz) != 0:
             # cannot happen for rational input; guard against corrupt state
             raise RuntimeError("internal: blow-up component is not rational")
         cmult = -cz.self_intersection()
         if cmult <= 2:
             dropped += 1
         else:
-            children.append(_build(comp, cz, cmult, depth + 1, weight))
+            children.append(_build(cz, cmult, depth + 1, weight))
     return MultiplicityTree(
-        graph=g,
         cycle=z,
         mult=mult,
         reduced=is_reduced(z),
@@ -117,11 +111,11 @@ def multiplicity_tree(g: ResolutionGraph) -> MultiplicityTree:
     tree past resgraph.TREE_BUDGET.
     """
     z = fundamental_cycle(g)
-    if arithmetic_genus(g, z) != 0:
+    if arithmetic_genus(z) != 0:
         raise NotRationalError("the singularity is not rational")
     mult = -z.self_intersection()
     if mult <= 2:
         raise NotApplicableError(
             "the singularity is a rational double point; the tree starts at multiplicity 3"
         )
-    return _build(g, z, mult, 1, [0])
+    return _build(z, mult, 1, [0])

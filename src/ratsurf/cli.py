@@ -129,7 +129,7 @@ def cmd_analyze(args) -> tuple:
     data = {
         "vertices": graph.n,
         "edges": len(graph.edges),
-        "rational": report.rational,
+        "rational": report.status != "not-rational",
         "fundamental_cycle": _cycle_dict(report.cycle),
     }
     lines = [
@@ -148,7 +148,7 @@ def cmd_analyze(args) -> tuple:
     if report.status == "not-applicable":
         lines.append("rational double point: the dimension formulas need multiplicity >= 3")
         return "not-applicable", data, lines
-    data["reduced_everywhere"] = report.reduced_everywhere
+    data["reduced_everywhere"] = report.reduced  # the root's cycle decides (formulas)
     # the tree's root carries the fundamental cycle, rendered once for both
     data["tree"] = _tree_dict(report.tree, data["fundamental_cycle"])
     data["tdims"] = {str(i): _num(v) for i, v in report.tdims.items()}

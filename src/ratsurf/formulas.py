@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .blowup import MultiplicityTree, multiplicity_tree
+from .blowup import multiplicity_tree
 from .resgraph import ResolutionGraph, arithmetic_genus, fundamental_cycle, is_reduced
 from .series import check_digits, cone_tdim
 
@@ -33,27 +33,20 @@ BoundedValue = namedtuple("BoundedValue", "value exact")
 ObstructionReport = namedtuple("ObstructionReport", "sum_d_minus_1 sum_b_minus_1 obstructed")
 
 
-def tdim(tree: MultiplicityTree, i: int) -> int:
-    """dim T^i for i >= 3, summed over the multiplicity tree."""
-    if i < 3:
-        raise ValueError("tdim handles i >= 3; analyze reports T^2 as t2")
-    return sum(cone_tdim(i, node.mult) for node in tree.iter_nodes())
-
-
 class AnalysisReport(
     namedtuple(
         "AnalysisReport",
-        "status rational cycle p_a mult reduced reduced_everywhere tree tdims t2 codim_ac gmd",
-        defaults=(None,) * 8,
+        "status cycle p_a mult reduced tree tdims t2 codim_ac gmd",
+        defaults=(None,) * 7,
     )
 ):
     """Everything analyze() can say about one resolution graph.
 
-    status "ok" means all fields are filled; "not-rational" and
-    "not-applicable" reports stop at the fields that still make sense
-    (cycle, p_a and multiplicity are always computed, the rest is None).
-    tree is the MultiplicityTree, tdims maps i to dim T^i, t2 and codim_ac
-    are BoundedValues and gmd is the ObstructionReport.
+    status "ok" means all fields are filled; "not-rational" stops after
+    cycle and p_a, "not-applicable" after mult and reduced, and the rest is
+    None. tree is the MultiplicityTree, tdims maps i to dim T^i, t2 and
+    codim_ac are BoundedValues (exact when reduced) and gmd is the
+    ObstructionReport.
     """
 
     __slots__ = ()
@@ -69,14 +62,13 @@ def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
     if imax < 3:
         raise ValueError("need imax >= 3")
     z = fundamental_cycle(g)
-    p_a = arithmetic_genus(g, z)
+    p_a = arithmetic_genus(z)
     if p_a != 0:
-        return AnalysisReport(status="not-rational", rational=False, cycle=z, p_a=p_a)
+        return AnalysisReport(status="not-rational", cycle=z, p_a=p_a)
     mult = -z.self_intersection()
     if mult <= 2:
         return AnalysisReport(
             status="not-applicable",
-            rational=True,
             cycle=z,
             p_a=p_a,
             mult=mult,
@@ -88,14 +80,12 @@ def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
     sum_d, sum_b = sum(d - 1 for d in mults), sum(b - 1 for b in g.b)
     return AnalysisReport(
         status="ok",
-        rational=True,
         cycle=z,
         p_a=p_a,
         mult=mult,
         reduced=tree.reduced,
-        reduced_everywhere=tree.reduced,
         tree=tree,
-        tdims={i: tdim(tree, i) for i in range(3, imax + 1)},
+        tdims={i: sum(cone_tdim(i, d) for d in mults) for i in range(3, imax + 1)},
         t2=BoundedValue(sum((d - 1) * (d - 3) for d in mults), tree.reduced),
         codim_ac=BoundedValue(sum(d - 3 for d in mults), tree.reduced),
         gmd=ObstructionReport(sum_d, sum_b, sum_d >= sum_b),

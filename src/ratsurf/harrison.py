@@ -104,9 +104,6 @@ class FiniteLocalAlgebra:
                         expansions[v].append((i, j, ccoef))
         self._expansions = tuple(tuple(e) for e in expansions)
 
-    def product(self, i: int, j: int):
-        return self.products[i][j]
-
     def _mul_elem_basis(self, elem, k: int):
         # elem = (scalar, vector); returns elem * e_k in the same form
         scalar, vec = elem
@@ -175,7 +172,7 @@ class CoefficientModule:
             return []
         if alpha == 0:
             return [(i + 1, 1)]
-        scalar, linear = algebra.product(i, alpha - 1)
+        scalar, linear = algebra.products[i][alpha - 1]
         out = []
         if scalar:
             out.append((0, scalar))

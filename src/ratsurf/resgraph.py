@@ -203,11 +203,6 @@ def parse_graph(text: str) -> ResolutionGraph:
     return ResolutionGraph(vertices, edges)
 
 
-def intersection_matrix(g: ResolutionGraph) -> list:
-    """E_i.E_j in the vertex order as sparse rows: -b_i, then the edge counts."""
-    return [{i: -b, **g.neighbors(i)} for i, b in enumerate(g.b)]
-
-
 def is_negative_definite(rows) -> bool:
     """Are all pivots of P A P^T = L D L^T negative? rows are sparse dicts or
     dense sequences of Python ints; each step eliminates a vertex of least
@@ -305,9 +300,9 @@ class Cycle:
             if not isinstance(a, int) or isinstance(a, bool):
                 raise ValueError("coefficient of %r must be an integer" % vid)
         a = [coefficients[vid] for vid in graph.ids]
-        pairings = [sum(mult * a[j] for j, mult in graph.neighbors(i).items()) - b * a[i]
-                    for i, b in enumerate(graph.b)]
-        _set_cycle(self, graph, a, pairings)
+        self.graph, self.coefficients = graph, dict(zip(graph.ids, a))
+        self.pairings = [sum(mult * a[j] for j, mult in graph.neighbors(i).items()) - b * a[i]
+                         for i, b in enumerate(graph.b)]
 
     def self_intersection(self) -> int:
         return sum(a * p for a, p in zip(self.coefficients.values(), self.pairings))
@@ -326,14 +321,6 @@ class Cycle:
     def __repr__(self) -> str:
         body = " ".join("%s:%d" % (vid, self.coefficients[vid]) for vid in self.graph.ids)
         return "Cycle(%s)" % body
-
-
-def _set_cycle(z: Cycle, g: ResolutionGraph, a: list, pairings: list) -> Cycle:
-    """Fill z from coefficients a and pairings by vertex index, unchecked."""
-    z.graph = g
-    z.coefficients = dict(zip(g.ids, a))
-    z.pairings = pairings
-    return z
 
 
 def is_reduced(z: Cycle) -> bool:
@@ -363,7 +350,9 @@ def _laufer(g: ResolutionGraph) -> Cycle:
     budget = LOOP_BUDGET
     while zz < 0:
         if not todo:
-            return _set_cycle(object.__new__(Cycle), g, a, pair)
+            z = object.__new__(Cycle)
+            z.graph, z.coefficients, z.pairings = g, dict(zip(g.ids, a)), pair
+            return z
         i = todo.pop()
         b, p, row = bs[i], pair[i], adj[i]
         budget -= len(row)
@@ -381,10 +370,8 @@ def _laufer(g: ResolutionGraph) -> Cycle:
     raise GraphError("not-negative-definite", "the intersection matrix is not negative definite")
 
 
-def arithmetic_genus(g: ResolutionGraph, z: Cycle) -> int:
+def arithmetic_genus(z: Cycle) -> int:
     """p_a(Z) = 1 + (Z.Z + Z.K)/2; the division is always exact."""
-    if z.graph is not g:
-        raise ValueError("cycle belongs to a different graph")
     num = z.self_intersection() + z.canonical_pairing()
     if num % 2:
         raise ArithmeticError("adjunction parity violated; graph data is corrupt")

@@ -96,6 +96,8 @@ def check_digits(d: int, order: int, terms: int = 1) -> None:
     refused when that estimate, without the 2, exceeds MAX_DIGITS; order is
     compared against a float bound, so no huge int is turned into a float.
     """
+    if d < 3:
+        raise ValueError("need d >= 3")
     if order > (MAX_DIGITS - log10(terms)) / log10(d - 1):
         raise BudgetError("coefficients up to t^%d of the degree-%d series exceed %d digits"
                           % (order, d, MAX_DIGITS))
@@ -125,6 +127,8 @@ def cone_series(d: int, q: list) -> list:
     have zero constant term and nonnegative coefficients; a violation is an
     internal bug and raises IntegralityError.
     """
+    if len(q) < 2:
+        raise ValueError("need order >= 1")
     affine = [q[0] + 2, q[1] + 2] + q[2:]  # Q + 2t + 2
     p = [0] * len(q)
     for j in range(1, len(q)):

@@ -5,15 +5,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ratsurf import acceptance, cli
+from ratsurf.blowup import multiplicity_tree
 from ratsurf.cli import EXIT_CODES, main
+from ratsurf.resgraph import parse_graph
+from ratsurf.series import cone_tdim
+from test_formulas import random_tree_json
 
 STAR = json.dumps(
     {
@@ -176,6 +182,46 @@ def test_analyze_not_applicable(tmp_path, capsys):
     assert code == 4
     assert "multiplicity: 2" in out
     assert "status: not-applicable" in out
+
+
+def json_subtree_sum(node, i):
+    """dim T^i of a JSON tree node's subtree, summed by recursion over its children."""
+    return cone_tdim(i, int(node["mult"])) + sum(json_subtree_sum(c, i) for c in node["children"])
+
+
+def test_analyze_json_keys_agree_with_status_tree_and_graphs(tmp_path, capsys):
+    # rational and reduced_everywhere are rendered from status and reduced;
+    # every tree node's cycle covers exactly its own graph's vertices, and
+    # each T^i is the recursive sum of cone_tdim over the printed tree
+    rng = random.Random(67)
+    seen = Counter()
+    path = write(tmp_path, "")
+    for _ in range(60):
+        for kind in ("rational", "tower", "mixed"):
+            text = random_tree_json(rng, rng.randint(1, 12), kind)
+            write(tmp_path, text)
+            code, raw = run(capsys, ["analyze", path, "--json"])
+            env = json.loads(raw)
+            status = env["status"]
+            assert code == EXIT_CODES[status]
+            if status == "invalid-input":
+                continue
+            seen[status, env.get("reduced")] += 1
+            assert env["rational"] is (status != "not-rational")
+            assert sorted(env["fundamental_cycle"]) == sorted(v["id"] for v in json.loads(text)["vertices"])
+            if status != "ok":
+                assert "reduced_everywhere" not in env and "tree" not in env
+                continue
+            assert env["reduced_everywhere"] is env["reduced"]
+            todo = [(env["tree"], multiplicity_tree(parse_graph(text)))]
+            while todo:
+                node, want = todo.pop()
+                assert sorted(node["cycle"]) == sorted(want.cycle.graph.ids)
+                assert len(node["children"]) == len(want.children)
+                todo.extend(zip(node["children"], want.children))
+            assert env["tdims"] == {str(i): str(json_subtree_sum(env["tree"], i)) for i in range(3, 7)}
+    for key in (("ok", True), ("ok", False), ("not-rational", None), ("not-applicable", True)):
+        assert seen[key] >= 3, seen
 
 
 def test_series_ok(capsys):

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from ratsurf.blowup import multiplicity_tree
-from ratsurf.formulas import analyze, tdim
+from ratsurf.formulas import analyze
 from ratsurf.resgraph import GraphError, ResolutionGraph, parse_graph
 from ratsurf.series import cone_tdim
 
@@ -48,41 +48,32 @@ def family_json(k):
     return graph_json(vertices, edges)
 
 
-def tree_of(text):
-    return multiplicity_tree(parse_graph(text))
-
-
 def report_of(text):
     return analyze(parse_graph(text))
 
 
-def test_tdim_needs_i_at_least_three():
-    t = tree_of(STAR)
-    with pytest.raises(ValueError):
-        tdim(t, 2)
+def recursive_sum(node, i):
+    """dim T^i of node's subtree, summed by recursion over the children."""
+    return cone_tdim(i, node.mult) + sum(recursive_sum(child, i) for child in node.children)
 
 
 def test_tdim_single_node_equals_cone_values():
     for d in range(3, 9):
-        t = tree_of(graph_json([("E0", d)], []))
-        for i in range(3, 7):
-            assert tdim(t, i) == cone_tdim(i, d)
+        rep = report_of(graph_json([("E0", d)], []))
+        assert rep.tdims == {i: cone_tdim(i, d) for i in range(3, 7)}
 
 
 def test_tdim_fixture_values():
-    star = tree_of(STAR)
-    assert tdim(star, 3) == 30
-    assert tdim(star, 4) == 111
-    chain = tree_of(CHAIN)
-    assert [tdim(chain, i) for i in (3, 4, 5, 6)] == [3, 9, 25, 67]
-    assert tdim(tree_of(graph_json([("E0", 5)], [])), 3) == 12
+    star = report_of(STAR).tdims
+    assert (star[3], star[4]) == (30, 111)
+    assert list(report_of(CHAIN).tdims.values()) == [3, 9, 25, 67]
+    assert report_of(graph_json([("E0", 5)], [])).tdims[3] == 12
 
 
 def test_tdim_recursion_equals_flat_sum():
     for text in (STAR, CHAIN, family_json(3), family_json(4), family_json(5)):
-        t = tree_of(text)
-        for i in range(3, 7):
-            assert tdim(t, i) == sum(cone_tdim(i, m) for m in t.multiplicities())
+        rep = report_of(text)
+        assert rep.tdims == {i: recursive_sum(rep.tree, i) for i in range(3, 7)}
 
 
 def test_t2_report_values():
@@ -121,8 +112,7 @@ def test_gmd_check_on_the_obstructed_family():
 def test_analyze_ok_report():
     rep = analyze(parse_graph(STAR))
     assert rep.status == "ok"
-    assert rep.rational and rep.mult == 6
-    assert rep.reduced and rep.reduced_everywhere
+    assert rep.mult == 6 and rep.reduced
     assert rep.tdims == {3: 30, 4: 111, 5: 462, 6: 1944}
     assert rep.t2 == (15, True)
     assert rep.codim_ac == (3, True)
@@ -139,7 +129,6 @@ def test_analyze_respects_imax():
 def test_analyze_not_rational():
     rep = analyze(parse_graph(NOT_RATIONAL))
     assert rep.status == "not-rational"
-    assert rep.rational is False
     assert rep.cycle is not None
     assert rep.p_a == 1
     assert rep.mult is None and rep.tree is None and rep.tdims is None
@@ -148,7 +137,6 @@ def test_analyze_not_rational():
 def test_analyze_not_applicable():
     rep = analyze(parse_graph(D4))
     assert rep.status == "not-applicable"
-    assert rep.rational is True
     assert rep.mult == 2
     assert rep.tree is None and rep.tdims is None
 
@@ -205,7 +193,7 @@ def outcome(text):
     r = analyze(g)
     mults = None if r.tree is None else sorted(r.tree.multiplicities())
     return (r.status, r.p_a, sorted(r.cycle.coefficients.values()), r.mult, r.reduced,
-            r.reduced_everywhere, mults, r.tdims, r.t2, r.codim_ac, r.gmd)
+            mults, r.tdims, r.t2, r.codim_ac, r.gmd)
 
 
 def test_analyze_is_invariant_under_relabeling_on_generated_trees():
@@ -226,9 +214,10 @@ def test_analyze_is_invariant_under_relabeling_on_generated_trees():
 
 def test_tdim_is_the_recursive_sum_on_generated_tower_trees():
     # at every node, dim T^i, T^2, cod_AC and sum (d-1) are the node's own
-    # term plus its children's subtree sums, and the subtree is reduced
-    # everywhere when the node and every child subtree are; analyze of the
-    # node's graph reports its subtree. Tower trees blow up over several levels
+    # term plus its children's subtree sums, and the subtree's values are
+    # exact when the node is reduced and every child subtree's are; analyze
+    # of the node's graph reports its subtree. Tower trees blow up over
+    # several levels
     rng = random.Random(37)
     nodes = deep = obstructed = 0
     for _ in range(200):
@@ -242,17 +231,15 @@ def test_tdim_is_the_recursive_sum_on_generated_tower_trees():
         while todo:
             node = todo.pop()
             d = node.mult
+            rep = analyze(node.cycle.graph)
+            kids = [analyze(child.cycle.graph) for child in node.children]
             for i in range(3, 7):
-                children = sum(tdim(child, i) for child in node.children)
-                assert tdim(node, i) == cone_tdim(i, d) + children
-            rep = analyze(node.graph)
-            kids = [analyze(child.graph) for child in node.children]
-            everywhere = node.reduced and all(kid.reduced_everywhere for kid in kids)
-            assert rep.reduced_everywhere == everywhere
+                assert rep.tdims[i] == cone_tdim(i, d) + sum(kid.tdims[i] for kid in kids)
+            everywhere = node.reduced and all(kid.t2.exact for kid in kids)
             assert rep.t2 == ((d - 1) * (d - 3) + sum(kid.t2.value for kid in kids), everywhere)
             assert rep.codim_ac == (d - 3 + sum(kid.codim_ac.value for kid in kids), everywhere)
             sum_d = d - 1 + sum(kid.gmd.sum_d_minus_1 for kid in kids)
-            sum_b = sum(b - 1 for b in node.graph.b)
+            sum_b = sum(b - 1 for b in node.cycle.graph.b)
             assert rep.gmd == (sum_d, sum_b, sum_d >= sum_b)
             todo.extend(node.children)
             nodes += 1
@@ -292,10 +279,10 @@ def test_exactness_is_the_reducedness_of_every_tree_node_on_multigraphs():
             continue
         if r.status == "ok":
             walk = all(node.reduced for node in r.tree.iter_nodes())
-            assert r.reduced_everywhere == r.t2.exact == r.codim_ac.exact == walk
+            assert r.reduced == r.t2.exact == r.codim_ac.exact == walk
             seen[is_tree, "ok", walk, len(r.tree.children) > 0] += 1
         else:
-            assert r.reduced_everywhere is r.t2 is r.codim_ac is None
+            assert r.tree is r.t2 is r.codim_ac is None
             seen[is_tree, r.status] += 1
     # a cycle or a double edge makes p_a(Z) >= 1, so only trees reach the tree
     assert seen[False, "not-rational"] >= 300 and not any(k[:2] == (False, "ok") for k in seen)

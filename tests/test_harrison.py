@@ -82,11 +82,11 @@ def etale_quadratic() -> FiniteLocalAlgebra:
 def test_make_fat_point_squares_to_zero():
     a = make_fat_point(1)
     assert a.n == 1
-    assert a.product(0, 0) == (Fraction(0), (Fraction(0),))
+    assert a.products[0][0] == (Fraction(0), (Fraction(0),))
     b = make_fat_point(3)
     for i in range(3):
         for j in range(3):
-            assert b.product(i, j) == (Fraction(0), _vec(3))
+            assert b.products[i][j] == (Fraction(0), _vec(3))
     with pytest.raises(ValueError):
         make_fat_point(0)
 
@@ -794,9 +794,9 @@ def test_rational_structure_constants_fall_back_to_fractions():
     rational = half_square()
     # e_1 -> 2 e_1 rescales it to e_0 e_0 = e_1, an isomorphic integral algebra
     integral = truncated_polynomial_algebra(2)
-    assert rational.product(0, 0) == (0, (0, Fraction(1, 2)))
-    assert integral.product(0, 0) == (0, (0, 1))
-    assert type(integral.product(0, 0)[1][1]) is int
+    assert rational.products[0][0] == (0, (0, Fraction(1, 2)))
+    assert integral.products[0][0] == (0, (0, 1))
+    assert type(integral.products[0][0][1][1]) is int
     for module in (TRIVIAL, REGULAR):
         for k in range(1, 5):
             assert harrison_dim(rational, module, k) == harrison_dim(integral, module, k), (module, k)
@@ -807,7 +807,7 @@ def test_rational_structure_constants_fall_back_to_fractions():
 
 def test_algebra_stores_integral_constants_as_ints_and_rejects_inexact_ones():
     a = FiniteLocalAlgebra([[(Fraction(0), (Fraction(4, 2),))]])
-    scalar, linear = a.product(0, 0)
+    scalar, linear = a.products[0][0]
     assert (type(scalar), type(linear[0])) == (int, int)
     for bad in (0.5, True):
         with pytest.raises(TypeError):

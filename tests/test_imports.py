@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -135,20 +136,47 @@ def test_bounded_value_and_obstruction_report_are_plain_named_tuples():
     assert ObstructionReport._fields == ("sum_d_minus_1", "sum_b_minus_1", "obstructed")
 
 
-def test_multiplicity_trees_never_share_a_children_list():
-    g = parse_graph(CONE4)
-    z = fundamental_cycle(g)
-    first, second = MultiplicityTree(g, z, 3, True), MultiplicityTree(g, z, 3, True)
-    assert first.children == [] and first.dropped_rdp_count == 0
-    first.children.append(second)
-    assert second.children == []
-    assert repr(first) == "MultiplicityTree(mult=3, children=1, dropped=0)"
+def test_multiplicity_tree_fields_and_repr():
+    # the node's graph is its cycle's, so the tree keeps no second copy of it
+    assert MultiplicityTree._fields == ("cycle", "mult", "reduced", "children", "dropped_rdp_count")
+    z = fundamental_cycle(parse_graph(CONE4))
+    leaf = MultiplicityTree(cycle=z, mult=3, reduced=True, children=[], dropped_rdp_count=0)
+    root = MultiplicityTree(cycle=z, mult=3, reduced=True, children=[leaf], dropped_rdp_count=0)
+    assert repr(root) == "MultiplicityTree(mult=3, children=1, dropped=0)"
 
 
 def test_analysis_report_defaults_the_optional_fields_to_none():
     g = parse_graph(CONE4)
     z = fundamental_cycle(g)
-    report = AnalysisReport(status="not-rational", rational=False, cycle=z, p_a=1)
-    optional = ("mult", "reduced", "reduced_everywhere", "tree", "tdims", "t2", "codim_ac", "gmd")
+    report = AnalysisReport(status="not-rational", cycle=z, p_a=1)
+    optional = ("mult", "reduced", "tree", "tdims", "t2", "codim_ac", "gmd")
+    assert AnalysisReport._fields == ("status", "cycle", "p_a") + optional
     assert all(getattr(report, name) is None for name in optional)
     assert report.cycle is z and report.p_a == 1
+
+
+def imported_roots(path: str) -> set:
+    """The top-level module of every import statement in the file at path."""
+    tree = ast.parse(open(path, encoding="utf-8").read())
+    roots = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    roots |= {"." * node.level + (node.module or "").split(".")[0] for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)}
+    return roots
+
+
+def test_tests_and_demos_import_only_the_stdlib_pytest_and_ratsurf():
+    # CI installs pytest alone: any other third-party import would pass where
+    # it happens to be installed and fail there
+    repo = os.path.dirname(SRC)
+    tests = sorted(name[:-3] for name in os.listdir(os.path.join(repo, "tests")) if name.endswith(".py"))
+    demos = sorted(name[:-3] for name in os.listdir(os.path.join(repo, "demos")) if name.endswith(".py"))
+    assert "test_cli" in tests and demos
+    allowed = set(sys.stdlib_module_names) | {"ratsurf"}
+    stray = {}
+    for folder, names, extra in (("tests", tests, {"pytest", *tests}), ("demos", demos, set())):
+        for name in names:
+            roots = imported_roots(os.path.join(repo, folder, name + ".py")) - allowed - extra
+            if roots:
+                stray["%s/%s.py" % (folder, name)] = sorted(roots)
+    assert stray == {}

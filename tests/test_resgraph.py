@@ -20,7 +20,6 @@ from ratsurf.resgraph import (
     ResolutionGraph,
     arithmetic_genus,
     fundamental_cycle,
-    intersection_matrix,
     is_negative_definite,
     is_reduced,
     parse_graph,
@@ -32,13 +31,13 @@ from ratsurf.qlinalg import QMatrix
 
 def is_rational(g):
     """Rationality test: p_a of the fundamental cycle is zero."""
-    return arithmetic_genus(g, fundamental_cycle(g)) == 0
+    return arithmetic_genus(fundamental_cycle(g)) == 0
 
 
 def multiplicity(g):
     """Multiplicity of a rational singularity: -Z.Z for the fundamental cycle."""
     z = fundamental_cycle(g)
-    if arithmetic_genus(g, z) != 0:
+    if arithmetic_genus(z) != 0:
         raise NotRationalError("multiplicity formula needs a rational singularity")
     return -z.self_intersection()
 
@@ -142,34 +141,13 @@ def test_multi_edges_parse_but_fail_downstream():
     double = graph_json([("A", 3), ("B", 3)], [("A", "B"), ("A", "B")])
     g = parse_graph(double)
     z = fundamental_cycle(g)
-    assert arithmetic_genus(g, z) == 1
+    assert arithmetic_genus(z) == 1
     assert not is_rational(g)
     # with b = 2 the double edge already breaks negative definiteness
     expect_code(
         graph_json([("A", 2), ("B", 2)], [("A", "B"), ("A", "B")]),
         "not-negative-definite",
     )
-
-
-def is_symmetric(rows):
-    return all(rows[j].get(i, 0) == x for i, row in enumerate(rows) for j, x in row.items())
-
-
-def test_intersection_matrix_values():
-    m = intersection_matrix(parse_graph(CHAIN))
-    assert m == [{0: -3, 1: 1}, {0: 1, 1: -2, 2: 1}, {1: 1, 2: -3}]
-    single = intersection_matrix(parse_graph(CONE4))
-    assert single == [{0: -4}]
-
-
-def test_intersection_matrix_is_symmetric_on_random_trees():
-    rng = random.Random(21)
-    for _ in range(30):
-        n = rng.randint(1, 7)
-        vertices = [("V%d" % i, rng.randint(2, 5)) for i in range(n)]
-        edges = [("V%d" % rng.randint(0, i - 1), "V%d" % i) for i in range(1, n)]
-        m = intersection_matrix(parse_graph(graph_json(vertices, edges)))
-        assert is_symmetric(m)
 
 
 def test_is_negative_definite_basics():
@@ -557,7 +535,7 @@ def test_edges_view_equals_the_sorted_input_edges_on_multigraphs_and_components(
             g, given = todo.pop()
             index = {vid: k for k, vid in enumerate(g.ids)}
             assert g.edges == tuple(sorted(tuple(sorted((index[u], index[v]))) for u, v in given))
-            for comp in blowup_components(g, fundamental_cycle(g)):
+            for comp in blowup_components(fundamental_cycle(g)):
                 inside = set(comp.ids)
                 todo.append((comp, [(u, v) for u, v in given if u in inside and v in inside]))
                 components += 1
@@ -576,7 +554,7 @@ def test_every_multiplicity_tree_node_has_a_minimal_cycle():
     nodes = 0
     for g in [parse_graph(text) for text in (CONE4, CHAIN, STAR)] + random_trees(rng, 400):
         z = fundamental_cycle(g)
-        if arithmetic_genus(g, z) == 0 and -z.self_intersection() >= 3:
+        if arithmetic_genus(z) == 0 and -z.self_intersection() >= 3:
             for node in multiplicity_tree(g).iter_nodes():
                 assert_minimal(node.cycle)
                 nodes += 1
@@ -586,13 +564,13 @@ def test_every_multiplicity_tree_node_has_a_minimal_cycle():
 def test_arithmetic_genus_values():
     for text in (CONE4, CHAIN, STAR, D4, A3):
         g = parse_graph(text)
-        assert arithmetic_genus(g, fundamental_cycle(g)) == 0
+        assert arithmetic_genus(fundamental_cycle(g)) == 0
     bumpy = graph_json(
         [("C", 2), ("L1", 3), ("L2", 3), ("L3", 3), ("L4", 3)],
         [("C", "L1"), ("C", "L2"), ("C", "L3"), ("C", "L4")],
     )
     g = parse_graph(bumpy)
-    assert arithmetic_genus(g, fundamental_cycle(g)) == 1
+    assert arithmetic_genus(fundamental_cycle(g)) == 1
     assert not is_rational(g)
 
 
@@ -740,7 +718,7 @@ def random_trees(rng, count):
 
 def assert_pairings_match_the_form(z):
     g = z.graph
-    form = intersection_matrix(g)
+    form = sparse_form(g.n, g.b, g.edges)
     a = [z.coefficients[vid] for vid in g.ids]
     want = [sum(x * a[j] for j, x in row.items()) for row in form]
     assert list(z.pairings) == want
@@ -759,9 +737,8 @@ def test_cycle_pairings_by_index_equal_the_intersection_form():
         # a cycle built by hand, its coefficients in another order, pairs the same
         shuffled = dict(rng.sample(sorted(z.coefficients.items()), g.n))
         assert Cycle(g, shuffled).pairings == z.pairings
-        if arithmetic_genus(g, z) == 0 and -z.self_intersection() >= 3:
+        if arithmetic_genus(z) == 0 and -z.self_intersection() >= 3:
             for node in multiplicity_tree(g).iter_nodes():
-                assert node.cycle.graph is node.graph
                 assert_pairings_match_the_form(node.cycle)
                 nodes += 1
     assert nodes > 100
@@ -777,9 +754,9 @@ def test_trees_make_no_fill(monkeypatch):
     cycle = parse_graph(graph_json([("V%d" % i, 3) for i in range(5)],
                                    [("V%d" % i, "V%d" % ((i + 1) % 5)) for i in range(5)]))
     monkeypatch.setattr(resgraph, "FILL_BUDGET", 0)
-    assert all(is_negative_definite(intersection_matrix(g)) for g in trees)
+    assert all(is_negative_definite(sparse_form(g.n, g.b, g.edges)) for g in trees)
     with pytest.raises(BudgetError):
-        is_negative_definite(intersection_matrix(cycle))
+        is_negative_definite(sparse_form(cycle.n, cycle.b, cycle.edges))
 
 
 def test_fill_budget_boundary_on_complete_graphs(monkeypatch):

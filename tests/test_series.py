@@ -311,6 +311,12 @@ def test_cone_series_rejects_a_negative_coefficient():
         series.cone_series(5, [0, 0, 0, 0])
 
 
+def test_cone_series_rejects_a_row_without_t1():
+    for q in ([], [0]):
+        with pytest.raises(ValueError, match="order >= 1"):
+            series.cone_series(3, q)
+
+
 def test_cone_tdim_does_not_depend_on_call_order(monkeypatch):
     def ask(order):
         monkeypatch.setattr(series, "_CONE_ROWS", {})
@@ -389,6 +395,13 @@ def test_check_digits_caps_the_estimated_length():
     for d, order, terms in [(3, 13288, 1), (10002, 1000, 1), (10001, 1000, 2), (10 ** 4001, 1, 1), (3, 10 ** 400, 1)]:
         with pytest.raises(series.BudgetError):
             series.check_digits(d, order, terms)
+
+
+def test_check_digits_rejects_degrees_below_3():
+    # log10(d - 1) is 0 at d = 2 and undefined below it; refuse d < 3 first
+    for d in (2, 1, 0, -5):
+        with pytest.raises(ValueError, match="d >= 3"):
+            series.check_digits(d, 5)
 
 
 def test_shuffle_row_matches_the_moebius_sum():
