@@ -13,6 +13,13 @@ The JSON equals json.dumps(envelope, indent=2, sort_keys=True) but is
 written by _write_json: with indent set, json.dumps runs its pure-Python
 encoder, whose cost grows with nesting depth times output size.
 
+Every subcommand's options are declared once, in _COMMANDS. An argv made of
+exact spellings and valid values is read straight off that table. Anything
+else (help, abbreviations, --opt=value, values that look like options, and
+every error) goes to an argparse parser built from the same table, and
+argparse is imported only then; both paths give the same namespace, and
+argparse alone writes help and error text.
+
 Exit codes are a function of the status alone:
     ok 0, failed 1, invalid-input 2, not-rational 3, not-applicable 4,
     budget-exceeded 5.
@@ -22,11 +29,11 @@ stdout is closed before the output is written (as under `| head`).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from . import formulas, series
 from .resgraph import MAX_GRAPH_BYTES, GraphError, parse_graph
@@ -111,15 +118,18 @@ def _cycle_dict(cycle) -> dict:
     return {vid: _num(a) for vid, a in cycle.coefficients.items()}
 
 
-def _tree_dict(node, cycle=None) -> dict:
-    """A node and its subtree; cycle is the node's cycle already rendered, if any."""
-    return {
+def _tree_dict(node, cycles: bool, cycle=None) -> dict:
+    """A node and its subtree, with each node's cycle only if cycles (the
+    human printer shows none); cycle is the node's cycle already rendered, if any."""
+    data = {
         "mult": _num(node.mult),
-        "cycle": _cycle_dict(node.cycle) if cycle is None else cycle,
         "reduced": node.reduced,
         "dropped_rdps": node.dropped_rdp_count,
-        "children": [_tree_dict(child) for child in node.children],
+        "children": [_tree_dict(child, cycles) for child in node.children],
     }
+    if cycles:
+        data["cycle"] = _cycle_dict(node.cycle) if cycle is None else cycle
+    return data
 
 
 def _tree_lines(node: dict, indent: str, out: list) -> None:
@@ -173,7 +183,7 @@ def cmd_analyze(args) -> tuple:
         return "not-applicable", data
     data["reduced_everywhere"] = report.reduced  # the root's cycle decides (formulas)
     # the tree's root carries the fundamental cycle, rendered once for both
-    data["tree"] = _tree_dict(report.tree, data["fundamental_cycle"])
+    data["tree"] = _tree_dict(report.tree, args.json, data["fundamental_cycle"])
     data["tdims"] = {str(i): _num(v) for i, v in report.tdims.items()}
     data["t2"] = {"value": _num(report.t2.value), "exact": report.t2.exact}
     data["codim_ac"] = {"value": _num(report.codim_ac.value), "exact": report.codim_ac.exact}
@@ -305,62 +315,111 @@ def _selftest_lines(args, status: str, data: dict) -> list:
     return lines + ["%d passed, %d failed" % (data["passed"], data["failed"])]
 
 
-@lru_cache(maxsize=None)
-def _parser() -> tuple:
-    """The full parser and a dict command -> that subcommand's own parser.
+# Each subcommand: its help, its function, its printer and its options, in
+# the order --help lists them. An option maps its spelling to (kind, default,
+# required, help); kind is int, a tuple of choices, bool for a flag, or str
+# for a positional, whose spelling has no dashes.
+_JSON = (bool, False, False, "structured output")
+_COMMANDS = {
+    "analyze": ("full dimension report for a resolution graph file", cmd_analyze, _analyze_lines, {
+        "path": (str, None, True, "JSON graph file"),
+        "--max-i": (int, 6, False, "largest T^i to report (default 6)"),
+        "--json": _JSON,
+    }),
+    "series": ("shuffle-dimension and cotangent series for the degree-d cone", cmd_series, _series_lines, {
+        "--d": (int, None, True, "cone degree, at least 3"),
+        "--order": (int, 6, False, "truncation order (default 6)"),
+        "--json": _JSON,
+    }),
+    "oracle": ("brute-force cohomology of a fat point", cmd_oracle, _oracle_lines, {
+        "--m": (int, None, True, "embedding dimension of the fat point"),
+        "--k": (int, None, True, "cochain degree"),
+        "--coeffs": (("trivial", "regular"), "trivial", False, None),
+        "--hochschild": (bool, False, False, "full complex instead of the shuffle-invariant one"),
+        "--budget": (int, None, False, "cap on the word-space size n^k (default 1500)"),
+        "--json": _JSON,
+    }),
+    "selftest": ("run the acceptance suite", cmd_selftest, _selftest_lines, {"--json": _JSON}),
+}
 
-    Built on the first main() call, not at import, and reused by later calls.
-    """
+
+@lru_cache(maxsize=None)
+def _parser():
+    """The argparse parser of _COMMANDS, built and imported on first use only."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ratsurf",
         description="Cotangent cohomology dimensions of rational surface singularities, exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full dimension report for a resolution graph file")
-    p.add_argument("path", help="JSON graph file")
-    p.add_argument("--max-i", type=int, default=6, help="largest T^i to report (default 6)")
-    p.add_argument("--json", action="store_true", help="structured output")
-    p.set_defaults(func=cmd_analyze, lines=_analyze_lines)
-
-    p = sub.add_parser("series", help="shuffle-dimension and cotangent series for the degree-d cone")
-    p.add_argument("--d", type=int, required=True, help="cone degree, at least 3")
-    p.add_argument("--order", type=int, default=6, help="truncation order (default 6)")
-    p.add_argument("--json", action="store_true", help="structured output")
-    p.set_defaults(func=cmd_series, lines=_series_lines)
-
-    p = sub.add_parser("oracle", help="brute-force cohomology of a fat point")
-    p.add_argument("--m", type=int, required=True, help="embedding dimension of the fat point")
-    p.add_argument("--k", type=int, required=True, help="cochain degree")
-    p.add_argument("--coeffs", choices=("trivial", "regular"), default="trivial")
-    p.add_argument("--hochschild", action="store_true", help="full complex instead of the shuffle-invariant one")
-    p.add_argument("--budget", type=int, default=None, help="cap on the word-space size n^k (default 1500)")
-    p.add_argument("--json", action="store_true", help="structured output")
-    p.set_defaults(func=cmd_oracle, lines=_oracle_lines)
-
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--json", action="store_true", help="structured output")
-    p.set_defaults(func=cmd_selftest, lines=_selftest_lines)
-
-    return parser, sub.choices
+    for command, (summary, func, lines, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for spelling, (kind, default, required, text) in options.items():
+            if kind is bool:
+                p.add_argument(spelling, action="store_true", help=text)
+            elif spelling[0] != "-":
+                p.add_argument(spelling, help=text)
+            else:
+                conversion = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+                p.add_argument(spelling, default=default, required=required, help=text, **conversion)
+        p.set_defaults(func=func, lines=lines)
+    return parser
 
 
-def _parse_args(argv=None) -> argparse.Namespace:
-    """Parse argv as the full parser's parse_args would, in fewer steps.
+def _read_argv(argv: list):
+    """The namespace _parser() returns for argv, read off _COMMANDS alone.
 
-    A well-formed call goes straight to its subcommand's parser. Anything
-    else (no command, an unknown one, or arguments the subcommand does not
-    take) goes through the full parser, so errors and usage read as before.
-    """
-    parser, commands = _parser()
+    None where argparse might read argv otherwise or reject it: an unknown or
+    abbreviated token, --opt=value, a value that starts with "-" or is not of
+    its kind, a second positional, or a required option left out. As in
+    argparse, a repeated option keeps its last value."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    _, func, lines, options = entry
+    positionals = [spelling for spelling in options if spelling[0] != "-"]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":  # argparse reads an empty token as a positional too
+            if not positionals:
+                return None
+            values[positionals.pop(0)] = token
+            continue
+        kind = options.get(token, (None,))[0]
+        if kind is None:
+            return None
+        if kind is bool:
+            values[token] = True
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":  # argparse may read it as an option, or not, by version
+            return None
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        values[token] = value
+    args = SimpleNamespace(command=argv[0])
+    for spelling, (_, default, required, _) in options.items():
+        if required and spelling not in values:
+            return None
+        setattr(args, spelling.lstrip("-").replace("-", "_"), values.get(spelling, default))
+    args.func, args.lines = func, lines
+    return args
+
+
+def _parse_args(argv=None):
+    """Parse argv as argparse would: well-formed argv through _read_argv,
+    anything else (help, abbreviations, --opt=value, errors) through _parser."""
     if argv is None:
         argv = sys.argv[1:]
-    sub = commands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extra:
-            return args
-    return parser.parse_args(argv)
+    return _read_argv(argv) or _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

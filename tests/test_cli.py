@@ -433,17 +433,23 @@ def test_values_under_the_digit_cap_still_print(tmp_path, capsys):
     assert code == 5
 
 
-def test_the_parser_is_built_on_first_use_and_reused(capsys):
+def test_the_parser_is_built_on_first_use_and_reused(tmp_path, capsys):
     probe = "import ratsurf.cli as c; print(c._parser.cache_info().currsize)"
     src = os.path.dirname(os.path.dirname(cli.__file__))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "0"  # importing the CLI builds no parser
     cli._parser.cache_clear()
+    cone = write(tmp_path, json.dumps({"vertices": [{"id": "A", "b": 4}], "edges": []}))
     first = run(capsys, ["series", "--d", "3", "--order", "6"])
-    assert run(capsys, ["series", "--d", "3", "--order", "6"]) == first
-    assert run(capsys, ["oracle", "--m", "2", "--k", "4"])[0] == 0
+    assert run(capsys, ["analyze", cone, "--max-i", "4", "--json"])[0] == 0
+    assert run(capsys, ["oracle", "--m", "2", "--k", "4", "--coeffs", "regular", "--hochschild"])[0] == 0
+    assert cli._parser.cache_info().misses == 0  # exact spellings are read without argparse
+    # an abbreviation and --opt=value go through the parser, built once
+    assert run(capsys, ["series", "--ord", "6", "--d", "3"]) == first
     assert cli._parser.cache_info().misses == 1
+    assert run(capsys, ["series", "--d=3", "--order", "6"]) == first
+    assert cli._parser.cache_info()[:2] == (1, 1)  # (hits, misses)
 
 
 @pytest.mark.parametrize("argv, keep", [

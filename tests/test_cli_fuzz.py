@@ -235,6 +235,13 @@ def test_fuzzed_inputs_end_in_a_documented_status(tmp_path, capsys):
 # option spellings argparse also accepts: prefixes of each long option
 ABBREVIATIONS = {"--max-i": "--max", "--order": "--ord", "--coeffs": "--coe",
                  "--hochschild": "--hoch", "--budget": "--bud", "--json": "--js"}
+VALUED = {"--max-i", "--d", "--order", "--m", "--k", "--coeffs", "--budget"}
+REQUIRED = {"--d", "--m", "--k"}
+# values that a hand reader could read otherwise than argparse: negative or
+# like an option (argparse takes "-3" as a value but "-1_0" as an option),
+# empty, padded, with an underscore or a non-ASCII digit, past int()'s
+# 4300-digit limit, or no --coeffs choice
+ODD_ARGS = ["-3", "-1_0", "--json", "-x", "-", "", " 7", "7 ", "1_0", "\u0663", "+4", "9" * 4301, "other"]
 
 
 def parser_argv(rng):
@@ -243,14 +250,25 @@ def parser_argv(rng):
     for _ in range(rng.randint(0, 3)):
         roll = rng.random()
         i = rng.randint(0, len(argv))
-        if roll < 0.15:  # help, anywhere
+        valued = [j for j in range(len(argv) - 1) if argv[j] in VALUED]
+        if roll < 0.1:  # help, anywhere
             argv.insert(i, rng.choice(["-h", "--help"]))
-        elif roll < 0.35:  # an unknown option, a stray word, or the end of options
-            argv.insert(i, rng.choice(["--nosuch", "-x", "extra", "--", "--json=1", "analyze", "--d"]))
-        elif roll < 0.7 and argv:  # --opt value as --opt=value
+        elif roll < 0.25:  # an unknown option, a stray or empty word, or the end of options
+            argv.insert(i, rng.choice(["--nosuch", "-x", "extra", "", "--", "--json=1", "analyze", "--d"]))
+        elif roll < 0.45 and argv:  # --opt value as --opt=value
             j = rng.randrange(len(argv))
             if argv[j].startswith("--") and j + 1 < len(argv):
                 argv[j:j + 2] = [argv[j] + "=" + argv[j + 1]]
+        elif roll < 0.6 and valued:  # an odd value
+            argv[rng.choice(valued) + 1] = rng.choice(ODD_ARGS)
+        elif roll < 0.7 and valued:  # a repeated option: the last value wins
+            option = argv[rng.choice(valued)]
+            argv += [option, rng.choice(["trivial", "regular"]) if option == "--coeffs" else str(rng.randint(1, 9))]
+        elif roll < 0.8:  # a required option left out
+            for j in [j for j in range(len(argv)) if argv[j] in REQUIRED][:1]:
+                del argv[j:j + 2]
+        elif roll < 0.85 and "graph.json" in argv:  # an analyze path that starts with "-"
+            argv[argv.index("graph.json")] = rng.choice(["-3", "-g.json", "-"])
         elif argv:  # an abbreviated option
             j = rng.randrange(len(argv))
             argv[j] = ABBREVIATIONS.get(argv[j], argv[j])
@@ -268,12 +286,13 @@ def parse_outcome(parse, argv, capsys):
 
 
 def test_the_subcommand_parser_reads_argv_as_the_full_parser_does(capsys):
-    # main hands a well-formed argv to its subcommand's parser alone; every
-    # argv must parse, fail or print help exactly as the full parser does
+    # main reads an argv of exact spellings off the option table, without
+    # argparse; every argv must parse, fail or print help exactly as the full
+    # parser does
     rng = random.Random(1422)
-    full = cli._parser()[0]
+    full = cli._parser()
     kinds = set()
-    for _ in range(320):
+    for _ in range(1000):
         argv = parser_argv(rng)
         fast = parse_outcome(cli._parse_args, argv, capsys)
         assert fast == parse_outcome(full.parse_args, argv, capsys), argv

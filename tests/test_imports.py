@@ -57,6 +57,19 @@ def test_an_integral_oracle_call_loads_the_engine_but_not_fractions():
     assert loaded_after(code, ENGINE) == ["ratsurf.harrison", "ratsurf.qlinalg"]
 
 
+def test_well_formed_calls_load_no_argparse_and_an_abbreviation_loads_it(tmp_path):
+    path = tmp_path / "cone4.json"
+    path.write_text(CONE4)
+    code = "; ".join([
+        "assert cli.main(['analyze', %r, '--max-i', '4', '--json']) == 0" % str(path),
+        "assert cli.main(['series', '--d', '5', '--order', '3']) == 0",
+        "assert cli.main(['oracle', '--m', '2', '--k', '4', '--coeffs', 'regular', '--json']) == 0",
+    ])
+    assert loaded_after(code, ("argparse", "gettext")) == []
+    code += "; assert cli.main(['series', '--ord', '3', '--d', '5']) == 0"
+    assert loaded_after(code, ("argparse",)) == ["argparse"]
+
+
 @pytest.mark.parametrize("setup, engine_loaded", [
     # as a tracer does: read the engine's function off the CLI, then replace it
     ("real = cli.harrison_dim", True),
