@@ -56,7 +56,6 @@ _EXPORTS = {
         "GraphError",
         "NotRationalError",
         "parse_graph",
-        "is_negative_definite",
         "fundamental_cycle",
         "is_reduced",
         "arithmetic_genus",

@@ -70,7 +70,8 @@ def _as_int(x) -> int:
 
 # ----- graph fixtures (built through the JSON interchange format) ----------
 
-def _graph_json(vertices, edges) -> str:
+def graph_json(vertices, edges) -> str:
+    """The JSON text of a graph given as (id, b) vertices and (id, id) edges."""
     return json.dumps(
         {
             "vertices": [{"id": vid, "b": b} for vid, b in vertices],
@@ -80,42 +81,27 @@ def _graph_json(vertices, edges) -> str:
 
 
 def cone_graph_json(d: int) -> str:
-    return _graph_json([("E0", d)], [])
+    return graph_json([("E0", d)], [])
 
 
-def star_graph_json() -> str:
-    # center b=3 with three b=3 leaves
-    return _graph_json(
-        [("C", 3), ("L1", 3), ("L2", 3), ("L3", 3)],
-        [("C", "L1"), ("C", "L2"), ("C", "L3")],
-    )
-
-
-def chain_graph_json() -> str:
-    return _graph_json(
-        [("E1", 3), ("E2", 2), ("E3", 3)], [("E1", "E2"), ("E2", "E3")]
-    )
-
-
-def d4_graph_json() -> str:
-    return _graph_json(
-        [("C", 2), ("L1", 2), ("L2", 2), ("L3", 2)],
-        [("C", "L1"), ("C", "L2"), ("C", "L3")],
-    )
-
-
-def four_leaf_b2_star_json() -> str:
-    return _graph_json(
-        [("C", 2), ("L1", 2), ("L2", 2), ("L3", 2), ("L4", 2)],
-        [("C", "L1"), ("C", "L2"), ("C", "L3"), ("C", "L4")],
-    )
-
-
-def four_leaf_b3_star_json() -> str:
-    return _graph_json(
-        [("C", 2), ("L1", 3), ("L2", 3), ("L3", 3), ("L4", 3)],
-        [("C", "L1"), ("C", "L2"), ("C", "L3"), ("C", "L4")],
-    )
+# center b=3 with three b=3 leaves
+STAR_JSON = graph_json(
+    [("C", 3), ("L1", 3), ("L2", 3), ("L3", 3)],
+    [("C", "L1"), ("C", "L2"), ("C", "L3")],
+)
+CHAIN_JSON = graph_json([("E1", 3), ("E2", 2), ("E3", 3)], [("E1", "E2"), ("E2", "E3")])
+D4_JSON = graph_json(
+    [("C", 2), ("L1", 2), ("L2", 2), ("L3", 2)],
+    [("C", "L1"), ("C", "L2"), ("C", "L3")],
+)
+FOUR_LEAF_B2_JSON = graph_json(
+    [("C", 2), ("L1", 2), ("L2", 2), ("L3", 2), ("L4", 2)],
+    [("C", "L1"), ("C", "L2"), ("C", "L3"), ("C", "L4")],
+)
+FOUR_LEAF_B3_JSON = graph_json(
+    [("C", 2), ("L1", 3), ("L2", 3), ("L3", 3), ("L4", 3)],
+    [("C", "L1"), ("C", "L2"), ("C", "L3"), ("C", "L4")],
+)
 
 
 def obstruction_family_json(k: int) -> str:
@@ -132,14 +118,14 @@ def obstruction_family_json(k: int) -> str:
         for j in range(1, k - 1):
             vertices.append(("K%dL%d" % (t, j), 2))
             edges.append(("K%d" % t, "K%dL%d" % (t, j)))
-    return _graph_json(vertices, edges)
+    return graph_json(vertices, edges)
 
 
 def analysis_fixtures():
     """Every fixture that analyzes to status ok, as (name, json text)."""
     out = [("cone-d%d" % d, cone_graph_json(d)) for d in range(3, 9)]
-    out.append(("star-3-333", star_graph_json()))
-    out.append(("chain-323", chain_graph_json()))
+    out.append(("star-3-333", STAR_JSON))
+    out.append(("chain-323", CHAIN_JSON))
     out.append(("family-k3", obstruction_family_json(3)))
     out.append(("family-k4", obstruction_family_json(4)))
     return out
@@ -244,12 +230,12 @@ def _crit_cone_graphs() -> str:
 
 
 def _crit_recursion_fixtures() -> str:
-    star = formulas.analyze(parse_graph(star_graph_json()))
+    star = formulas.analyze(parse_graph(STAR_JSON))
     _expect(star.tree.multiplicities() == [6, 3], "star tree %s" % star.tree.multiplicities())
     _expect(star.tdims[3] == 30, "star T^3 = %d" % star.tdims[3])
     _expect(star.t2 == (15, True), "star T^2 report %s" % (star.t2,))
     _expect(star.codim_ac == (3, True), "star cod_AC report %s" % (star.codim_ac,))
-    chain = formulas.analyze(parse_graph(chain_graph_json()))
+    chain = formulas.analyze(parse_graph(CHAIN_JSON))
     _expect(chain.mult == 4, "chain mult %d" % chain.mult)
     _expect(
         chain.tree.multiplicities() == [4] and chain.tree.dropped_rdp_count == 1,
@@ -283,16 +269,16 @@ def _crit_obstruction_family() -> str:
 
 def _crit_rejection_paths() -> str:
     try:
-        parse_graph(four_leaf_b2_star_json())
+        parse_graph(FOUR_LEAF_B2_JSON)
         raise _Failure("four-leaf b=2 star was accepted")
     except GraphError as e:
         _expect(
             e.code == "not-negative-definite",
             "four-leaf b=2 star rejected with code %s" % e.code,
         )
-    report = formulas.analyze(parse_graph(four_leaf_b3_star_json()))
+    report = formulas.analyze(parse_graph(FOUR_LEAF_B3_JSON))
     _expect(report.status == "not-rational", "four-leaf b=3 star: status %s" % report.status)
-    report = formulas.analyze(parse_graph(d4_graph_json()))
+    report = formulas.analyze(parse_graph(D4_JSON))
     _expect(
         report.status == "not-applicable" and report.mult == 2,
         "D_4: status %s, mult %s" % (report.status, report.mult),

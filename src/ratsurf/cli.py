@@ -1,9 +1,11 @@
 """Command-line front end: analyze, series, oracle, selftest.
 
 Each subcommand returns its status and one record, a dict of its answers
-with every number already turned into decimal once. Under --json, main
-writes the record into a versioned envelope ("schema": "1"); otherwise the
-subcommand's printer formats it into human lines. Both show every dimension,
+with every number already turned into decimal once, or raises GraphError or
+BudgetError, which main maps to invalid-input (the record holds the error and
+its code) or budget-exceeded (the error). Under --json, main writes the
+record into a versioned envelope ("schema": "1"); otherwise the subcommand's
+printer formats it into human lines. Both show every dimension,
 multiplicity and sum; only the JSON has each multiplicity-tree node's cycle,
 analyze's reduced_everywhere flag and each selftest criterion's seconds.
 Mathematical quantities are decimal strings, since they can exceed 64 bits;
@@ -149,24 +151,16 @@ def cmd_analyze(args) -> tuple:
             if len(raw) == 1 << 16:
                 raw += fh.read(MAX_GRAPH_BYTES + 1 - len(raw))
         if len(raw) > MAX_GRAPH_BYTES:
-            return "budget-exceeded", {"error": "graph file is larger than %d bytes" % MAX_GRAPH_BYTES}
+            raise BudgetError("graph file is larger than %d bytes" % MAX_GRAPH_BYTES)
         text = raw.decode("utf-8")
         if "\r" in text:  # universal newlines, as open(path, encoding="utf-8") reads
             text = text.replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as e:
         return "invalid-input", {"error": str(e)}  # the human printer names the path
-    try:
-        graph = parse_graph(text)
-    except GraphError as e:
-        return "invalid-input", {"error": str(e), "error_code": e.code}
-    except BudgetError as e:
-        return "budget-exceeded", {"error": str(e)}
+    graph = parse_graph(text)
     if args.max_i < 3:
         return "invalid-input", {"error": _MAX_I_ERROR}
-    try:
-        report = formulas.analyze(graph, imax=args.max_i)
-    except BudgetError as e:
-        return "budget-exceeded", {"error": str(e)}
+    report = formulas.analyze(graph, imax=args.max_i)
 
     data = {
         "vertices": graph.n,
@@ -226,10 +220,7 @@ def cmd_series(args) -> tuple:
         return "invalid-input", {"error": "--d must be at least 3"}
     if args.order < 1:
         return "invalid-input", {"error": "--order must be at least 1"}
-    try:
-        series.check_digits(args.d, args.order)
-    except BudgetError as e:
-        return "budget-exceeded", {"error": str(e)}
+    series.check_digits(args.d, args.order)
     q = series.shuffle_dim_series(args.d, args.order)
     p = series.cone_series(args.d, q)
     # the shuffle dims of the (d-1)-dim fat point are Q's coefficients
@@ -260,17 +251,14 @@ def cmd_oracle(args) -> tuple:
         return "invalid-input", {"error": "--budget must be at least 1"}
     _load_engine()
     module = TRIVIAL if args.coeffs == "trivial" else REGULAR
-    try:
-        check_budget(args.m, args.k, args.budget, args.hochschild)
-        algebra = make_fat_point(args.m)
-        if args.hochschild:
-            dim = hochschild_dim(algebra, module, args.k, budget=args.budget)
-            kind = "hochschild"
-        else:
-            dim = harrison_dim(algebra, module, args.k, budget=args.budget)
-            kind = "harrison"
-    except BudgetError as e:
-        return "budget-exceeded", {"error": str(e)}
+    check_budget(args.m, args.k, args.budget, args.hochschild)
+    algebra = make_fat_point(args.m)
+    if args.hochschild:
+        dim = hochschild_dim(algebra, module, args.k, budget=args.budget)
+        kind = "hochschild"
+    else:
+        dim = harrison_dim(algebra, module, args.k, budget=args.budget)
+        kind = "harrison"
     data = {
         "m": _num(args.m),
         "k": _num(args.k),
@@ -424,7 +412,12 @@ def _parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    status, data = args.func(args)
+    try:
+        status, data = args.func(args)
+    except GraphError as e:
+        status, data = "invalid-input", {"error": str(e), "error_code": e.code}
+    except BudgetError as e:
+        status, data = "budget-exceeded", {"error": str(e)}
     if args.json:
         out = []
         _write_json({"schema": "1", "command": args.command, "status": status, **data}, out)

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .blowup import multiplicity_tree
-from .resgraph import ResolutionGraph, arithmetic_genus, fundamental_cycle, is_reduced
+from .blowup import NotApplicableError, multiplicity_tree
+from .resgraph import NotRationalError, ResolutionGraph, arithmetic_genus, fundamental_cycle, is_reduced
 from .series import check_digits, cone_tdim
 
 
@@ -53,36 +53,33 @@ class AnalysisReport(
 
 
 def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
-    """Full dimension report for one graph.
+    """Full dimension report for one graph; multiplicity_tree classifies
+    the root, and a refused root is reported from its fundamental cycle.
 
-    On a valid graph it raises only BudgetError, when the T^i values up to
-    imax would exceed series.MAX_DIGITS digits (series.check_digits, with
-    the largest multiplicity in the tree and one term per tree node).
+    On a valid graph it raises only BudgetError, for a tree past
+    resgraph.TREE_BUDGET or when the T^i values up to imax would exceed
+    series.MAX_DIGITS digits (series.check_digits, with the largest
+    multiplicity in the tree and one term per tree node).
     """
     if imax < 3:
         raise ValueError("need imax >= 3")
-    z = fundamental_cycle(g)
-    p_a = arithmetic_genus(z)
-    if p_a != 0:
-        return AnalysisReport(status="not-rational", cycle=z, p_a=p_a)
-    mult = -z.self_intersection()
-    if mult <= 2:
-        return AnalysisReport(
-            status="not-applicable",
-            cycle=z,
-            p_a=p_a,
-            mult=mult,
-            reduced=is_reduced(z),
-        )
-    tree = multiplicity_tree(g)
+    try:
+        tree = multiplicity_tree(g)
+    except NotRationalError:
+        z = fundamental_cycle(g)
+        return AnalysisReport(status="not-rational", cycle=z, p_a=arithmetic_genus(z))
+    except NotApplicableError:
+        z = fundamental_cycle(g)
+        return AnalysisReport(status="not-applicable", cycle=z, p_a=0,
+                              mult=-z.self_intersection(), reduced=is_reduced(z))
     mults = tree.multiplicities()
     check_digits(max(mults), imax, len(mults))
     sum_d, sum_b = sum(d - 1 for d in mults), sum(b - 1 for b in g.b)
     return AnalysisReport(
         status="ok",
-        cycle=z,
-        p_a=p_a,
-        mult=mult,
+        cycle=tree.cycle,
+        p_a=0,
+        mult=tree.mult,
         reduced=tree.reduced,
         tree=tree,
         tdims={i: sum(cone_tdim(i, d) for d in mults) for i in range(3, imax + 1)},

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from ratsurf import blowup, formulas, resgraph
-from ratsurf.acceptance import obstruction_family_json
+from ratsurf.acceptance import CHAIN_JSON, D4_JSON, STAR_JSON, graph_json, obstruction_family_json
 from ratsurf.blowup import (
     MultiplicityTree,
     NotApplicableError,
@@ -43,25 +43,7 @@ def reduced_everywhere(tree):
     return all(node.reduced for node in tree.iter_nodes())
 
 
-def graph_json(vertices, edges):
-    return json.dumps(
-        {
-            "vertices": [{"id": vid, "b": b} for vid, b in vertices],
-            "edges": [list(e) for e in edges],
-        }
-    )
-
-
 CONE = graph_json([("E0", 5)], [])
-STAR = graph_json(
-    [("C", 3), ("L1", 3), ("L2", 3), ("L3", 3)],
-    [("C", "L1"), ("C", "L2"), ("C", "L3")],
-)
-CHAIN = graph_json([("E1", 3), ("E2", 2), ("E3", 3)], [("E1", "E2"), ("E2", "E3")])
-D4 = graph_json(
-    [("C", 2), ("L1", 2), ("L2", 2), ("L3", 2)],
-    [("C", "L1"), ("C", "L2"), ("C", "L3")],
-)
 
 
 def family_json(k, arm_order=None):
@@ -82,7 +64,7 @@ def test_cone_has_no_components():
 
 
 def test_star_component_is_the_center():
-    g = parse_graph(STAR)
+    g = parse_graph(STAR_JSON)
     comps = blowup_components(fundamental_cycle(g))
     assert len(comps) == 1
     assert comps[0].ids == ("C",)
@@ -90,7 +72,7 @@ def test_star_component_is_the_center():
 
 
 def test_chain_component_is_the_middle_double_point():
-    g = parse_graph(CHAIN)
+    g = parse_graph(CHAIN_JSON)
     comps = blowup_components(fundamental_cycle(g))
     assert len(comps) == 1
     assert comps[0].ids == ("E2",)
@@ -128,14 +110,14 @@ def test_cone_tree_is_a_single_node():
 
 
 def test_star_tree():
-    t = multiplicity_tree(parse_graph(STAR))
+    t = multiplicity_tree(parse_graph(STAR_JSON))
     assert t.multiplicities() == [6, 3]
     assert reduced_everywhere(t)
     assert t.dropped_rdp_count == 0
 
 
 def test_chain_tree_prunes_the_double_point():
-    t = multiplicity_tree(parse_graph(CHAIN))
+    t = multiplicity_tree(parse_graph(CHAIN_JSON))
     assert t.multiplicities() == [4]
     assert t.children == []
     assert t.dropped_rdp_count == 1
@@ -162,7 +144,7 @@ def test_preorder_traversal_lists_parent_before_children():
 
 
 def test_vertex_count_strictly_decreases_down_the_tree():
-    for text in (CONE, STAR, CHAIN, family_json(3), family_json(4)):
+    for text in (CONE, STAR_JSON, CHAIN_JSON, family_json(3), family_json(4)):
         t = multiplicity_tree(parse_graph(text))
         for node in t.iter_nodes():
             for child in node.children:
@@ -170,7 +152,7 @@ def test_vertex_count_strictly_decreases_down_the_tree():
 
 
 def test_every_node_is_rational_negative_definite_and_big_enough():
-    for text in (STAR, CHAIN, family_json(3), family_json(5)):
+    for text in (STAR_JSON, CHAIN_JSON, family_json(3), family_json(5)):
         t = multiplicity_tree(parse_graph(text))
         for node in t.iter_nodes():
             g = node.cycle.graph
@@ -191,7 +173,7 @@ def test_tree_rejects_non_rational_input():
 
 def test_tree_rejects_double_points():
     with pytest.raises(NotApplicableError):
-        multiplicity_tree(parse_graph(D4))
+        multiplicity_tree(parse_graph(D4_JSON))
     a1 = graph_json([("E0", 2)], [])
     with pytest.raises(NotApplicableError):
         multiplicity_tree(parse_graph(a1))
@@ -199,16 +181,16 @@ def test_tree_rejects_double_points():
 
 def test_tree_from_a_given_root_cycle_equals_the_tree_it_builds():
     # the graph keeps the cycle its loop found, and the tree's root reads it
-    for text in (STAR, CHAIN, obstruction_family_json(4)):
+    for text in (STAR_JSON, CHAIN_JSON, obstruction_family_json(4)):
         g = parse_graph(text)
         assert fundamental_cycle(g) is fundamental_cycle(g)
         assert multiplicity_tree(g).cycle is fundamental_cycle(g)
     with pytest.raises(NotApplicableError):
-        multiplicity_tree(parse_graph(D4))
+        multiplicity_tree(parse_graph(D4_JSON))
 
 
 def test_tree_repr_mentions_the_shape():
-    t = multiplicity_tree(parse_graph(CHAIN))
+    t = multiplicity_tree(parse_graph(CHAIN_JSON))
     assert repr(t) == "MultiplicityTree(mult=4, children=0, dropped=1)"
     assert isinstance(t, MultiplicityTree)
 
@@ -231,7 +213,7 @@ def random_tower_json(rng, n):
 
 def test_restricted_components_equal_validated_graphs():
     rng = random.Random(31)
-    texts = [STAR, CHAIN, D4, family_json(3), family_json(4, ["K3", "K1", "K2"])]
+    texts = [STAR_JSON, CHAIN_JSON, D4_JSON, family_json(3), family_json(4, ["K3", "K1", "K2"])]
     texts += [random_tower_json(rng, rng.randint(2, 14)) for _ in range(80)]
     checked = 0
     for text in texts:
@@ -289,14 +271,14 @@ def count_work(monkeypatch, text):
 
 @pytest.mark.parametrize(
     "text, dropped",
-    [(STAR, 0), (CHAIN, 1), (obstruction_family_json(4), 0)],
+    [(STAR_JSON, 0), (CHAIN_JSON, 1), (obstruction_family_json(4), 0)],
     ids=["star-6-3", "chain-323", "family-k4"],
 )
 def test_analyze_computes_each_fundamental_cycle_once(monkeypatch, text, dropped):
     report, cycles, g, components = count_work(monkeypatch, text)
     assert report.status == "ok"
     assert components and sum(n.dropped_rdp_count for n in report.tree.iter_nodes()) == dropped
-    assert cycles[id(g)] <= 2
+    assert cycles[id(g)] == 1
     assert all(cycles[id(c)] == 1 for c in components)
     assert sum(cycles.values()) == cycles[id(g)] + len(components)
 
@@ -319,7 +301,7 @@ def tree_shape(node):
 def test_tree_budget_boundary(monkeypatch):
     # the budget admits a tree of weight TREE_BUDGET and refuses one unit less;
     # y_tower_json(3) weighs 4^2 * 5 / 2 = 40, the others branch
-    texts = [y_tower_json(3), STAR, family_json(4), obstruction_family_json(4)]
+    texts = [y_tower_json(3), STAR_JSON, family_json(4), obstruction_family_json(4)]
     rng = random.Random(59)
     texts += [random_tower_json(rng, rng.randint(6, 14)) for _ in range(40)]
     weights = []

@@ -14,47 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from ratsurf import acceptance, cli
+from ratsurf import acceptance, cli, resgraph
+from ratsurf.acceptance import D4_JSON, FOUR_LEAF_B2_JSON, FOUR_LEAF_B3_JSON, STAR_JSON
 from ratsurf.blowup import multiplicity_tree
 from ratsurf.cli import EXIT_CODES, main
 from ratsurf.resgraph import parse_graph
 from ratsurf.series import cone_tdim
 from test_formulas import random_tree_json
-
-STAR = json.dumps(
-    {
-        "vertices": [
-            {"id": "C", "b": 3},
-            {"id": "L1", "b": 3},
-            {"id": "L2", "b": 3},
-            {"id": "L3", "b": 3},
-        ],
-        "edges": [["C", "L1"], ["C", "L2"], ["C", "L3"]],
-    }
-)
-D4 = json.dumps(
-    {
-        "vertices": [
-            {"id": "C", "b": 2},
-            {"id": "L1", "b": 2},
-            {"id": "L2", "b": 2},
-            {"id": "L3", "b": 2},
-        ],
-        "edges": [["C", "L1"], ["C", "L2"], ["C", "L3"]],
-    }
-)
-NOT_RATIONAL = json.dumps(
-    {
-        "vertices": [
-            {"id": "C", "b": 2},
-            {"id": "L1", "b": 3},
-            {"id": "L2", "b": 3},
-            {"id": "L3", "b": 3},
-            {"id": "L4", "b": 3},
-        ],
-        "edges": [["C", "L1"], ["C", "L2"], ["C", "L3"], ["C", "L4"]],
-    }
-)
 
 
 def write(tmp_path, text, name="graph.json"):
@@ -80,7 +46,7 @@ def test_exit_code_table_is_fixed():
 
 
 def test_analyze_ok(tmp_path, capsys):
-    code, out = run(capsys, ["analyze", write(tmp_path, STAR)])
+    code, out = run(capsys, ["analyze", write(tmp_path, STAR_JSON)])
     assert code == 0
     assert "multiplicity: 6" in out
     assert "T^3 = 30" in out
@@ -91,7 +57,7 @@ def test_analyze_ok(tmp_path, capsys):
 
 
 def test_analyze_json_matches_human_output(tmp_path, capsys):
-    path = write(tmp_path, STAR)
+    path = write(tmp_path, STAR_JSON)
     code, human = run(capsys, ["analyze", path])
     assert code == 0
     code, raw = run(capsys, ["analyze", path, "--json"])
@@ -114,7 +80,7 @@ def test_analyze_json_matches_human_output(tmp_path, capsys):
 
 
 def test_analyze_is_deterministic(tmp_path, capsys):
-    path = write(tmp_path, STAR)
+    path = write(tmp_path, STAR_JSON)
     _, first = run(capsys, ["analyze", path, "--json"])
     _, second = run(capsys, ["analyze", path, "--json"])
     assert first == second
@@ -166,19 +132,19 @@ def test_analyze_file_that_is_not_utf8(tmp_path, capsys):
 
 
 def test_analyze_rejects_small_max_i(tmp_path, capsys):
-    code, out = run(capsys, ["analyze", write(tmp_path, STAR), "--max-i", "2"])
+    code, out = run(capsys, ["analyze", write(tmp_path, STAR_JSON), "--max-i", "2"])
     assert code == 2
 
 
 def test_analyze_not_rational(tmp_path, capsys):
-    code, out = run(capsys, ["analyze", write(tmp_path, NOT_RATIONAL)])
+    code, out = run(capsys, ["analyze", write(tmp_path, FOUR_LEAF_B3_JSON)])
     assert code == 3
     assert "rational: no (p_a(Z) = 1)" in out
     assert "status: not-rational" in out
 
 
 def test_analyze_not_applicable(tmp_path, capsys):
-    code, out = run(capsys, ["analyze", write(tmp_path, D4)])
+    code, out = run(capsys, ["analyze", write(tmp_path, D4_JSON)])
     assert code == 4
     assert "multiplicity: 2" in out
     assert "status: not-applicable" in out
@@ -562,10 +528,10 @@ def test_blow_up_towers_past_the_tree_budget_exit_5(tmp_path, capsys):
 def test_analyze_of_a_file_past_the_byte_cap_exits_5(tmp_path, capsys, monkeypatch):
     # the file is not read past the cap, and the check counts bytes
     big = tmp_path / "big.json"
-    big.write_bytes(STAR.encode("utf-8") + b" " * cli.MAX_GRAPH_BYTES)
+    big.write_bytes(STAR_JSON.encode("utf-8") + b" " * cli.MAX_GRAPH_BYTES)
     assert_budget_exceeded(capsys, str(big), "graph file is larger than 2000000 bytes")
     # at the cap exactly the file is read; one byte more is refused, before decoding
-    text = STAR[:-1] + ', "\u00e9": 1}'
+    text = STAR_JSON[:-1] + ', "\u00e9": 1}'
     size = len(text.encode("utf-8"))
     monkeypatch.setattr(cli, "MAX_GRAPH_BYTES", size)
     path = write(tmp_path, text)
@@ -573,12 +539,12 @@ def test_analyze_of_a_file_past_the_byte_cap_exits_5(tmp_path, capsys, monkeypat
     assert (code, json.loads(raw)["error_code"]) == (2, "unknown-field")
     monkeypatch.setattr(cli, "MAX_GRAPH_BYTES", size - 1)
     assert_budget_exceeded(capsys, path, "graph file is larger than %d bytes" % (size - 1))
-    monkeypatch.setattr(cli, "MAX_GRAPH_BYTES", len(STAR))
-    assert run(capsys, ["analyze", write(tmp_path, STAR)])[0] == 0
+    monkeypatch.setattr(cli, "MAX_GRAPH_BYTES", len(STAR_JSON))
+    assert run(capsys, ["analyze", write(tmp_path, STAR_JSON)])[0] == 0
     # files around the size of the first read are read whole
     monkeypatch.undo()
     for size in ((1 << 16) - 1, 1 << 16, (1 << 16) + 1):
-        assert run(capsys, ["analyze", write(tmp_path, STAR + " " * (size - len(STAR)))])[0] == 0
+        assert run(capsys, ["analyze", write(tmp_path, STAR_JSON + " " * (size - len(STAR_JSON)))])[0] == 0
 
 
 def test_analyze_reads_line_endings_as_text_mode_does(tmp_path, capsys):
@@ -590,8 +556,8 @@ def test_analyze_reads_line_endings_as_text_mode_does(tmp_path, capsys):
         path = tmp_path / "graph.json"
         path.write_bytes(bad.replace("\n", newline).encode("utf-8"))
         assert run(capsys, ["analyze", str(path)]) == want
-    path.write_bytes(STAR.replace(", ", ",\r\n").encode("utf-8"))
-    assert run(capsys, ["analyze", str(path)]) == run(capsys, ["analyze", write(tmp_path, STAR)])
+    path.write_bytes(STAR_JSON.replace(", ", ",\r\n").encode("utf-8"))
+    assert run(capsys, ["analyze", str(path)]) == run(capsys, ["analyze", write(tmp_path, STAR_JSON)])
 
 
 def reference_loop():
@@ -737,8 +703,8 @@ PINNED_RUNS = [
 
 def test_cli_output_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name, text in (("star.json", STAR), ("non-reduced.json", NON_REDUCED), ("d4.json", D4),
-                       ("not-rational.json", NOT_RATIONAL), ("broken.json", "{broken"),
+    for name, text in (("star.json", STAR_JSON), ("non-reduced.json", NON_REDUCED), ("d4.json", D4_JSON),
+                       ("not-rational.json", FOUR_LEAF_B3_JSON), ("broken.json", "{broken"),
                        ("y125.json", y_tower_json(125))):
         write(tmp_path, text, name)
     (tmp_path / "latin1.json").write_bytes(b'{"vertices": [{"id": "\xe9"}]}')
@@ -757,6 +723,45 @@ def test_cli_output_bytes_are_pinned(tmp_path, capsys, monkeypatch):
         1, "c1c6d4079b2067d1aa0e88cd9657909ad5ab8028dc0eeb97fa01962e44c9766a")
     assert digest(["oracle", "--m", "2", "--k", "3", "--json"]) == (
         1, "62e25926f5a6f16598a4045f7d0ee27fbf2b3e59f4a90a1de62d1e925bc669dd")
+
+
+# (argv, (module, constant, lowered value) or None, exit code, SHA-256 of the
+# human output, of the --json output): each refusal that main maps from a
+# GraphError or a BudgetError, pinned as PINNED_RUNS is
+REFUSAL_RUNS = [
+    (["analyze", "four-leaf-b2.json"], None, 2,
+     "e4cef23bde87faaf6244c3b124b955c4ee6da84a78010327337d3aa782852c4c",
+     "bd148a7dc96ad17898fe98fb800570fb045799f8f6e48c2e86181599039515f4"),
+    (["analyze", "cone12.json", "--max-i", "5000"], None, 5,
+     "678f2412d2e2552b16184b6ca405b9def357a290eb0d6ee2ec9bf7c3825b0fd6",
+     "f65a2120f5f9c3efc2296a85ecee5ebb73c8d2adf0fab8bc2ee3b00dbe5bfc13"),
+    (["analyze", "d4.json"], (resgraph, "LOOP_BUDGET", 2), 5,
+     "d3f41151f1f4409bbd17dbdebe6fe49fe50dd9a27115903fc99c16b32d072889",
+     "20cb2a3dba832f368da2b5f42babb18d52b7a28d5dc4ac03954029689643ef74"),
+    (["analyze", "star.json"], (cli, "MAX_GRAPH_BYTES", 100), 5,
+     "2bfadd08cf355e74dbe5a8e104549a3800f037075516b6dc1689765c9af786ad",
+     "f13ae69c388f42bf1f8395a471bf9965f31183a617d5ced15b8f5215be3bb9f5"),
+    (["oracle", "--m", "2", "--k", "11", "--hochschild"], None, 5,
+     "a48ccdebcb0ff6b14136970d80f9f4e3d9b9624ede09b81d596629bab032ea0b",
+     "ddd2f2412d13d80b0c6b64dc8bbd912db1ecfe2deebcc02b374931e986f89c50"),
+    (["oracle", "--m", "1", "--k", "30"], None, 5,
+     "1f7e72cd1982a973d49474bd680f35086ea2c9479dce502681c472fceaafc970",
+     "fc83f2a8edb585288394feba1d73e8f8243448f69f474311139c76718562dc80"),
+]
+
+
+def test_refusal_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in (("four-leaf-b2.json", FOUR_LEAF_B2_JSON), ("d4.json", D4_JSON),
+                       ("star.json", STAR_JSON), ("cone12.json", acceptance.cone_graph_json(12))):
+        write(tmp_path, text, name)
+    for argv, patch, code, human, as_json in REFUSAL_RUNS:
+        with monkeypatch.context() as m:
+            if patch is not None:
+                m.setattr(*patch)
+            for args, want in ((argv, human), (argv + ["--json"], as_json)):
+                out_code, out = run(capsys, args)
+                assert (out_code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, want), args
 
 
 def json_text(value):

@@ -22,9 +22,9 @@ from test_cli import y_tower_json
 ALLOWED = {0, 2, 3, 4, 5}
 
 FIXTURES = [text for _, text in acceptance.analysis_fixtures()] + [
-    acceptance.d4_graph_json(),
-    acceptance.four_leaf_b2_star_json(),
-    acceptance.four_leaf_b3_star_json(),
+    acceptance.D4_JSON,
+    acceptance.FOUR_LEAF_B2_JSON,
+    acceptance.FOUR_LEAF_B3_JSON,
     y_tower_json(20),  # a blow-up tower 21 levels deep
 ]
 

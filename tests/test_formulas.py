@@ -8,44 +8,18 @@ from collections import Counter
 
 import pytest
 
+from ratsurf.acceptance import (
+    CHAIN_JSON,
+    D4_JSON,
+    FOUR_LEAF_B3_JSON,
+    STAR_JSON,
+    graph_json,
+    obstruction_family_json,
+)
 from ratsurf.blowup import multiplicity_tree
 from ratsurf.formulas import analyze
 from ratsurf.resgraph import GraphError, ResolutionGraph, parse_graph
 from ratsurf.series import cone_tdim
-
-
-def graph_json(vertices, edges):
-    return json.dumps(
-        {
-            "vertices": [{"id": vid, "b": b} for vid, b in vertices],
-            "edges": [list(e) for e in edges],
-        }
-    )
-
-
-STAR = graph_json(
-    [("C", 3), ("L1", 3), ("L2", 3), ("L3", 3)],
-    [("C", "L1"), ("C", "L2"), ("C", "L3")],
-)
-CHAIN = graph_json([("E1", 3), ("E2", 2), ("E3", 3)], [("E1", "E2"), ("E2", "E3")])
-D4 = graph_json(
-    [("C", 2), ("L1", 2), ("L2", 2), ("L3", 2)],
-    [("C", "L1"), ("C", "L2"), ("C", "L3")],
-)
-NOT_RATIONAL = graph_json(
-    [("C", 2), ("L1", 3), ("L2", 3), ("L3", 3), ("L4", 3)],
-    [("C", "L1"), ("C", "L2"), ("C", "L3"), ("C", "L4")],
-)
-
-
-def family_json(k):
-    vertices = [("C", 2)] + [("K%d" % t, k) for t in (1, 2, 3)]
-    edges = [("C", "K%d" % t) for t in (1, 2, 3)]
-    for t in (1, 2, 3):
-        for j in range(1, k - 1):
-            vertices.append(("K%dL%d" % (t, j), 2))
-            edges.append(("K%d" % t, "K%dL%d" % (t, j)))
-    return graph_json(vertices, edges)
 
 
 def report_of(text):
@@ -64,53 +38,53 @@ def test_tdim_single_node_equals_cone_values():
 
 
 def test_tdim_fixture_values():
-    star = report_of(STAR).tdims
+    star = report_of(STAR_JSON).tdims
     assert (star[3], star[4]) == (30, 111)
-    assert list(report_of(CHAIN).tdims.values()) == [3, 9, 25, 67]
+    assert list(report_of(CHAIN_JSON).tdims.values()) == [3, 9, 25, 67]
     assert report_of(graph_json([("E0", 5)], [])).tdims[3] == 12
 
 
 def test_tdim_recursion_equals_flat_sum():
-    for text in (STAR, CHAIN, family_json(3), family_json(4), family_json(5)):
+    for text in (STAR_JSON, CHAIN_JSON, obstruction_family_json(3), obstruction_family_json(4), obstruction_family_json(5)):
         rep = report_of(text)
         assert rep.tdims == {i: recursive_sum(rep.tree, i) for i in range(3, 7)}
 
 
 def test_t2_report_values():
-    assert report_of(STAR).t2 == (15, True)
-    assert report_of(CHAIN).t2 == (3, True)
+    assert report_of(STAR_JSON).t2 == (15, True)
+    assert report_of(CHAIN_JSON).t2 == (3, True)
     assert report_of(graph_json([("E0", 6)], [])).t2 == (15, True)
     # non-reduced root: the sum is only a lower bound
-    assert report_of(family_json(3)).t2 == (8, False)
+    assert report_of(obstruction_family_json(3)).t2 == (8, False)
 
 
 def test_codim_report_values():
-    assert report_of(STAR).codim_ac == (3, True)
-    assert report_of(CHAIN).codim_ac == (1, True)
-    assert report_of(family_json(3)).codim_ac == (2, False)
+    assert report_of(STAR_JSON).codim_ac == (3, True)
+    assert report_of(CHAIN_JSON).codim_ac == (1, True)
+    assert report_of(obstruction_family_json(3)).codim_ac == (2, False)
 
 
 def test_reports_are_nonnegative():
-    for text in (STAR, CHAIN, family_json(3), family_json(4)):
+    for text in (STAR_JSON, CHAIN_JSON, obstruction_family_json(3), obstruction_family_json(4)):
         rep = report_of(text)
         assert rep.t2.value >= 0
         assert rep.codim_ac.value >= 0
 
 
 def test_gmd_check_values():
-    assert report_of(STAR).gmd == (7, 8, False)
-    assert report_of(CHAIN).gmd == (3, 5, False)
+    assert report_of(STAR_JSON).gmd == (7, 8, False)
+    assert report_of(CHAIN_JSON).gmd == (3, 5, False)
     assert report_of(graph_json([("E0", 4)], [])).gmd == (3, 3, True)
 
 
 def test_gmd_check_on_the_obstructed_family():
     # both sums come to 6k - 8, so the obstruction inequality is tight
     for k in (3, 4, 5):
-        assert report_of(family_json(k)).gmd == (6 * k - 8, 6 * k - 8, True)
+        assert report_of(obstruction_family_json(k)).gmd == (6 * k - 8, 6 * k - 8, True)
 
 
 def test_analyze_ok_report():
-    rep = analyze(parse_graph(STAR))
+    rep = analyze(parse_graph(STAR_JSON))
     assert rep.status == "ok"
     assert rep.mult == 6 and rep.reduced
     assert rep.tdims == {3: 30, 4: 111, 5: 462, 6: 1944}
@@ -120,14 +94,14 @@ def test_analyze_ok_report():
 
 
 def test_analyze_respects_imax():
-    rep = analyze(parse_graph(CHAIN), imax=4)
+    rep = analyze(parse_graph(CHAIN_JSON), imax=4)
     assert sorted(rep.tdims) == [3, 4]
     with pytest.raises(ValueError):
-        analyze(parse_graph(CHAIN), imax=2)
+        analyze(parse_graph(CHAIN_JSON), imax=2)
 
 
 def test_analyze_not_rational():
-    rep = analyze(parse_graph(NOT_RATIONAL))
+    rep = analyze(parse_graph(FOUR_LEAF_B3_JSON))
     assert rep.status == "not-rational"
     assert rep.cycle is not None
     assert rep.p_a == 1
@@ -135,7 +109,7 @@ def test_analyze_not_rational():
 
 
 def test_analyze_not_applicable():
-    rep = analyze(parse_graph(D4))
+    rep = analyze(parse_graph(D4_JSON))
     assert rep.status == "not-applicable"
     assert rep.mult == 2
     assert rep.tree is None and rep.tdims is None
@@ -156,7 +130,7 @@ def relabeled(text, rng):
 
 def test_analyze_is_invariant_under_relabeling():
     rng = random.Random(23)
-    for text in (STAR, CHAIN, family_json(3), family_json(4)):
+    for text in (STAR_JSON, CHAIN_JSON, obstruction_family_json(3), obstruction_family_json(4)):
         base = analyze(parse_graph(text))
         for _ in range(4):
             other = analyze(parse_graph(relabeled(text, rng)))

@@ -170,7 +170,8 @@ def test_analysis_report_defaults_the_optional_fields_to_none():
 
 def imported_roots(path: str) -> set:
     """The top-level module of every import statement in the file at path."""
-    tree = ast.parse(open(path, encoding="utf-8").read())
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
     roots = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
              for alias in node.names}
     roots |= {"." * node.level + (node.module or "").split(".")[0] for node in ast.walk(tree)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import json
 import random
 import time
 from fractions import Fraction
@@ -12,6 +11,7 @@ from heapq import heapify, heappop, heappush
 import pytest
 
 from ratsurf import resgraph
+from ratsurf.acceptance import CHAIN_JSON, D4_JSON, STAR_JSON, graph_json
 from ratsurf.resgraph import (
     Cycle,
     GRAPH_ERROR_CODES,
@@ -42,25 +42,7 @@ def multiplicity(g):
     return -z.self_intersection()
 
 
-def graph_json(vertices, edges):
-    return json.dumps(
-        {
-            "vertices": [{"id": vid, "b": b} for vid, b in vertices],
-            "edges": [list(e) for e in edges],
-        }
-    )
-
-
 CONE4 = graph_json([("E0", 4)], [])
-CHAIN = graph_json([("E1", 3), ("E2", 2), ("E3", 3)], [("E1", "E2"), ("E2", "E3")])
-STAR = graph_json(
-    [("C", 3), ("L1", 3), ("L2", 3), ("L3", 3)],
-    [("C", "L1"), ("C", "L2"), ("C", "L3")],
-)
-D4 = graph_json(
-    [("C", 2), ("L1", 2), ("L2", 2), ("L3", 2)],
-    [("C", "L1"), ("C", "L2"), ("C", "L3")],
-)
 A3 = graph_json([("E1", 2), ("E2", 2), ("E3", 2)], [("E1", "E2"), ("E2", "E3")])
 
 
@@ -289,7 +271,7 @@ def test_star_with_center_first_at_the_definiteness_boundary():
 
 
 def test_cycle_validation():
-    g = parse_graph(CHAIN)
+    g = parse_graph(CHAIN_JSON)
     with pytest.raises(ValueError):
         Cycle(g, {"E1": 1, "E2": 1})
     with pytest.raises(ValueError):
@@ -299,7 +281,7 @@ def test_cycle_validation():
 
 
 def test_cycle_pairings_by_hand():
-    g = parse_graph(CHAIN)
+    g = parse_graph(CHAIN_JSON)
     z = Cycle(g, {"E1": 2, "E2": 1, "E3": 1})
     # Z.E1 = -3*2 + 1, Z.E2 = -2 + 2 + 1, Z.E3 = -3 + 1
     assert z.pairings == [-5, 1, -2]
@@ -308,25 +290,25 @@ def test_cycle_pairings_by_hand():
 
 
 def test_is_reduced():
-    g = parse_graph(CHAIN)
+    g = parse_graph(CHAIN_JSON)
     assert is_reduced(Cycle(g, {"E1": 1, "E2": 1, "E3": 1}))
     assert not is_reduced(Cycle(g, {"E1": 2, "E2": 1, "E3": 1}))
 
 
 def test_fundamental_cycle_fixtures():
     assert fundamental_cycle(parse_graph(CONE4)).coefficients == {"E0": 1}
-    assert fundamental_cycle(parse_graph(CHAIN)).coefficients == {
+    assert fundamental_cycle(parse_graph(CHAIN_JSON)).coefficients == {
         "E1": 1,
         "E2": 1,
         "E3": 1,
     }
-    assert fundamental_cycle(parse_graph(STAR)).coefficients == {
+    assert fundamental_cycle(parse_graph(STAR_JSON)).coefficients == {
         "C": 1,
         "L1": 1,
         "L2": 1,
         "L3": 1,
     }
-    assert fundamental_cycle(parse_graph(D4)).coefficients == {
+    assert fundamental_cycle(parse_graph(D4_JSON)).coefficients == {
         "C": 2,
         "L1": 1,
         "L2": 1,
@@ -335,7 +317,7 @@ def test_fundamental_cycle_fixtures():
 
 
 def test_fundamental_cycle_is_antinef_and_positive():
-    for text in (CONE4, CHAIN, STAR, D4, A3):
+    for text in (CONE4, CHAIN_JSON, STAR_JSON, D4_JSON, A3):
         g = parse_graph(text)
         z = fundamental_cycle(g)
         assert all(a >= 1 for a in z.coefficients.values())
@@ -355,7 +337,7 @@ def laufer_with_random_increments(g, rng):
 
 def test_fundamental_cycle_is_independent_of_increment_order():
     rng = random.Random(17)
-    for text in (CONE4, CHAIN, STAR, D4, A3):
+    for text in (CONE4, CHAIN_JSON, STAR_JSON, D4_JSON, A3):
         g = parse_graph(text)
         want = fundamental_cycle(g).coefficients
         for _ in range(5):
@@ -395,7 +377,7 @@ def d_graph(n):
 
 def test_worklist_agrees_with_the_input_order_scan():
     rng = random.Random(23)
-    graphs = [parse_graph(text) for text in (CONE4, CHAIN, STAR, D4, A3)]
+    graphs = [parse_graph(text) for text in (CONE4, CHAIN_JSON, STAR_JSON, D4_JSON, A3)]
     # random trees as above, with (-1)-curves allowed so that Z gets large;
     # the indefinite ones are dropped at parse time
     for _ in range(1000):
@@ -434,10 +416,10 @@ def test_d_3000_fundamental_cycle_is_linear_time():
 
 def test_the_loop_ends_with_a_negative_pairing_on_definite_graphs():
     # D_4 needs one bump of its center; the others are decided at all ones
-    for text in (CONE4, CHAIN, STAR, D4, A3):
+    for text in (CONE4, CHAIN_JSON, STAR_JSON, D4_JSON, A3):
         z = fundamental_cycle(parse_graph(text))
         assert min(z.pairings) < 0 and z.self_intersection() < 0
-    assert fundamental_cycle(parse_graph(D4)).coefficients["C"] == 2
+    assert fundamental_cycle(parse_graph(D4_JSON)).coefficients["C"] == 2
 
 
 def test_the_loop_rejects_a_singular_form_where_every_pairing_is_zero():
@@ -544,15 +526,15 @@ def test_edges_view_equals_the_sorted_input_edges_on_multigraphs_and_components(
 
 def test_graphs_and_their_components_are_built_without_the_pivot_pass(monkeypatch):
     monkeypatch.setattr(resgraph, "is_negative_definite", None)
-    for text in (CONE4, CHAIN, D4, A3):
+    for text in (CONE4, CHAIN_JSON, D4_JSON, A3):
         parse_graph(text)
-    assert multiplicity_tree(parse_graph(STAR)).multiplicities() == [6, 3]
+    assert multiplicity_tree(parse_graph(STAR_JSON)).multiplicities() == [6, 3]
 
 
 def test_every_multiplicity_tree_node_has_a_minimal_cycle():
     rng = random.Random(43)
     nodes = 0
-    for g in [parse_graph(text) for text in (CONE4, CHAIN, STAR)] + random_trees(rng, 400):
+    for g in [parse_graph(text) for text in (CONE4, CHAIN_JSON, STAR_JSON)] + random_trees(rng, 400):
         z = fundamental_cycle(g)
         if arithmetic_genus(z) == 0 and -z.self_intersection() >= 3:
             for node in multiplicity_tree(g).iter_nodes():
@@ -562,7 +544,7 @@ def test_every_multiplicity_tree_node_has_a_minimal_cycle():
 
 
 def test_arithmetic_genus_values():
-    for text in (CONE4, CHAIN, STAR, D4, A3):
+    for text in (CONE4, CHAIN_JSON, STAR_JSON, D4_JSON, A3):
         g = parse_graph(text)
         assert arithmetic_genus(fundamental_cycle(g)) == 0
     bumpy = graph_json(
@@ -576,16 +558,16 @@ def test_arithmetic_genus_values():
 
 def test_multiplicity_values():
     assert multiplicity(parse_graph(CONE4)) == 4
-    assert multiplicity(parse_graph(CHAIN)) == 4
-    assert multiplicity(parse_graph(STAR)) == 6
-    assert multiplicity(parse_graph(D4)) == 2
+    assert multiplicity(parse_graph(CHAIN_JSON)) == 4
+    assert multiplicity(parse_graph(STAR_JSON)) == 6
+    assert multiplicity(parse_graph(D4_JSON)) == 2
     assert multiplicity(parse_graph(A3)) == 2
 
 
 def test_multiplicity_two_exactly_on_double_points():
     # -Z.Z >= 2 always; equality picks out the A_n / D_4 shapes here
-    rdp = {D4, A3}
-    for text in (CONE4, CHAIN, STAR, D4, A3):
+    rdp = {D4_JSON, A3}
+    for text in (CONE4, CHAIN_JSON, STAR_JSON, D4_JSON, A3):
         g = parse_graph(text)
         assert multiplicity(g) >= 2
         assert (multiplicity(g) == 2) == (text in rdp)
@@ -603,7 +585,7 @@ def test_multiplicity_requires_rationality():
 
 
 def test_graph_accessors():
-    g = parse_graph(CHAIN)
+    g = parse_graph(CHAIN_JSON)
     assert g.ids.index("E2") == 1
     assert g.b[g.ids.index("E3")] == 3
     assert g.neighbors(1) == {0: 1, 2: 1}
@@ -729,7 +711,7 @@ def assert_pairings_match_the_form(z):
 
 def test_cycle_pairings_by_index_equal_the_intersection_form():
     rng = random.Random(31)
-    graphs = [parse_graph(text) for text in (CONE4, CHAIN, STAR, D4, A3)] + random_trees(rng, 1000)
+    graphs = [parse_graph(text) for text in (CONE4, CHAIN_JSON, STAR_JSON, D4_JSON, A3)] + random_trees(rng, 1000)
     nodes = 0
     for g in graphs:
         z = fundamental_cycle(g)
@@ -776,7 +758,8 @@ def test_fill_budget_boundary_on_complete_graphs(monkeypatch):
 
 
 def test_resgraph_does_not_import_fractions():
-    tree = ast.parse(open(resgraph.__file__, encoding="utf-8").read())
+    with open(resgraph.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "json" in imported and "fractions" not in imported
