@@ -26,7 +26,13 @@ from .series import BudgetError
 
 
 class NotApplicableError(ValueError):
-    """The root singularity is a rational double point (multiplicity < 3)."""
+    """The root singularity is a rational double point (multiplicity < 3);
+    .cycle is its fundamental cycle and .mult that multiplicity."""
+
+    def __init__(self, message: str, cycle: Cycle, mult: int) -> None:
+        super().__init__(message)
+        self.cycle = cycle
+        self.mult = mult
 
 
 class MultiplicityTree(
@@ -107,15 +113,16 @@ def multiplicity_tree(g: ResolutionGraph) -> MultiplicityTree:
     """Tree of infinitely near singular points with multiplicity >= 3.
 
     Raises NotRationalError for non-rational input, NotApplicableError
-    when the root itself is a rational double point, and BudgetError for a
-    tree past resgraph.TREE_BUDGET.
+    when the root itself is a rational double point (each carries the root's
+    cycle), and BudgetError for a tree past resgraph.TREE_BUDGET.
     """
     z = fundamental_cycle(g)
-    if arithmetic_genus(z) != 0:
-        raise NotRationalError("the singularity is not rational")
+    p_a = arithmetic_genus(z)
+    if p_a != 0:
+        raise NotRationalError("the singularity is not rational", z, p_a)
     mult = -z.self_intersection()
     if mult <= 2:
         raise NotApplicableError(
-            "the singularity is a rational double point; the tree starts at multiplicity 3"
+            "the singularity is a rational double point; the tree starts at multiplicity 3", z, mult
         )
     return _build(z, mult, 1, [0])

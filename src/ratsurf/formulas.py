@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .blowup import NotApplicableError, multiplicity_tree
-from .resgraph import NotRationalError, ResolutionGraph, arithmetic_genus, fundamental_cycle, is_reduced
+from .resgraph import NotRationalError, ResolutionGraph, is_reduced
 from .series import check_digits, cone_tdim
 
 
@@ -54,7 +54,7 @@ class AnalysisReport(
 
 def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
     """Full dimension report for one graph; multiplicity_tree classifies
-    the root, and a refused root is reported from its fundamental cycle.
+    the root, and a refused root is reported from the cycle it carries.
 
     On a valid graph it raises only BudgetError, for a tree past
     resgraph.TREE_BUDGET or when the T^i values up to imax would exceed
@@ -65,13 +65,11 @@ def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
         raise ValueError("need imax >= 3")
     try:
         tree = multiplicity_tree(g)
-    except NotRationalError:
-        z = fundamental_cycle(g)
-        return AnalysisReport(status="not-rational", cycle=z, p_a=arithmetic_genus(z))
-    except NotApplicableError:
-        z = fundamental_cycle(g)
-        return AnalysisReport(status="not-applicable", cycle=z, p_a=0,
-                              mult=-z.self_intersection(), reduced=is_reduced(z))
+    except NotRationalError as e:
+        return AnalysisReport(status="not-rational", cycle=e.cycle, p_a=e.p_a)
+    except NotApplicableError as e:
+        return AnalysisReport(status="not-applicable", cycle=e.cycle, p_a=0,
+                              mult=e.mult, reduced=is_reduced(e.cycle))
     mults = tree.multiplicities()
     check_digits(max(mults), imax, len(mults))
     sum_d, sum_b = sum(d - 1 for d in mults), sum(b - 1 for b in g.b)

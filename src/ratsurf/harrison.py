@@ -36,10 +36,11 @@ word of its own shape kernel, which spans the same rows (see _shape_kernel).
 A cochain is a sparse dict keyed alpha * n**k + word: alpha is the value
 coordinate and the word is read in base n, first letter most significant
 (itertools.product order). One differential routine on these keys builds the
-Harrison and the Hochschild matrices, each eliminated once by qlinalg.Echelon.
-The word budget is checked for every degree a computation touches first; a
-dimension then reuses the ranks of d_(k-1) and d_k, each kept per process by
-structure constants, coefficient kind and degree.
+Harrison and the Hochschild matrices, each ranked once by SparseMatrix.rank,
+which peels the columns that own a row before qlinalg.Echelon eliminates the
+rest. The word budget is checked for every degree a computation touches
+first; a dimension then reuses the ranks of d_(k-1) and d_k, each kept per
+process by structure constants, coefficient kind and degree.
 
 A value coordinate alpha is silent when no product has a linear part and
 e_i . alpha = 0 for every i: the differential's interior terms come only from
@@ -189,19 +190,12 @@ TRIVIAL = CoefficientModule("trivial")
 REGULAR = CoefficientModule("regular")
 
 
-def _perm_sign(perm) -> int:
-    inv = 0
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def signed_shuffles(p: int, q: int) -> list:
     """All (p,q)-shuffles of {1..p+q} as (permutation tuple, sign).
 
-    The tuple s satisfies s[t-1] = s(t); there are C(p+q, p) of them.
+    The tuple s satisfies s[t-1] = s(t); there are C(p+q, p) of them. Each s(t)
+    of the first block exceeds exactly s(t) - t entries of the second, so the
+    sign is (-1)^sum(s(t) - t) over t = 1..p.
     """
     if p < 1 or q < 1:
         raise ValueError("need p, q >= 1")
@@ -210,8 +204,7 @@ def signed_shuffles(p: int, q: int) -> list:
     for first in itertools.combinations(range(1, total + 1), p):
         chosen = set(first)
         rest = tuple(x for x in range(1, total + 1) if x not in chosen)
-        perm = first + rest
-        out.append((perm, _perm_sign(perm)))
+        out.append((first + rest, -1 if (sum(first) - p * (p + 1) // 2) % 2 else 1))
     return out
 
 

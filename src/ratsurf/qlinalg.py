@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals, on one sparse integer elimination.
 
 Every rank and kernel in the package comes from Echelon, which keeps the
-reduced row echelon form of the rows added so far. A row is a sparse dict
-col -> value (or a dense sequence); it is cleared of denominators, reduced
-against the stored rows, made primitive with a positive pivot, and stored
-after the other rows are cleared at its pivot. No Fraction arithmetic happens
-inside, and a row that adds nothing costs one pass over its pivot entries.
+reduced row echelon form of the rows added so far; SparseMatrix.rank first
+peels the columns that own a row (the only nonzero entry of some row among
+the columns left), each of which adds 1 to the rank, and eliminates only the
+columns that remain. A row is a sparse dict col -> value (or a dense
+sequence); it is cleared of denominators, reduced against the stored rows,
+made primitive with a positive pivot, and stored after the other rows are
+cleared at its pivot. No Fraction arithmetic happens inside, and a row that
+adds nothing costs one pass over its pivot entries.
 
 Kernel bases come out in free-column normalized form: basis vector t has
 value 1 at its own free column and 0 at the free columns of the others. The
@@ -153,7 +156,37 @@ class SparseMatrix:
         self.columns = columns
 
     def rank(self) -> int:
-        return Echelon(self.columns).rank
+        """Rank over Q: peel the columns that own a row, then eliminate the rest.
+
+        A row whose only nonzero entry among the live columns lies in column j
+        puts j outside the span of the others, so j adds 1 to the rank and
+        leaves; its rows lose one live entry, and a row left with one certifies
+        that column in turn. A row's count and the sum of its live columns name
+        that column without a row index. What no row certifies goes to Echelon.
+        """
+        columns = self.columns
+        count, total = {}, {}
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                if x:
+                    count[i] = count.get(i, 0) + 1
+                    total[i] = total.get(i, 0) + j
+        todo = [i for i, c in count.items() if c == 1]
+        peeled = set()
+        while todo:
+            i = todo.pop()
+            if count[i] != 1:  # its column left through another row
+                continue
+            j = total[i]
+            peeled.add(j)
+            for r, x in columns[j].items():
+                if x:
+                    count[r] -= 1
+                    total[r] -= j
+                    if count[r] == 1:
+                        todo.append(r)
+        rest = [col for j, col in enumerate(columns) if col and j not in peeled]
+        return len(peeled) + Echelon(rest).rank
 
     def kernel_basis(self) -> list:
         """Right kernel as sparse dicts, free-column normalized (see module doc)."""

@@ -72,7 +72,13 @@ class GraphError(ValueError):
 
 
 class NotRationalError(ValueError):
-    """The singularity is not rational, so multiplicity-tree methods do not apply."""
+    """The singularity is not rational, so multiplicity-tree methods do not apply;
+    .cycle is its fundamental cycle and .p_a > 0 that cycle's arithmetic genus."""
+
+    def __init__(self, message: str, cycle: Cycle, p_a: int) -> None:
+        super().__init__(message)
+        self.cycle = cycle
+        self.p_a = p_a
 
 
 class ResolutionGraph:

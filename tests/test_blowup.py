@@ -9,7 +9,14 @@ from collections import Counter
 import pytest
 
 from ratsurf import blowup, formulas, resgraph
-from ratsurf.acceptance import CHAIN_JSON, D4_JSON, STAR_JSON, graph_json, obstruction_family_json
+from ratsurf.acceptance import (
+    CHAIN_JSON,
+    D4_JSON,
+    FOUR_LEAF_B3_JSON,
+    STAR_JSON,
+    graph_json,
+    obstruction_family_json,
+)
 from ratsurf.blowup import (
     MultiplicityTree,
     NotApplicableError,
@@ -167,16 +174,21 @@ def test_tree_rejects_non_rational_input():
         [("C", 2), ("L1", 3), ("L2", 3), ("L3", 3), ("L4", 3)],
         [("C", "L1"), ("C", "L2"), ("C", "L3"), ("C", "L4")],
     )
-    with pytest.raises(NotRationalError):
-        multiplicity_tree(parse_graph(bumpy))
+    g = parse_graph(bumpy)
+    with pytest.raises(NotRationalError) as refused:
+        multiplicity_tree(g)
+    assert refused.value.cycle is fundamental_cycle(g)
+    assert refused.value.p_a == arithmetic_genus(fundamental_cycle(g)) > 0
 
 
 def test_tree_rejects_double_points():
-    with pytest.raises(NotApplicableError):
-        multiplicity_tree(parse_graph(D4_JSON))
     a1 = graph_json([("E0", 2)], [])
-    with pytest.raises(NotApplicableError):
-        multiplicity_tree(parse_graph(a1))
+    for text in (D4_JSON, a1):
+        g = parse_graph(text)
+        with pytest.raises(NotApplicableError) as refused:
+            multiplicity_tree(g)
+        assert refused.value.cycle is fundamental_cycle(g)
+        assert refused.value.mult == -fundamental_cycle(g).self_intersection() == 2
 
 
 def test_tree_from_a_given_root_cycle_equals_the_tree_it_builds():
@@ -261,7 +273,8 @@ def count_work(monkeypatch, text):
         return out
 
     for module in (resgraph, blowup, formulas):
-        monkeypatch.setattr(module, "fundamental_cycle", cycle)
+        if hasattr(module, "fundamental_cycle"):  # every namespace that could call it
+            monkeypatch.setattr(module, "fundamental_cycle", cycle)
     monkeypatch.setattr(blowup, "blowup_components", comps)
     monkeypatch.setattr(ResolutionGraph, "__init__", init)
     g = parse_graph(text)
@@ -270,17 +283,22 @@ def count_work(monkeypatch, text):
 
 
 @pytest.mark.parametrize(
-    "text, dropped",
-    [(STAR_JSON, 0), (CHAIN_JSON, 1), (obstruction_family_json(4), 0)],
-    ids=["star-6-3", "chain-323", "family-k4"],
+    "text, status, dropped",
+    [(STAR_JSON, "ok", 0), (CHAIN_JSON, "ok", 1), (obstruction_family_json(4), "ok", 0),
+     (FOUR_LEAF_B3_JSON, "not-rational", None), (D4_JSON, "not-applicable", None)],
+    ids=["star-6-3", "chain-323", "family-k4", "four-leaf-b3", "d4"],
 )
-def test_analyze_computes_each_fundamental_cycle_once(monkeypatch, text, dropped):
+def test_analyze_computes_each_fundamental_cycle_once(monkeypatch, text, status, dropped):
     report, cycles, g, components = count_work(monkeypatch, text)
-    assert report.status == "ok"
-    assert components and sum(n.dropped_rdp_count for n in report.tree.iter_nodes()) == dropped
+    assert report.status == status
+    if status == "ok":
+        assert components and sum(n.dropped_rdp_count for n in report.tree.iter_nodes()) == dropped
+    else:
+        assert not components
     assert cycles[id(g)] == 1
     assert all(cycles[id(c)] == 1 for c in components)
     assert sum(cycles.values()) == cycles[id(g)] + len(components)
+    assert report.cycle is fundamental_cycle(g)  # the module's own binding, uncounted
 
 
 def tree_weight(tree):

@@ -42,7 +42,7 @@ from ratsurf import harrison, qlinalg
 from ratsurf.cli import main
 from ratsurf.qlinalg import Echelon, SparseMatrix
 from ratsurf.series import fatpoint_tdim, shuffle_dim
-from test_qlinalg import reference_kernel
+from test_qlinalg import reference_kernel, row_dicts
 
 
 def _vec(n, entries=()):
@@ -127,19 +127,26 @@ def test_coefficient_module_kinds():
         CoefficientModule("bogus")
 
 
+def inversion_sign(perm):
+    """(-1)^(number of pairs a < b with perm[a] > perm[b])."""
+    inversions = sum(x > y for a, x in enumerate(perm) for y in perm[a + 1:])
+    return -1 if inversions % 2 else 1
+
+
 def test_signed_shuffles_counts_and_signs():
     assert signed_shuffles(1, 1) == [((1, 2), 1), ((2, 1), -1)]
     import math
 
-    for p in range(1, 4):
-        for q in range(1, 4):
+    for p in range(1, 10):
+        for q in range(1, 11 - p):
             shuffles = signed_shuffles(p, q)
             assert len(shuffles) == math.comb(p + q, p)
             perms = [perm for perm, _ in shuffles]
             assert len(set(perms)) == len(perms)
-            for perm, _ in shuffles:
+            for perm, sign in shuffles:
                 assert list(perm[:p]) == sorted(perm[:p])
                 assert list(perm[p:]) == sorted(perm[p:])
+                assert sign == inversion_sign(perm), (p, q, perm)
     with pytest.raises(ValueError):
         signed_shuffles(0, 2)
 
@@ -356,8 +363,13 @@ def _within_default_budget(m, k):
     return True
 
 
+def fat_points_in_budget():
+    """Every (m, k) whose Harrison degree k fits the default budget."""
+    return [(m, k) for m in range(1, 40) for k in range(1, 12) if _within_default_budget(m, k)]
+
+
 def test_brute_force_equals_the_closed_form_for_every_fat_point_in_budget():
-    pairs = [(m, k) for m in range(1, 40) for k in range(1, 12) if _within_default_budget(m, k)]
+    pairs = fat_points_in_budget()
     # the ranges reach past the budget in m and in k, so no pair is left out
     assert not _within_default_budget(39, 1) and not _within_default_budget(1, 11)
     checked = 0
@@ -369,6 +381,21 @@ def test_brute_force_equals_the_closed_form_for_every_fat_point_in_budget():
             assert harrison_dim(algebra, REGULAR, k + 1) == fatpoint_tdim(m, k), (m, k)
             checked += 1
     assert checked == 104
+
+
+def test_every_coboundary_in_budget_ranks_alike_with_and_without_the_peel():
+    # every fat point with m^(k+1) within the default budget, both complexes and both
+    # coefficient kinds: the peeled rank equals elimination of the columns and of the rows
+    pairs = fat_points_in_budget()
+    checked = 0
+    for m, k in pairs:
+        algebra = make_fat_point(m)
+        for module in (TRIVIAL, REGULAR):
+            for matrix in (coboundary_matrix(algebra, module, k), _full_coboundary(algebra, module, k)):
+                want = Echelon(matrix.columns).rank
+                assert matrix.rank() == want == Echelon(row_dicts(matrix.columns)).rank, (m, k, module)
+                checked += 1
+    assert checked == 4 * len(pairs) == 284
 
 
 def test_zero_map_check_on_small_fat_points():
@@ -628,7 +655,8 @@ def test_differential_matches_the_tuple_keyed_reference():
 
 
 def reference_harrison_dim(algebra, module, k):
-    """Harrison columns from the tuple-keyed differential, read off by coords_of."""
+    """Harrison columns from the tuple-keyed differential, read off by coords_of,
+    ranked by Echelon alone, without SparseMatrix.rank's peel."""
     n = algebra.n
 
     def rank(d):
@@ -636,7 +664,7 @@ def reference_harrison_dim(algebra, module, k):
         cod = CochainSpace(algebra, module, d + 1)
         columns = [cod.coords_of(encode(reference_differential(
             algebra, module, d, decode(dom.functional(idx), n, d)), n, d + 1)) for idx in range(dom.dim)]
-        return SparseMatrix(cod.dim, dom.dim, columns).rank(), dom.dim
+        return Echelon(columns).rank, dom.dim
 
     outgoing, dim = rank(k)
     return dim - outgoing - (0 if k == 1 else rank(k - 1)[0])
@@ -645,8 +673,8 @@ def reference_harrison_dim(algebra, module, k):
 def test_dimensions_match_the_tuple_keyed_reference():
     for a, module, k in differential_fixtures():
         full = reference_full_coboundary(a, module, k)
-        ref_out = full.cols - full.rank()
-        ref_in = 0 if k == 1 else reference_full_coboundary(a, module, k - 1).rank()
+        ref_out = full.cols - Echelon(full.columns).rank
+        ref_in = 0 if k == 1 else Echelon(reference_full_coboundary(a, module, k - 1).columns).rank
         assert hochschild_dim(a, module, k) == ref_out - ref_in, (a.n, module, k)
         assert harrison_dim(a, module, k) == reference_harrison_dim(a, module, k), (a.n, module, k)
 
@@ -1085,10 +1113,9 @@ def test_skipped_columns_equal_the_computed_ones():
         ndom = module.dim(a) * a.n ** k
         full_columns = [apply_differential(a, k, {key: 1}, acts) for key in range(ndom)]
         assert _full_coboundary(a, module, k).columns == full_columns, (a.n, module, k)
-        for hochschild, rows, columns in ((False, cod.dim, harrison_columns),
-                                          (True, module.dim(a) * a.n ** (k + 1), full_columns)):
+        for hochschild, columns in ((False, harrison_columns), (True, full_columns)):
             cold_rank_cache()
-            want = SparseMatrix(rows, len(columns), columns).rank()
+            want = Echelon(columns).rank
             assert harrison._rank(a, module, hochschild, k, None) == want, (a.n, module, hochschild, k)
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from ratsurf import qlinalg
 from ratsurf.qlinalg import Echelon, QMatrix, SparseMatrix, as_fraction
 
 
@@ -391,3 +392,90 @@ def test_kernel_entries_are_ints_exactly_when_the_pivot_divides():
                 assert (type(x) is int) == (ref[j].denominator == 1), (rows, j, x)
                 seen.add(type(x))
     assert seen == {int, Fraction}
+
+
+# ----- SparseMatrix.rank peels the columns that own a row --------------------
+
+def peel_case(rng):
+    """Sparse columns mixing every case the peel must get right: a staircase
+    that opens one singleton row at a time, Fraction values, explicit int and
+    Fraction zeros, empty, repeated and rescaled columns, and columns that are
+    sums of others, whose rows cancel only under elimination."""
+    nrows = rng.randint(1, 10)
+    rows = list(range(nrows))
+    rng.shuffle(rows)
+    columns = []
+    # column t is nonzero on rows[0..t]: rows[t] is a singleton only once
+    # the columns after t have been peeled
+    for t in range(rng.randint(0, nrows)):
+        columns.append({rows[s]: rng.choice([1, -2, 3, Fraction(1, 2)]) for s in range(t + 1)})
+    for _ in range(rng.randint(0, 4)):
+        columns.append({i: rng.choice([1, -1, 2, Fraction(-3, 4)]) for i in rng.sample(rows, rng.randint(1, min(3, nrows)))})
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(["empty", "zeros", "repeat", "sum"])
+        if kind == "empty" or not columns:
+            columns.append({})
+        elif kind == "zeros":
+            columns.append({i: rng.choice([0, Fraction(0)]) for i in rng.sample(rows, rng.randint(1, nrows))})
+        elif kind == "repeat":
+            scale = rng.choice([1, -1, Fraction(2, 3)])
+            columns.append({i: scale * x for i, x in rng.choice(columns).items()})
+        else:
+            a, b = rng.choice(columns), rng.choice(columns)
+            columns.append({i: a.get(i, 0) + b.get(i, 0) for i in set(a) | set(b)})
+    for col in columns:  # explicit zeros next to the nonzero entries
+        for i in rng.sample(rows, rng.randint(0, min(2, nrows))):
+            col.setdefault(i, rng.choice([0, Fraction(0)]))
+    rng.shuffle(columns)
+    return nrows, columns
+
+
+def row_dicts(columns):
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = x
+    return list(rows.values())
+
+
+def record_eliminations(monkeypatch):
+    """The number of rows each Echelon that qlinalg builds is handed, in order."""
+    sizes = []
+
+    def echelon(rows=()):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return Echelon(rows)
+
+    monkeypatch.setattr(qlinalg, "Echelon", echelon)
+    return sizes
+
+
+def test_sparse_rank_equals_elimination_and_the_transpose(monkeypatch):
+    sizes = record_eliminations(monkeypatch)
+    rng = random.Random(18)
+    for _ in range(400):
+        nrows, columns = peel_case(rng)
+        want = Echelon(columns).rank
+        assert SparseMatrix(nrows, len(columns), columns).rank() == want, columns
+        assert Echelon(row_dicts(columns)).rank == want
+        dense_rows = transpose([_sparse_to_dense(col, nrows) for col in columns])
+        assert len(reference_echelon(dense_rows, len(columns))[1]) == want
+    # some ranks came from the peel alone, and others needed elimination
+    assert len(sizes) == 400 and 0 in sizes and max(sizes) > 1
+
+
+def test_the_peel_counts_only_nonzero_entries(monkeypatch):
+    assert SparseMatrix(1, 1, [{0: 0}]).rank() == 0
+    assert SparseMatrix(2, 2, [{0: Fraction(0), 1: 0}, {}]).rank() == 0
+    sizes = record_eliminations(monkeypatch)
+    # a zero at row 1 does not hide that row 1 is a singleton of the second column
+    assert SparseMatrix(2, 2, [{0: 1, 1: 0}, {1: Fraction(5, 2)}]).rank() == 2
+    # a staircase peels completely, one row at a time from its last
+    n = 6
+    staircase = [{i: i + t + 1 for i in range(t + 1)} for t in range(n)]
+    assert SparseMatrix(n, n, staircase).rank() == n
+    assert sizes == [0, 0]
+    # equal columns own no row: both go to elimination
+    assert SparseMatrix(2, 2, [{0: 1, 1: 2}, {0: 1, 1: 2}]).rank() == 1
+    assert sizes[-1] == 2

@@ -38,7 +38,7 @@ def multiplicity(g):
     """Multiplicity of a rational singularity: -Z.Z for the fundamental cycle."""
     z = fundamental_cycle(g)
     if arithmetic_genus(z) != 0:
-        raise NotRationalError("multiplicity formula needs a rational singularity")
+        raise NotRationalError("multiplicity formula needs a rational singularity", z, arithmetic_genus(z))
     return -z.self_intersection()
 
 
