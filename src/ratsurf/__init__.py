@@ -37,7 +37,6 @@ _EXPORTS = {
         "fatpoint_tdim",
     ),
     "harrison": (
-        "FiniteLocalAlgebra",
         "CoefficientModule",
         "CochainSpace",
         "TRIVIAL",

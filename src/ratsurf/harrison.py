@@ -1,17 +1,19 @@
-"""Brute-force Harrison and Hochschild cohomology of finite commutative algebras.
+"""Brute-force Harrison and Hochschild cohomology of fat points.
 
-The algebra is A = Q*1 (+) V with V spanned by e_1..e_n and the products
-e_i e_j given by structure constants (a scalar part along 1 plus a linear
-part in V). Reduced cochains in degree k are multilinear maps on A that
-vanish whenever an argument is 1, so they are determined by their values on
-basis words (i_1..i_k) from V; coefficients are either the residue field
-(V acts as zero) or A itself with its multiplication.
+The m-dimensional fat point is A = Q*1 (+) V with V spanned by e_1..e_m and
+every product e_i e_j zero. Reduced cochains in degree k are multilinear
+maps on A that vanish whenever an argument is 1, so they are determined by
+their values on basis words (i_1..i_k) from V; coefficients are either the
+residue field (V acts as zero) or A itself with its multiplication.
 
 Differential, written on a k-cochain f evaluated at k+1 arguments:
 
     (d f)(a_0,..,a_k) = a_0 f(a_1,..,a_k)
                         + sum_{j=1..k} (-1)^j f(a_0,..,a_{j-1} a_j,..,a_k)
                         + (-1)^(k+1) a_k f(a_0,..,a_{k-1})
+
+On basis words every interior product a_{j-1} a_j is zero, so only the two
+outer terms are left.
 
 Shuffle convention: a permutation s of {1..p+q} is a (p,q)-shuffle when
 s(1) < ... < s(p) and s(p+1) < ... < s(p+q); it moves the tensor slot t to
@@ -40,14 +42,14 @@ Harrison and the Hochschild matrices, each ranked once by SparseMatrix.rank,
 which peels the columns that own a row before qlinalg.Echelon eliminates the
 rest. The word budget is checked for every degree a computation touches
 first; a dimension then reuses the ranks of d_(k-1) and d_k, each kept per
-process by structure constants, coefficient kind and degree.
+process by m, coefficient kind and degree.
 
-A value coordinate alpha is silent when no product has a linear part and
-e_i . alpha = 0 for every i: the differential's interior terms come only from
-the linear parts and its outer terms only from the action on alpha, so every
-cochain with values in alpha has image zero. Its columns are empty without
-being computed, and a differential all of whose coordinates are silent (any
-fat point with trivial coefficients) has rank 0 without its codomain.
+A value coordinate alpha is silent when e_i . alpha = 0 for every i: the
+outer terms come only from the action on alpha, so every cochain with values
+in alpha has image zero. With trivial coefficients every coordinate is
+silent, and with regular ones every coordinate but the unit. A silent
+coordinate's columns are empty without being computed, and a differential
+all of whose coordinates are silent has rank 0 without its codomain.
 """
 
 from __future__ import annotations
@@ -58,100 +60,41 @@ from functools import lru_cache
 from math import log2
 from operator import itemgetter
 
-from .qlinalg import Echelon, SparseMatrix, as_exact
+from .qlinalg import Echelon, SparseMatrix
 from .series import BudgetError
 
 DEFAULT_BUDGET = 1500
 
 
-class FiniteLocalAlgebra:
-    """Commutative associative algebra Q*1 (+) span(e_1..e_n).
-
-    products[i][j] = (scalar, linear) encodes e_i e_j = scalar * 1 +
-    sum_v linear[v] e_v, indices 0-based. Each constant is stored as an int
-    when it is integral and as a Fraction otherwise. Commutativity and
-    associativity are checked on basis elements at construction time.
-    """
-
-    __slots__ = ("n", "products", "_expansions")
-
-    def __init__(self, products) -> None:
-        n = len(products)
-        table = []
-        for i in range(n):
-            if len(products[i]) != n:
-                raise ValueError("structure constant table must be square")
-            row = []
-            for j in range(n):
-                scalar, linear = products[i][j]
-                linear = tuple(as_exact(x) for x in linear)
-                if len(linear) != n:
-                    raise ValueError("linear part of e_%d e_%d has wrong length" % (i, j))
-                row.append((as_exact(scalar), linear))
-            table.append(tuple(row))
-        self.n = n
-        self.products = tuple(table)
-        for i in range(n):
-            for j in range(i):
-                if table[i][j] != table[j][i]:
-                    raise ValueError("structure constants are not commutative at (%d, %d)" % (i, j))
-        self._check_associativity()
-        # reverse index: which ordered products e_i e_j hit e_v, and with what weight
-        expansions = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for v, ccoef in enumerate(table[i][j][1]):
-                    if ccoef:
-                        expansions[v].append((i, j, ccoef))
-        self._expansions = tuple(tuple(e) for e in expansions)
-
-    def _mul_elem_basis(self, elem, k: int):
-        # elem = (scalar, vector); returns elem * e_k in the same form
-        scalar, vec = elem
-        out_s = 0
-        out_v = [0] * self.n
-        out_v[k] += scalar
-        for u, x in enumerate(vec):
-            if x:
-                s2, lin2 = self.products[u][k]
-                out_s += x * s2
-                for v, y in enumerate(lin2):
-                    if y:
-                        out_v[v] += x * y
-        return out_s, tuple(out_v)
-
-    def _check_associativity(self) -> None:
-        for i in range(self.n):
-            for j in range(self.n):
-                eij = self.products[i][j]
-                for k in range(self.n):
-                    left = self._mul_elem_basis(eij, k)
-                    # e_i (e_j e_k) = (e_j e_k) e_i by commutativity
-                    right = self._mul_elem_basis(self.products[j][k], i)
-                    if left != right:
-                        raise ValueError(
-                            "structure constants are not associative at (%d, %d, %d)" % (i, j, k)
-                        )
+def _need_int(name: str, x) -> None:
+    """Refuse a bool or a non-int, which would otherwise pass for a number."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError("%s must be an int, not %r" % (name, x))
 
 
-def make_fat_point(m: int) -> FiniteLocalAlgebra:
-    """The m-dimensional fat point: e_i e_j = 0 for all i, j.
+class FatPoint:
+    """The m-dimensional fat point Q*1 (+) span(e_1..e_m): every product e_i e_j is 0."""
 
-    Built directly: a zero table needs no O(m^5) associativity check.
-    """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    zero = (0, (0,) * m)
-    algebra = object.__new__(FiniteLocalAlgebra)
-    algebra.n, algebra.products, algebra._expansions = m, ((zero,) * m,) * m, ((),) * m
-    return algebra
+    __slots__ = ("n",)
+
+    def __init__(self, m: int) -> None:
+        _need_int("m", m)
+        if m < 1:
+            raise ValueError("need m >= 1")
+        self.n = m
+
+
+def make_fat_point(m: int) -> FatPoint:
+    """The m-dimensional fat point, the algebra every engine function takes."""
+    return FatPoint(m)
 
 
 class CoefficientModule:
     """Coefficients for the complexes: the residue field or the algebra itself.
 
     kind "trivial": values in Q, every e_i acts as zero.
-    kind "regular": values in A, basis 1, e_1, .., e_n, honest multiplication.
+    kind "regular": values in A, basis 1, e_1, .., e_n, where e_i . 1 = e_i
+    and e_i . e_j = 0.
     """
 
     __slots__ = ("kind",)
@@ -161,26 +104,8 @@ class CoefficientModule:
             raise ValueError("kind must be 'trivial' or 'regular'")
         self.kind = kind
 
-    def dim(self, algebra: FiniteLocalAlgebra) -> int:
+    def dim(self, algebra: FatPoint) -> int:
         return 1 if self.kind == "trivial" else algebra.n + 1
-
-    def act(self, algebra: FiniteLocalAlgebra, i: int, alpha: int):
-        """e_i . (value basis vector alpha) as [(beta, coefficient)].
-
-        Regular value basis: index 0 is the unit, index v+1 is e_v.
-        """
-        if self.kind == "trivial":
-            return []
-        if alpha == 0:
-            return [(i + 1, 1)]
-        scalar, linear = algebra.products[i][alpha - 1]
-        out = []
-        if scalar:
-            out.append((0, scalar))
-        for v, c in enumerate(linear):
-            if c:
-                out.append((v + 1, c))
-        return out
 
     def __repr__(self) -> str:
         return "CoefficientModule(%r)" % self.kind
@@ -223,15 +148,24 @@ def _far_over(n: int, k: int, cap: int) -> bool:
     return n > 1 and k > (max(cap.bit_length(), 13000) + 1) / log2(n)
 
 
-def _cap(budget: int | None) -> int:
-    """The word-space cap a budget argument sets: DEFAULT_BUDGET for None, else budget >= 1."""
+def _cap(budget: int | None, k: int) -> int:
+    """The word-space cap a budget argument sets: DEFAULT_BUDGET for None, else budget >= 1.
+
+    Every entry point calls it first, so it also refuses a degree k below 1,
+    and a k or budget that is a bool or not an int.
+    """
+    _need_int("k", k)
+    if budget is not None:
+        _need_int("budget", budget)
+    if k < 1:
+        raise ValueError("need k >= 1")
     cap = DEFAULT_BUDGET if budget is None else budget
     if cap < 1:
         raise ValueError("budget must be positive")
     return cap
 
 
-def _check_budget(n: int, degrees, budget: int | None) -> None:
+def _check_budget(n: int, degrees, cap: int) -> None:
     """Raise BudgetError, before any work, if some degree's word space n^k is over the cap.
 
     The shuffle constraints of one word number about 2^(k-1) (the splits
@@ -239,7 +173,6 @@ def _check_budget(n: int, degrees, budget: int | None) -> None:
     length and is never computed. It binds only for n = 1, since n^k >= 2^k
     otherwise.
     """
-    cap = _cap(budget)
     for k in degrees:
         if _far_over(n, k, cap):
             raise BudgetError("word space %d^%d exceeds budget %d" % (n, k, cap))
@@ -252,9 +185,9 @@ def _check_budget(n: int, degrees, budget: int | None) -> None:
 def check_budget(n: int, k: int, budget: int | None = None, hochschild: bool = False) -> None:
     """The up-front check of harrison_dim (word spaces n^k and n^(k+1)) or,
     with hochschild, of hochschild_dim (the full degree-k differential)."""
+    cap = _cap(budget, k)
     if not hochschild:
-        return _check_budget(n, (k, k + 1), budget)
-    cap = _cap(budget)
+        return _check_budget(n, (k, k + 1), cap)
     if _far_over(n, k + 1, cap) or n ** (k + 1) > cap:
         raise BudgetError("word space for the full degree-%d differential exceeds budget %d" % (k, cap))
 
@@ -356,11 +289,9 @@ class CochainSpace:
     is integral, Fractions only where it is not.
     """
 
-    def __init__(self, algebra: FiniteLocalAlgebra, module: CoefficientModule, k: int,
+    def __init__(self, algebra: FatPoint, module: CoefficientModule, k: int,
                  budget: int | None = None) -> None:
-        if k < 1:
-            raise ValueError("need degree k >= 1")
-        _check_budget(algebra.n, (k,), budget)
+        _check_budget(algebra.n, (k,), _cap(budget, k))
         self.value_dim = module.dim(algebra)
         self._words = algebra.n ** k
         blocks = _blocks(algebra.n, k)
@@ -398,23 +329,24 @@ class CochainSpace:
         return coords
 
 
-def _action_table(algebra: FiniteLocalAlgebra, module: CoefficientModule) -> list:
-    """acts[alpha] lists (i, beta, a) for every term a * beta of e_i . alpha."""
-    return [[(i, beta, a) for i in range(algebra.n) for beta, a in module.act(algebra, i, alpha)]
-            for alpha in range(module.dim(algebra))]
+def _action_table(algebra: FatPoint, module: CoefficientModule) -> list:
+    """acts[alpha] lists (i, beta, a) for every term a * beta of e_i . alpha:
+    e_i . 1 = e_i with regular coefficients, and every other action is 0."""
+    acts = [[] for _ in range(module.dim(algebra))]
+    if module.kind == "regular":
+        acts[0] = [(i, i + 1, 1) for i in range(algebra.n)]
+    return acts
 
 
-def apply_differential(algebra: FiniteLocalAlgebra, k: int, func: dict, acts: list) -> dict:
+def apply_differential(algebra: FatPoint, k: int, func: dict, acts: list) -> dict:
     """Apply the degree-k differential to a sparse reduced cochain.
 
     func and its image are keyed alpha * n**k + word in degrees k and k+1, and
     acts is the module's _action_table. Prefixing letter i to word x gives
-    i * n**k + x and suffixing x * n + i; an interior product e_i e_j is spliced
-    into the word, its scalar part vanishing in the reduced complex.
+    i * n**k + x and suffixing x * n + i; the interior terms are all zero.
     """
-    n, expansions = algebra.n, algebra._expansions
+    n = algebra.n
     size, big = n ** k, n ** (k + 1)
-    places = [n ** (k - 1 - t) for t in range(k)] if any(expansions) else ()
     last_sign = (-1) ** (k + 1)
     out = {}
     get = out.get
@@ -424,53 +356,42 @@ def apply_differential(algebra: FiniteLocalAlgebra, k: int, func: dict, acts: li
             first, last = beta * big + i * size + x, beta * big + x * n + i
             out[first] = get(first, 0) + c * a
             out[last] = get(last, 0) + last_sign * c * a
-        for t, place in enumerate(places):
-            head, letter, tail = x // (place * n), x // place % n, x % place
-            signed = -c if t % 2 == 0 else c
-            for i, j, coef in expansions[letter]:
-                u = alpha * big + ((head * n + i) * n + j) * place + tail
-                out[u] = get(u, 0) + signed * coef
     return {u: v for u, v in out.items() if v}
 
 
-def _silent(algebra: FiniteLocalAlgebra, acts: list) -> set:
-    """The value coordinates alpha whose cochains d maps to zero in every degree.
-
-    When no product has a linear part, apply_differential has no interior
-    terms, and its outer terms come from acts[alpha] alone.
-    """
-    if any(algebra._expansions):
-        return set()
+def _silent(acts: list) -> set:
+    """The value coordinates alpha whose cochains d maps to zero in every
+    degree: those on which every e_i acts as 0 (see the module doc)."""
     return {alpha for alpha, row in enumerate(acts) if not row}
 
 
-def coboundary_matrix(algebra: FiniteLocalAlgebra, module: CoefficientModule,
+def coboundary_matrix(algebra: FatPoint, module: CoefficientModule,
                       k: int, budget: int | None = None) -> SparseMatrix:
     """Matrix of the differential between shuffle-invariant spaces k -> k+1,
     in the CochainSpace bases, as sparse columns; a silent coordinate's are empty."""
     dom = CochainSpace(algebra, module, k, budget)
     cod = CochainSpace(algebra, module, k + 1, budget)
     acts = _action_table(algebra, module)
-    silent = _silent(algebra, acts)
+    silent = _silent(acts)
     columns = [{} if idx // dom.scalar_dim in silent
                else cod.coords_of(apply_differential(algebra, k, dom.functional(idx), acts))
                for idx in range(dom.dim)]
     return SparseMatrix(cod.dim, dom.dim, columns)
 
 
-_ranks = {}  # (structure constants, coefficient kind, hochschild, k) -> rank of d_k
+_ranks = {}  # (m, coefficient kind, hochschild, k) -> rank of d_k
 
 
-def _rank(algebra: FiniteLocalAlgebra, module: CoefficientModule, hochschild: bool,
+def _rank(algebra: FatPoint, module: CoefficientModule, hochschild: bool,
           k: int, budget: int | None) -> int:
     """Rank of d_k (0 for k = 0), once per process; call it only after the caller's budget check.
 
     When every value coordinate is silent (_silent), d_k is zero by
     construction: its rank is 0, and no space and no column is built.
     """
-    key = (algebra.products, module.kind, hochschild, k)
+    key = (algebra.n, module.kind, hochschild, k)
     if k and key not in _ranks:
-        if len(_silent(algebra, _action_table(algebra, module))) == module.dim(algebra):
+        if len(_silent(_action_table(algebra, module))) == module.dim(algebra):
             _ranks[key] = 0
         else:
             matrix = (_full_coboundary(algebra, module, k) if hochschild
@@ -479,31 +400,27 @@ def _rank(algebra: FiniteLocalAlgebra, module: CoefficientModule, hochschild: bo
     return _ranks.get(key, 0)
 
 
-def harrison_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
+def harrison_dim(algebra: FatPoint, module: CoefficientModule,
                  k: int, budget: int | None = None) -> int:
     """dim of degree-k Harrison cohomology (shuffle-invariant complex)."""
-    if k < 1:
-        raise ValueError("need k >= 1")
     check_budget(algebra.n, k, budget)
     cochains = module.dim(algebra) * sum(len(basis) for _, basis, _ in _blocks(algebra.n, k))
     return cochains - sum(_rank(algebra, module, False, d, budget) for d in (k - 1, k))
 
 
-def _full_coboundary(algebra: FiniteLocalAlgebra, module: CoefficientModule, k: int) -> SparseMatrix:
+def _full_coboundary(algebra: FatPoint, module: CoefficientModule, k: int) -> SparseMatrix:
     """Differential on all reduced cochains as sparse columns, numbered by key."""
     acts = _action_table(algebra, module)
-    silent, size = _silent(algebra, acts), algebra.n ** k
+    silent, size = _silent(acts), algebra.n ** k
     ndom = module.dim(algebra) * size
     columns = [{} if key // size in silent else apply_differential(algebra, k, {key: 1}, acts)
                for key in range(ndom)]
     return SparseMatrix(module.dim(algebra) * algebra.n ** (k + 1), ndom, columns)
 
 
-def hochschild_dim(algebra: FiniteLocalAlgebra, module: CoefficientModule,
+def hochschild_dim(algebra: FatPoint, module: CoefficientModule,
                    k: int, budget: int | None = None) -> int:
     """dim of degree-k Hochschild cohomology on the full reduced complex."""
-    if k < 1:
-        raise ValueError("need k >= 1")
     check_budget(algebra.n, k, budget, hochschild=True)
     cochains = module.dim(algebra) * algebra.n ** k
     return cochains - sum(_rank(algebra, module, True, d, budget) for d in (k - 1, k))
@@ -518,12 +435,12 @@ def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
     the residue-field complex. Returns the verdict; True means the induced
     map on cohomology is zero in this degree.
     """
+    algebra = make_fat_point(m)
     if m < 2:
         raise ValueError("need m >= 2")
+    check_budget(m, k, budget)
     if k < 2:
         raise ValueError("need k >= 2")
-    check_budget(m, k, budget)
-    algebra = make_fat_point(m)
     outgoing = coboundary_matrix(algebra, REGULAR, k, budget)
     triv = CochainSpace(algebra, TRIVIAL, k, budget)
     # the span of the degree-(k-1) image, eliminated once for every cocycle

@@ -43,14 +43,6 @@ def as_fraction(x) -> Rational:
     raise TypeError("exact scalar expected (int or Fraction), got %r" % (x,))
 
 
-def as_exact(x):
-    """Like as_fraction, but an integral value comes back as a plain int."""
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    x = as_fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 def _make_primitive(row: dict) -> None:
     g = gcd(*row.values())
     if g != 1:
