@@ -37,19 +37,17 @@ word of its own shape kernel, which spans the same rows (see _shape_kernel).
 
 A cochain is a sparse dict keyed alpha * n**k + word: alpha is the value
 coordinate and the word is read in base n, first letter most significant
-(itertools.product order). One differential routine on these keys builds the
+(itertools.product order). One differential routine, _image, builds the
 Harrison and the Hochschild matrices, each ranked once by SparseMatrix.rank,
 which peels the columns that own a row before qlinalg.Echelon eliminates the
 rest. The word budget is checked for every degree a computation touches
 first; a dimension then reuses the ranks of d_(k-1) and d_k, each kept per
 process by m, coefficient kind and degree.
 
-A value coordinate alpha is silent when e_i . alpha = 0 for every i: the
-outer terms come only from the action on alpha, so every cochain with values
-in alpha has image zero. With trivial coefficients every coordinate is
-silent, and with regular ones every coordinate but the unit. A silent
-coordinate's columns are empty without being computed, and a differential
-all of whose coordinates are silent has rank 0 without its codomain.
+The outer terms come only from the action on the values, and e_i . 1 = e_i
+is the only nonzero one. Trivial coefficients: the differential is the zero
+map, with rank 0 and no codomain built. Regular: only the unit coordinate's
+columns are nonempty.
 """
 
 from __future__ import annotations
@@ -282,11 +280,10 @@ def _blocks(n: int, k: int):
 class CochainSpace:
     """Shuffle-invariant reduced cochains of one degree, with explicit basis.
 
-    Basis functionals are indexed value-coordinate-major: functional
-    alpha * scalar_dim + t is the t-th scalar kernel vector placed in value
-    coordinate alpha. Functionals are sparse dicts keyed alpha * n**k + word,
-    holding the scalar kernel entries as they are: ints wherever the kernel
-    is integral, Fractions only where it is not.
+    Basis cochains are indexed value-coordinate-major: cochain
+    alpha * scalar_dim + t is the scalar kernel vector _vectors[t] (word ->
+    value: ints wherever the kernel is integral, Fractions only where it is
+    not) placed in value coordinate alpha, keyed alpha * n**k + word.
     """
 
     def __init__(self, algebra: FatPoint, module: CoefficientModule, k: int,
@@ -300,12 +297,6 @@ class CochainSpace:
         self._free = {fw: t for t, fw in enumerate(fw for _, _, free in blocks for fw in free)}
         self.scalar_dim = len(self._vectors)
         self.dim = self.value_dim * self.scalar_dim
-
-    def functional(self, idx: int) -> dict:
-        if not (0 <= idx < self.dim):
-            raise IndexError("functional index out of range")
-        alpha, t = divmod(idx, self.scalar_dim)
-        return {alpha * self._words + w: c for w, c in self._vectors[t].items()}
 
     def coords_of(self, func: dict) -> dict:
         """Coordinates {index: value} of a functional that lies in this space.
@@ -329,53 +320,34 @@ class CochainSpace:
         return coords
 
 
-def _action_table(algebra: FatPoint, module: CoefficientModule) -> list:
-    """acts[alpha] lists (i, beta, a) for every term a * beta of e_i . alpha:
-    e_i . 1 = e_i with regular coefficients, and every other action is 0."""
-    acts = [[] for _ in range(module.dim(algebra))]
-    if module.kind == "regular":
-        acts[0] = [(i, i + 1, 1) for i in range(algebra.n)]
-    return acts
+def _image(n: int, k: int, vec: dict) -> dict:
+    """The degree-k differential of the cochain vec (word -> value) in the unit coordinate.
 
-
-def apply_differential(algebra: FatPoint, k: int, func: dict, acts: list) -> dict:
-    """Apply the degree-k differential to a sparse reduced cochain.
-
-    func and its image are keyed alpha * n**k + word in degrees k and k+1, and
-    acts is the module's _action_table. Prefixing letter i to word x gives
-    i * n**k + x and suffixing x * n + i; the interior terms are all zero.
+    e_i . 1 = e_i is the only action, so the image lies in the coordinates
+    i + 1, keyed as in degree k+1: prefixing letter i to word w gives
+    i * n**k + w with +c and suffixing it gives w * n + i with (-1)^(k+1) c.
     """
-    n = algebra.n
     size, big = n ** k, n ** (k + 1)
     last_sign = (-1) ** (k + 1)
     out = {}
     get = out.get
-    for key, c in func.items():
-        alpha, x = divmod(key, size)
-        for i, beta, a in acts[alpha]:
-            first, last = beta * big + i * size + x, beta * big + x * n + i
-            out[first] = get(first, 0) + c * a
-            out[last] = get(last, 0) + last_sign * c * a
+    for w, c in vec.items():
+        for i in range(n):
+            first, last = (i + 1) * big + i * size + w, (i + 1) * big + w * n + i
+            out[first] = get(first, 0) + c
+            out[last] = get(last, 0) + last_sign * c
     return {u: v for u, v in out.items() if v}
-
-
-def _silent(acts: list) -> set:
-    """The value coordinates alpha whose cochains d maps to zero in every
-    degree: those on which every e_i acts as 0 (see the module doc)."""
-    return {alpha for alpha, row in enumerate(acts) if not row}
 
 
 def coboundary_matrix(algebra: FatPoint, module: CoefficientModule,
                       k: int, budget: int | None = None) -> SparseMatrix:
     """Matrix of the differential between shuffle-invariant spaces k -> k+1,
-    in the CochainSpace bases, as sparse columns; a silent coordinate's are empty."""
+    in the CochainSpace bases, as sparse columns; only the unit coordinate's are nonempty."""
     dom = CochainSpace(algebra, module, k, budget)
     cod = CochainSpace(algebra, module, k + 1, budget)
-    acts = _action_table(algebra, module)
-    silent = _silent(acts)
-    columns = [{} if idx // dom.scalar_dim in silent
-               else cod.coords_of(apply_differential(algebra, k, dom.functional(idx), acts))
-               for idx in range(dom.dim)]
+    unit = dom._vectors if module.kind == "regular" else []
+    columns = [cod.coords_of(_image(algebra.n, k, vec)) for vec in unit]
+    columns += [{} for _ in range(dom.dim - len(columns))]
     return SparseMatrix(cod.dim, dom.dim, columns)
 
 
@@ -386,12 +358,12 @@ def _rank(algebra: FatPoint, module: CoefficientModule, hochschild: bool,
           k: int, budget: int | None) -> int:
     """Rank of d_k (0 for k = 0), once per process; call it only after the caller's budget check.
 
-    When every value coordinate is silent (_silent), d_k is zero by
-    construction: its rank is 0, and no space and no column is built.
+    With trivial coefficients d_k is zero: its rank is 0, and no space and
+    no column is built.
     """
     key = (algebra.n, module.kind, hochschild, k)
     if k and key not in _ranks:
-        if len(_silent(_action_table(algebra, module))) == module.dim(algebra):
+        if module.kind == "trivial":
             _ranks[key] = 0
         else:
             matrix = (_full_coboundary(algebra, module, k) if hochschild
@@ -409,12 +381,12 @@ def harrison_dim(algebra: FatPoint, module: CoefficientModule,
 
 
 def _full_coboundary(algebra: FatPoint, module: CoefficientModule, k: int) -> SparseMatrix:
-    """Differential on all reduced cochains as sparse columns, numbered by key."""
-    acts = _action_table(algebra, module)
-    silent, size = _silent(acts), algebra.n ** k
+    """Differential on all reduced cochains as sparse columns, numbered by key;
+    only the unit coordinate's are nonempty."""
+    size = algebra.n ** k
     ndom = module.dim(algebra) * size
-    columns = [{} if key // size in silent else apply_differential(algebra, k, {key: 1}, acts)
-               for key in range(ndom)]
+    columns = [_image(algebra.n, k, {key: 1}) for key in range(size if module.kind == "regular" else 0)]
+    columns += [{} for _ in range(ndom - len(columns))]
     return SparseMatrix(module.dim(algebra) * algebra.n ** (k + 1), ndom, columns)
 
 
@@ -442,16 +414,11 @@ def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
     if k < 2:
         raise ValueError("need k >= 2")
     outgoing = coboundary_matrix(algebra, REGULAR, k, budget)
-    triv = CochainSpace(algebra, TRIVIAL, k, budget)
+    scalar_dim = outgoing.cols // REGULAR.dim(algebra)
     # the span of the degree-(k-1) image, eliminated once for every cocycle
     triv_image = Echelon(coboundary_matrix(algebra, TRIVIAL, k - 1, budget).columns)
     for coords in outgoing.kernel_basis():
-        # residue projection: the unit coordinate (alpha = 0), the trivial space's functionals
-        projected = {}
-        for idx, c in coords.items():
-            if idx < triv.scalar_dim:
-                for key, x in triv.functional(idx).items():
-                    projected[key] = projected.get(key, 0) + c * x
-        if triv_image.reduce(triv.coords_of(projected)):
+        # residue projection: the unit coordinate's entries, idx < scalar_dim, are trivial-space coordinates
+        if triv_image.reduce({idx: c for idx, c in coords.items() if idx < scalar_dim}):
             return False
     return True

@@ -27,7 +27,6 @@ from ratsurf.harrison import (
     DEFAULT_BUDGET,
     REGULAR,
     TRIVIAL,
-    apply_differential,
     check_budget,
     coboundary_matrix,
     harrison_dim,
@@ -35,9 +34,9 @@ from ratsurf.harrison import (
     make_fat_point,
     signed_shuffles,
     zero_map_check,
-    _action_table,
     _blocks,
     _full_coboundary,
+    _image,
     _shape_kernel,
 )
 from ratsurf import harrison, qlinalg
@@ -113,12 +112,19 @@ def etale_quadratic() -> Algebra:
 
 
 def test_make_fat_point_squares_to_zero():
-    # the record holds m alone; e_i . 1 = e_i is the only action, since e_i e_j = 0
+    # the record holds m alone; e_i . 1 = e_i is the only action, since e_i e_j = 0:
+    # the unit-valued cochain dual to e_j maps to e_i at (e_i, e_j) and at (e_j, e_i)
     for m in (1, 3):
         a = make_fat_point(m)
         assert a.n == m and type(a).__slots__ == ("n",)
-        assert _action_table(a, REGULAR) == [[(i, i + 1, 1) for i in range(m)]] + [[]] * m
-        assert _action_table(a, TRIVIAL) == [[]]
+        for j in range(m):
+            want = Counter()
+            for i in range(m):
+                want[(i + 1) * m ** 2 + i * m + j] += 1
+                want[(i + 1) * m ** 2 + j * m + i] += 1
+            assert _image(m, 1, {j: 1}) == dict(want)
+        for module, nonempty in ((TRIVIAL, 0), (REGULAR, m)):
+            assert sum(map(bool, _full_coboundary(a, module, 1).columns)) == nonempty
     with pytest.raises(ValueError):
         make_fat_point(0)
 
@@ -278,11 +284,9 @@ def test_differential_squares_to_zero_on_sparse_cochains():
                     once = reference_differential(a, module, k, {(alpha, w): Fraction(1)})
                     assert reference_differential(a, module, k + 1, once) == {}, (a.products, module, k)
     fat = make_fat_point(2)
-    acts = _action_table(fat, REGULAR)
     for k in (1, 2):
-        for key in range(REGULAR.dim(fat) * 2 ** k):
-            once = apply_differential(fat, k, {key: 1}, acts)
-            assert apply_differential(fat, k + 1, once, acts) == {}
+        first, second = _full_coboundary(fat, REGULAR, k), _full_coboundary(fat, REGULAR, k + 1)
+        assert any(first.columns) and not any(compose(second, first))
 
 
 def compose(second, first):
@@ -329,24 +333,49 @@ def test_coords_of_rejects_functionals_outside_the_subspace():
         space.coords_of({4: Fraction(1)})
 
 
+def functional(space, idx):
+    """Basis cochain idx of a CochainSpace, keyed alpha * n**k + word."""
+    alpha, t = divmod(idx, space.scalar_dim)
+    return {alpha * space._words + w: c for w, c in space._vectors[t].items()}
+
+
 def test_functional_coords_roundtrip():
     a = make_fat_point(2)
     for module in (TRIVIAL, REGULAR):
         space = CochainSpace(a, module, 3)
         for idx in range(space.dim):
-            coords = space.coords_of(space.functional(idx))
+            coords = space.coords_of(functional(space, idx))
             assert coords == {idx: 1}
 
 
 def test_unit_coordinate_functionals_are_the_trivial_ones():
     # zero_map_check projects a regular cocycle to the residue field by
-    # reading its alpha = 0 coordinates in the trivial space's basis
+    # reading its coordinates idx < scalar_dim as the trivial space's
     for m, k in [(2, 2), (2, 4), (3, 3)]:
         a = make_fat_point(m)
         reg, triv = CochainSpace(a, REGULAR, k), CochainSpace(a, TRIVIAL, k)
-        assert reg.dim == (m + 1) * triv.dim
-        assert [reg.functional(idx) for idx in range(triv.dim)] == [
-            triv.functional(idx) for idx in range(triv.dim)]
+        assert reg.dim == (m + 1) * triv.dim and reg.scalar_dim == triv.dim
+        assert [functional(reg, idx) for idx in range(triv.dim)] == [
+            functional(triv, idx) for idx in range(triv.dim)]
+
+
+def test_coboundary_columns_go_through_the_invariance_check(monkeypatch):
+    # an image outside the shuffle-invariant subspace raises instead of
+    # becoming a column: keep +c on the suffix term, whose sign is (-1)^(k+1)
+    def unsigned_image(n, k, vec):
+        out = Counter()
+        for w, c in vec.items():
+            for i in range(n):
+                out[(i + 1) * n ** (k + 1) + i * n ** k + w] += c
+                out[(i + 1) * n ** (k + 1) + w * n + i] += c
+        return {u: v for u, v in out.items() if v}
+
+    assert unsigned_image(3, 1, {1: 1}) == _image(3, 1, {1: 1})
+    monkeypatch.setattr(harrison, "_image", unsigned_image)
+    assert any(coboundary_matrix(make_fat_point(2), REGULAR, 1).columns)
+    for m in (2, 3):
+        with pytest.raises(RuntimeError, match="does not lie in the shuffle-invariant subspace"):
+            coboundary_matrix(make_fat_point(m), REGULAR, 2)
 
 
 def test_fat_point_harrison_with_algebra_coefficients():
@@ -621,7 +650,7 @@ def reference_coboundary(algebra, module, k):
     basis functional, read off by coords_of."""
     n = algebra.n
     dom, cod = CochainSpace(algebra, module, k), CochainSpace(algebra, module, k + 1)
-    columns = [cod.coords_of(encode(reference_differential(algebra, module, k, decode(dom.functional(idx), n, k)),
+    columns = [cod.coords_of(encode(reference_differential(algebra, module, k, decode(functional(dom, idx), n, k)),
                                     n, k + 1)) for idx in range(dom.dim)]
     return SparseMatrix(cod.dim, dom.dim, columns)
 
@@ -818,12 +847,9 @@ def test_fat_point_cochains_are_plain_ints():
                 break
             for words, basis, _ in _blocks(m, k):
                 assert all(type(x) is int for vec in basis for x in vec.values()), (m, k)
+            for vec in CochainSpace(a, REGULAR, k)._vectors:
+                assert all(type(x) is int for x in _image(m, k, vec).values()), (m, k)
             for module in (TRIVIAL, REGULAR):
-                space = CochainSpace(a, module, k)
-                acts = _action_table(a, module)
-                for idx in range(space.dim):
-                    image = apply_differential(a, k, space.functional(idx), acts)
-                    assert all(type(x) is int for x in image.values()), (m, k, module)
                 columns = coboundary_matrix(a, module, k).columns
                 assert all(type(x) is int for col in columns for x in col.values()), (m, k, module)
     for k in range(1, 8):
@@ -1103,7 +1129,7 @@ def test_equal_structure_constants_share_one_rank(monkeypatch):
 def test_silent_coordinates_are_those_with_no_action_and_no_linear_part():
     # on the reference algebras, the value coordinates whose Hochschild columns
     # are empty in degrees 1 and 2; on a fat point, where no product has a
-    # linear part, the engine's _silent finds them from the action alone
+    # linear part, the engine's columns are empty on the same coordinates
     products = [truncated_polynomial_algebra(2), truncated_polynomial_algebra(3), two_variable_square_zero()]
     fat_cases = ([(m, TRIVIAL, {0}) for m in (1, 2, 3)]
                  + [(m, REGULAR, set(range(1, m + 1))) for m in (1, 2, 3)])
@@ -1117,19 +1143,24 @@ def test_silent_coordinates_are_those_with_no_action_and_no_linear_part():
             quiet -= {key // size for key, col in enumerate(columns) if col}
         assert quiet == want, (a.products, module)
     for m, module, want in fat_cases:
-        assert harrison._silent(_action_table(make_fat_point(m), module)) == want, (m, module)
+        a = make_fat_point(m)
+        quiet = set(range(module.dim(a)))
+        for k in (1, 2):
+            scalar_dim = CochainSpace(a, module, k).scalar_dim
+            for columns, size in ((_full_coboundary(a, module, k).columns, m ** k),
+                                  (coboundary_matrix(a, module, k).columns, scalar_dim)):
+                quiet -= {idx // size for idx, col in enumerate(columns) if col}
+        assert quiet == want, (m, module)
 
 
 def test_skipped_columns_equal_the_computed_ones():
+    # the engine leaves the trivial and the non-unit columns empty; the general
+    # reference computes every column on the zero table
     for m, module, k in itertools.product((1, 2, 3), (TRIVIAL, REGULAR), (1, 2, 3)):
-        a = make_fat_point(m)
-        acts = _action_table(a, module)
-        dom, cod = CochainSpace(a, module, k), CochainSpace(a, module, k + 1)
-        harrison_columns = [cod.coords_of(apply_differential(a, k, dom.functional(idx), acts))
-                            for idx in range(dom.dim)]
+        a, ref = make_fat_point(m), zero_table(m)
+        harrison_columns = reference_coboundary(ref, module, k).columns
         assert coboundary_matrix(a, module, k).columns == harrison_columns, (m, module, k)
-        ndom = module.dim(a) * m ** k
-        full_columns = [apply_differential(a, k, {key: 1}, acts) for key in range(ndom)]
+        full_columns = reference_full_coboundary(ref, module, k).columns
         assert _full_coboundary(a, module, k).columns == full_columns, (m, module, k)
         for hochschild, columns in ((False, harrison_columns), (True, full_columns)):
             cold_rank_cache()
@@ -1140,7 +1171,7 @@ def test_skipped_columns_equal_the_computed_ones():
 def test_a_zero_differential_builds_no_codomain(monkeypatch):
     cobounds, spaces, blocks, applied = [], [], [], []
     real_cob, real_init = harrison.coboundary_matrix, CochainSpace.__init__
-    real_blocks, real_apply = harrison._blocks, harrison.apply_differential
+    real_blocks, real_image = harrison._blocks, harrison._image
 
     def counting_init(self, algebra, module, k, budget=None):
         spaces.append(k)
@@ -1153,8 +1184,7 @@ def test_a_zero_differential_builds_no_codomain(monkeypatch):
     monkeypatch.setattr(harrison, "coboundary_matrix", counting_cob)
     monkeypatch.setattr(CochainSpace, "__init__", counting_init)
     monkeypatch.setattr(harrison, "_blocks", lambda n, k: blocks.append(k) or real_blocks(n, k))
-    monkeypatch.setattr(harrison, "apply_differential",
-                        lambda algebra, k, func, acts: applied.append(k) or real_apply(algebra, k, func, acts))
+    monkeypatch.setattr(harrison, "_image", lambda n, k, vec: applied.append(k) or real_image(n, k, vec))
     cold_rank_cache()
     fat = make_fat_point(2)
     # trivial coefficients: both ranks are 0, and only the degree-k kernels are built
