@@ -32,6 +32,7 @@ stdout is closed before the output is written (as under `| head`).
 from __future__ import annotations
 
 import json
+import os
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -54,7 +55,7 @@ _MAX_I_ERROR = "--max-i must be at least 3"
 
 
 # the brute-force engine's names, bound into this module by _load_engine
-_ENGINE = ("REGULAR", "TRIVIAL", "check_budget", "harrison_dim", "hochschild_dim", "make_fat_point")
+_ENGINE = ("REGULAR", "TRIVIAL", "harrison_dim", "hochschild_dim", "make_fat_point")
 
 
 def _load_engine() -> None:
@@ -194,7 +195,8 @@ def _analyze_lines(args, status: str, data: dict) -> list:
     if "error" in data:
         error = data["error"]
         if status == "invalid-input" and "error_code" not in data and error != _MAX_I_ERROR:
-            error = "cannot read %s: %s" % (args.path, error)  # not a GraphError, not --max-i
+            # not a GraphError, not --max-i; a path that is not UTF-8 prints its bytes escaped
+            error = "cannot read %s: %s" % (os.fsencode(args.path).decode("utf-8", "backslashreplace"), error)
         return [error]
     lines = ["vertices: %d, edges: %d" % (data["vertices"], data["edges"]),
              "fundamental cycle: " + " ".join(vid + ":" + a for vid, a in data["fundamental_cycle"].items())]
@@ -251,7 +253,6 @@ def cmd_oracle(args) -> tuple:
         return "invalid-input", {"error": "--budget must be at least 1"}
     _load_engine()
     module = TRIVIAL if args.coeffs == "trivial" else REGULAR
-    check_budget(args.m, args.k, args.budget, args.hochschild)
     algebra = make_fat_point(args.m)
     if args.hochschild:
         dim = hochschild_dim(algebra, module, args.k, budget=args.budget)
@@ -443,8 +444,6 @@ def console_main() -> int:
     except BrokenPipeError:
         # the recipe of the Python signal docs: whatever is still buffered is
         # flushed at shutdown, and devnull takes it without a second error
-        import os
-
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT

@@ -38,11 +38,11 @@ word of its own shape kernel, which spans the same rows (see _shape_kernel).
 A cochain is a sparse dict keyed alpha * n**k + word: alpha is the value
 coordinate and the word is read in base n, first letter most significant
 (itertools.product order). One differential routine, _image, builds the
-Harrison and the Hochschild matrices, each ranked once by SparseMatrix.rank,
-which peels the columns that own a row before qlinalg.Echelon eliminates the
-rest. The word budget is checked for every degree a computation touches
-first; a dimension then reuses the ranks of d_(k-1) and d_k, each kept per
-process by m, coefficient kind and degree.
+Harrison and the Hochschild matrices; only their ranks are read, each once,
+by SparseMatrix.rank, which peels the columns that own a row before
+qlinalg.Echelon eliminates the rest. The word budget is checked for every
+degree a computation touches first; dimensions and zero_map_check then share
+the ranks of d_k, each kept per process by m, coefficient kind and degree.
 
 The outer terms come only from the action on the values, and e_i . 1 = e_i
 is the only nonzero one. Trivial coefficients: the differential is the zero
@@ -406,6 +406,10 @@ def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
     residue field, must land in the image of the degree-(k-1) differential of
     the residue-field complex. Returns the verdict; True means the induced
     map on cohomology is zero in this degree.
+
+    The trivial complex's image is 0, the projection keeps the unit
+    coordinate, and d_k is nonzero only there, so the map is zero exactly
+    when d_k has rank scalar_dim: injective on the unit coordinate's cochains.
     """
     algebra = make_fat_point(m)
     if m < 2:
@@ -413,12 +417,5 @@ def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
     check_budget(m, k, budget)
     if k < 2:
         raise ValueError("need k >= 2")
-    outgoing = coboundary_matrix(algebra, REGULAR, k, budget)
-    scalar_dim = outgoing.cols // REGULAR.dim(algebra)
-    # the span of the degree-(k-1) image, eliminated once for every cocycle
-    triv_image = Echelon(coboundary_matrix(algebra, TRIVIAL, k - 1, budget).columns)
-    for coords in outgoing.kernel_basis():
-        # residue projection: the unit coordinate's entries, idx < scalar_dim, are trivial-space coordinates
-        if triv_image.reduce({idx: c for idx, c in coords.items() if idx < scalar_dim}):
-            return False
-    return True
+    scalar_dim = sum(len(basis) for _, basis, _ in _blocks(m, k))
+    return _rank(algebra, REGULAR, False, k, budget) == scalar_dim

@@ -19,10 +19,10 @@ when a divides v, a Fraction only otherwise, so integral kernels stay in
 ints for the callers' arithmetic too. The fractions module is imported only
 where a Fraction is built or checked, so integral work never loads it.
 
-SparseMatrix holds the cochain differentials as sparse columns. QMatrix is
-the tests' dense determinant reference (Sylvester's leading minors). No module
-of the package calls it; it stays here only because the benchmark's tracer
-wraps its rank, det and leading_principal_minor by name.
+SparseMatrix holds the cochain differentials as sparse columns and only ranks
+them. QMatrix is the tests' dense determinant reference (Sylvester's leading
+minors). No module of the package calls it; it stays here only because the
+benchmark's tracer wraps its rank, det and leading_principal_minor by name.
 """
 
 from __future__ import annotations
@@ -179,14 +179,6 @@ class SparseMatrix:
                         todo.append(r)
         rest = [col for j, col in enumerate(columns) if col and j not in peeled]
         return len(peeled) + Echelon(rest).rank
-
-    def kernel_basis(self) -> list:
-        """Right kernel as sparse dicts, free-column normalized (see module doc)."""
-        rows = {}
-        for j, col in enumerate(self.columns):
-            for i, x in col.items():
-                rows.setdefault(i, {})[j] = x
-        return Echelon(rows.values()).kernel_basis(self.cols)
 
 
 class QMatrix:

@@ -97,6 +97,8 @@ class ResolutionGraph:
                 raise GraphError("syntax", "vertex %r is not an (id, b) pair" % (vertex,)) from None
             if not isinstance(vid, str) or not vid:
                 raise GraphError("syntax", "vertex ids must be nonempty strings")
+            if not vid.isascii() and any("\ud800" <= c <= "\udfff" for c in vid):  # a lone surrogate
+                raise GraphError("syntax", "vertex id %r is not valid Unicode text" % vid)
             if vid in index:
                 raise GraphError("duplicate-id", "vertex id %r appears twice" % vid)
             if not isinstance(b, int) or isinstance(b, bool) or b < 1:

@@ -131,6 +131,41 @@ def test_analyze_file_that_is_not_utf8(tmp_path, capsys):
     assert json.loads(raw)["status"] == "invalid-input"
 
 
+def run_strict_utf8(argv, cwd):
+    """Exit code, stdout and stderr of `python -m ratsurf.cli argv` whose stdout encodes strict UTF-8."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "ratsurf.cli"] + argv, capture_output=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8"))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_vertex_id_with_a_lone_surrogate_is_invalid_input(tmp_path, capsys):
+    # valid JSON, but no UTF-8 output can print the id; a surrogate pair is one character
+    path = write(tmp_path, '{"vertices":[{"id":"\\ud800","b":3}],"edges":[]}')
+    error = "syntax: vertex id '\\ud800' is not valid Unicode text"
+    code, out, err = run_strict_utf8(["analyze", path], tmp_path)
+    assert (code, out, err) == (2, (error + "\nstatus: invalid-input\n").encode("ascii"), b"")
+    code, out, err = run_strict_utf8(["analyze", path, "--json"], tmp_path)
+    assert (code, err) == (2, b"")
+    assert (json.loads(out)["error"], json.loads(out)["error_code"]) == (error, "syntax")
+    pair = write(tmp_path, '{"vertices":[{"id":"\\ud83d\\ude00","b":3}],"edges":[]}')
+    code, out = run(capsys, ["analyze", pair])
+    assert code == 0 and "fundamental cycle: \U0001f600:1" in out
+
+
+def test_a_path_that_is_not_utf8_is_printed_escaped(tmp_path, capsys):
+    name = os.fsdecode(b"\xff.json")  # bytes that are not UTF-8 reach argv as surrogate escapes
+    code, out, err = run_strict_utf8(["analyze", name], tmp_path)
+    assert (code, err) == (2, b"")
+    assert out.startswith(b"cannot read \\xff.json: [Errno 2] No such file or directory: ")
+    code, out, err = run_strict_utf8(["analyze", name, "--json"], tmp_path)
+    assert (code, err, json.loads(out)["status"]) == (2, b"", "invalid-input")
+    # a UTF-8 path prints as it is
+    path = str(tmp_path / "\u00e9.json")
+    code, out = run(capsys, ["analyze", path])
+    assert code == 2 and out.startswith("cannot read %s: " % path)
+
+
 def test_analyze_rejects_small_max_i(tmp_path, capsys):
     code, out = run(capsys, ["analyze", write(tmp_path, STAR_JSON), "--max-i", "2"])
     assert code == 2
@@ -282,11 +317,13 @@ def test_oracle_over_budget_exits_before_building_anything(capsys):
         assert (env["status"], env["error"]) == ("budget-exceeded", error)
 
 
-def test_oracle_checks_the_budget_before_building_the_fat_point(monkeypatch, capsys):
-    def refuse(m):
-        raise AssertionError("make_fat_point(%d) ran before the budget check" % m)
+def test_an_oracle_refusal_builds_nothing(monkeypatch, capsys):
+    # the engine's own budget check runs first: no shape kernel and no rank is computed
+    def refuse(*args):
+        raise AssertionError("%r ran before the budget check" % (args,))
 
-    monkeypatch.setattr("ratsurf.cli.make_fat_point", refuse)
+    monkeypatch.setattr("ratsurf.harrison._blocks", refuse)
+    monkeypatch.setattr("ratsurf.harrison._rank", refuse)
     cases = [
         ([], "word space 1000000000^1 = 1000000000 exceeds budget 1500"),
         (["--hochschild"], "word space for the full degree-1 differential exceeds budget 1500"),

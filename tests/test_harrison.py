@@ -318,7 +318,7 @@ def test_rank_nullity_on_the_first_differential():
     assert dom.dim == 6
     cob = coboundary_matrix(a, REGULAR, 1)
     assert cob.cols == 6
-    assert cob.rank() + len(cob.kernel_basis()) == 6
+    assert cob.rank() + len(kernel_of(cob)) == 6
 
 
 def test_coords_of_rejects_functionals_outside_the_subspace():
@@ -349,7 +349,7 @@ def test_functional_coords_roundtrip():
 
 
 def test_unit_coordinate_functionals_are_the_trivial_ones():
-    # zero_map_check projects a regular cocycle to the residue field by
+    # the zero-map lemma projects a regular cocycle to the residue field by
     # reading its coordinates idx < scalar_dim as the trivial space's
     for m, k in [(2, 2), (2, 4), (3, 3)]:
         a = make_fat_point(m)
@@ -479,28 +479,62 @@ def test_zero_map_check_on_small_fat_points():
     assert zero_map_check(3, 2)
 
 
-def test_zero_map_check_eliminates_the_trivial_image_once(monkeypatch):
-    # with the shape kernels cached, one Echelon is the regular kernel and one
-    # is the span of the degree-(k-1) image, however many cocycles are tested
-    built = []
-    init = qlinalg.Echelon.__init__
+def kernel_of(matrix):
+    """Right kernel of a sparse-column matrix, free-column normalized, through its rows."""
+    return Echelon(row_dicts(matrix.columns)).kernel_basis(matrix.cols)
+
+
+def reference_zero_map_check(m, k, budget=None):
+    """zero_map_check as the lemma reads: each cocycle of the regular d_k, its
+    residue projection (the unit coordinate's entries) reduced against the
+    span of the trivial d_(k-1)'s image."""
+    algebra = make_fat_point(m)
+    outgoing = harrison.coboundary_matrix(algebra, REGULAR, k, budget)  # as patch_outgoing sets it
+    scalar_dim = outgoing.cols // REGULAR.dim(algebra)
+    triv_image = Echelon(harrison.coboundary_matrix(algebra, TRIVIAL, k - 1, budget).columns)
+    return not any(triv_image.reduce({idx: c for idx, c in coords.items() if idx < scalar_dim})
+                   for coords in kernel_of(outgoing))
+
+
+def test_zero_map_check_equals_the_cocycle_reference_in_budget():
+    pairs = [(m, k) for m, k in fat_points_in_budget() if m >= 2 and k >= 2]
+    assert len(pairs) == 24
+    for m, k in pairs:
+        assert zero_map_check(m, k) is reference_zero_map_check(m, k) is True, (m, k)
+
+
+def test_zero_map_check_reads_the_kept_rank_of_d_k(monkeypatch):
+    # a warm call builds no Echelon and no coboundary; a cold one builds the
+    # regular d_k alone and eliminates once, in its rank, and never the trivial d_(k-1)
+    built, modules = [], []
+    init, real = qlinalg.Echelon.__init__, harrison.coboundary_matrix
 
     def counting_init(self, rows=()):
         built.append(self)
         init(self, rows)
 
+    def counting_coboundary(algebra, module, k, budget=None):
+        modules.append(module)
+        return real(algebra, module, k, budget)
+
     for m, k in [(2, 2), (2, 5), (3, 2), (3, 3)]:
         assert zero_map_check(m, k)
+        _blocks(m, k + 1)  # the shape kernels of the codomain, cached
         monkeypatch.setattr(qlinalg.Echelon, "__init__", counting_init)
+        monkeypatch.setattr(harrison, "coboundary_matrix", counting_coboundary)
         built.clear()
+        modules.clear()
         assert zero_map_check(m, k)
+        assert (len(built), modules) == (0, []), (m, k)
+        monkeypatch.setattr(harrison, "_ranks", {})
+        assert zero_map_check(m, k)
+        assert (len(built), modules) == (1, [REGULAR]), (m, k)
         monkeypatch.undo()
-        assert len(built) == 2, (m, k, len(built))
 
 
 def patch_outgoing(monkeypatch, columns_of):
     """Replace the regular-coefficient outgoing differential of zero_map_check
-    by SparseMatrix(rows, cols, columns_of(cols)) of the same shape."""
+    by SparseMatrix(rows, cols, columns_of(cols)) of the same shape, with no rank kept."""
     real = harrison.coboundary_matrix
 
     def fake(algebra, module, k, budget=None):
@@ -510,6 +544,7 @@ def patch_outgoing(monkeypatch, columns_of):
         return SparseMatrix(matrix.rows, matrix.cols, columns_of(matrix.cols))
 
     monkeypatch.setattr(harrison, "coboundary_matrix", fake)
+    monkeypatch.setattr(harrison, "_ranks", {})
 
 
 def test_zero_map_check_negative_control(monkeypatch):
@@ -517,17 +552,20 @@ def test_zero_map_check_negative_control(monkeypatch):
     # cocycle; the residue-field ones do not bound, so the verdict is False
     patch_outgoing(monkeypatch, lambda cols: [{} for _ in range(cols)])
     assert not zero_map_check(2, 2)
+    assert not reference_zero_map_check(2, 2)
 
 
 def test_zero_map_check_sees_every_residue_field_coordinate(monkeypatch):
-    # a kernel spanned by unit coordinate t alone: the check fails exactly
-    # when t is one of the unit value's (alpha = 0) functionals
+    # an injective d_k on the unit coordinate, non-unit columns empty as the
+    # engine builds them, with column t emptied: the check fails exactly when
+    # t is one of the unit value's (alpha = 0) functionals
     scalar_dim = CochainSpace(make_fat_point(2), TRIVIAL, 2).scalar_dim
     dim = coboundary_matrix(make_fat_point(2), REGULAR, 2).cols
     assert 0 < scalar_dim < dim
     for t in range(dim):
-        patch_outgoing(monkeypatch, lambda cols: [{} if j == t else {j: 1} for j in range(cols)])
-        assert zero_map_check(2, 2) == (t >= scalar_dim), t
+        patch_outgoing(monkeypatch, lambda cols: [{j: 1} if j < scalar_dim and j != t else {}
+                                                  for j in range(cols)])
+        assert zero_map_check(2, 2) == reference_zero_map_check(2, 2) == (t >= scalar_dim), t
         monkeypatch.undo()
 
 

@@ -131,7 +131,10 @@ def test_every_annotation_of_the_public_surface_resolves():
     objects = public_objects()
     assert Echelon in objects and SparseMatrix in objects
     functions = [fn for obj in objects for fn in functions_of(obj)]
-    assert len(functions) > 100
+    names = {fn.__module__ + "." + fn.__qualname__ for fn in functions}
+    anchors = {"ratsurf.qlinalg.Echelon.add", "ratsurf.qlinalg.SparseMatrix.rank",
+               "ratsurf.harrison.harrison_dim", "ratsurf.resgraph.parse_graph", "ratsurf.cli.main"}
+    assert anchors <= names, anchors - names
     unresolved = []
     for fn in functions:
         try:
