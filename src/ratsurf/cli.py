@@ -156,7 +156,7 @@ def cmd_analyze(args) -> tuple:
         text = raw.decode("utf-8")
         if "\r" in text:  # universal newlines, as open(path, encoding="utf-8") reads
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: undecodable text, or a path no OS call takes
         return "invalid-input", {"error": str(e)}  # the human printer names the path
     graph = parse_graph(text)
     if args.max_i < 3:
@@ -191,15 +191,28 @@ def cmd_analyze(args) -> tuple:
     return "ok", data
 
 
+def _shown(text: str) -> str:
+    """text with each character that is not printable (a newline, a control
+    character, a lone surrogate) written as its backslash escape, so text from
+    a file or argv cannot break a report's lines or its encoding."""
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii") for c in text)
+
+
 def _analyze_lines(args, status: str, data: dict) -> list:
     if "error" in data:
         error = data["error"]
         if status == "invalid-input" and "error_code" not in data and error != _MAX_I_ERROR:
             # not a GraphError, not --max-i; a path that is not UTF-8 prints its bytes escaped
-            error = "cannot read %s: %s" % (os.fsencode(args.path).decode("utf-8", "backslashreplace"), error)
+            try:
+                path = os.fsencode(args.path).decode("utf-8", "backslashreplace")
+            except UnicodeEncodeError:  # a lone surrogate that no file name holds
+                path = args.path
+            error = "cannot read %s: %s" % (_shown(path), error)
         return [error]
-    lines = ["vertices: %d, edges: %d" % (data["vertices"], data["edges"]),
-             "fundamental cycle: " + " ".join(vid + ":" + a for vid, a in data["fundamental_cycle"].items())]
+    cycle = " ".join(vid + ":" + a for vid, a in data["fundamental_cycle"].items())
+    lines = ["vertices: %d, edges: %d" % (data["vertices"], data["edges"]), "fundamental cycle: " + _shown(cycle)]
     if status == "not-rational":
         return lines + ["rational: no (p_a(Z) = %s)" % data["p_a"]]
     lines += ["rational: yes", "multiplicity: " + data["multiplicity"],

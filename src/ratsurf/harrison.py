@@ -37,17 +37,31 @@ word of its own shape kernel, which spans the same rows (see _shape_kernel).
 
 A cochain is a sparse dict keyed alpha * n**k + word: alpha is the value
 coordinate and the word is read in base n, first letter most significant
-(itertools.product order). One differential routine, _image, builds the
-Harrison and the Hochschild matrices; only their ranks are read, each once,
-by SparseMatrix.rank, which peels the columns that own a row before
+(itertools.product order). One differential routine, _image, builds every
+column, and one relabeling routine, _content_block, places a shape kernel on
+a content; only the ranks of the differentials are read, each once, by
+SparseMatrix.rank, which peels the columns that own a row before
 qlinalg.Echelon eliminates the rest. The word budget is checked for every
 degree a computation touches first; dimensions and zero_map_check then share
 the ranks of d_k, each kept per process by m, coefficient kind and degree.
 
 The outer terms come only from the action on the values, and e_i . 1 = e_i
 is the only nonzero one. Trivial coefficients: the differential is the zero
-map, with rank 0 and no codomain built. Regular: only the unit coordinate's
-columns are nonempty.
+map, with rank 0 and nothing built. Regular: only the unit coordinate's
+columns are nonempty, and the kernel vector of a content c maps into value
+coordinate x + 1 only at the content c + x, for each letter x. That block
+of the codomain comes from c alone, so the Harrison d_k is block diagonal
+by content, and rank d_k is the sum over contents c of the rank of the
+block M_c. Up to relabeling M_c depends only on k, the shape of c and
+whether some letter is missing from c: for two missing letters x and y,
+the image of a domain vector at y is its image at x with x and y swapped,
+so the two row blocks have one kernel, and any number of missing letters
+give the rank of one. _block_rank ranks one canonical M_c per (k, shape,
+outside), and _census counts the contents of each shape. Each image is
+still rebuilt from its free-word coordinates (_read_back), so one outside
+the shuffle-invariant subspace raises. CochainSpace and coboundary_matrix build the whole
+Harrison d_k in one basis; they are the reference the block ranks are
+tested against. Hochschild is ranked on the full complex, with no blocks.
 """
 
 from __future__ import annotations
@@ -55,7 +69,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from math import log2
+from math import factorial, log2
 from operator import itemgetter
 
 from .qlinalg import Echelon, SparseMatrix
@@ -257,24 +271,77 @@ def _shape_kernel(k: int, shape: tuple):
     return tuple(words), basis, tuple(constraints.free_columns(n))
 
 
+def _content_block(n: int, k: int, content) -> tuple:
+    """The block of one degree-k content on letters 0..n-1: (words, basis, free_words).
+
+    words are the content's words as base-n integers, basis vectors are
+    sparse dicts word -> value (the shape kernel's entries, so ints on
+    integral kernels), and free_words lists the words whose values
+    coordinatize the block's kernel, free_words[t] belonging to basis[t].
+    """
+    ordered, shape = _relabel(content)
+    cwords, cbasis, cfree = _shape_kernel(k, shape)
+    places = [n ** (k - 1 - t) for t in range(k)]
+    words = tuple(sum(ordered[c] * p for c, p in zip(cw, places)) for cw in cwords)
+    basis = tuple({words[t]: x for t, x in enumerate(vec) if x} for vec in cbasis)
+    return words, basis, tuple(words[t] for t in cfree)
+
+
 @lru_cache(maxsize=None)
 def _blocks(n: int, k: int):
-    """Content blocks of the degree-k word space on letters 0..n-1.
+    """The content blocks (_content_block) of the degree-k word space on letters 0..n-1."""
+    return tuple(_content_block(n, k, content)
+                 for content in itertools.combinations_with_replacement(range(n), k))
 
-    Each block is (words, basis, free_words): words are the actual words of
-    that content as base-n integers, basis vectors are sparse dicts word ->
-    value (the shape kernel's entries, so ints on integral kernels), and
-    free_words lists the words whose values coordinatize the block's kernel.
+
+def _partitions(k: int, parts: int, largest: int | None = None):
+    """The descending tuples of positive ints with sum k, at most `parts` long."""
+    if not k:
+        yield ()
+    elif parts:
+        for first in range(min(k, largest or k), 0, -1):
+            for rest in _partitions(k - first, parts - 1, first):
+                yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def _census(n: int, k: int) -> tuple:
+    """The shapes of the degree-k contents on n letters, each with its number
+    of contents, and the number of shuffle-invariant scalar cochains.
+
+    A shape with l parts, of which r_j are equal to j, is the shape of
+    n! / ((n - l)! prod r_j!) contents: the ways to give its parts letters.
     """
-    places = [n ** (k - 1 - t) for t in range(k)]
-    out = []
-    for content in itertools.combinations_with_replacement(range(n), k):
-        ordered, shape = _relabel(content)
-        cwords, cbasis, cfree = _shape_kernel(k, shape)
-        words = tuple(sum(ordered[c] * p for c, p in zip(cw, places)) for cw in cwords)
-        basis = tuple({words[t]: x for t, x in enumerate(vec) if x} for vec in cbasis)
-        out.append((words, basis, tuple(words[t] for t in cfree)))
-    return tuple(out)
+    shapes = []
+    for shape in _partitions(k, n):
+        count = factorial(n) // factorial(n - len(shape))
+        for repeats in Counter(shape).values():
+            count //= factorial(repeats)
+        shapes.append((shape, count))
+    return tuple(shapes), sum(count * len(_shape_kernel(k, shape)[1]) for shape, count in shapes)
+
+
+@lru_cache(maxsize=None)
+def _block_rank(k: int, shape: tuple, outside: bool) -> int:
+    """Rank of the regular d_k on one content of shape `shape`, which misses
+    some letter exactly when outside; see the module doc.
+
+    The content is canonical on n = len(shape) + outside letters, the missing
+    one last. Each image is read back at the free words of its codomain
+    blocks (_read_back, as CochainSpace.coords_of does), so an image outside
+    the shuffle-invariant subspace raises instead of becoming a column.
+    """
+    n = len(shape) + outside
+    content = [a for a, c in enumerate(shape) for _ in range(c)]
+    big = n ** (k + 1)
+    free = {}  # a free word's key in value coordinate x + 1 -> (row, base, its basis vector)
+    for x in range(n):
+        _, basis, free_words = _content_block(n, k + 1, content + [x])
+        base = (x + 1) * big
+        for fw, vec in zip(free_words, basis):
+            free[base + fw] = (len(free), base, vec)
+    columns = [_read_back(_image(n, k, vec), free.get) for vec in _content_block(n, k, content)[1]]
+    return SparseMatrix(len(free), len(columns), columns).rank()
 
 
 class CochainSpace:
@@ -299,25 +366,37 @@ class CochainSpace:
         self.dim = self.value_dim * self.scalar_dim
 
     def coords_of(self, func: dict) -> dict:
-        """Coordinates {index: value} of a functional that lies in this space.
+        """Coordinates {index: value} of a functional that lies in this space (_read_back)."""
+        return _read_back(func, self._locate)
 
-        Reads the entries at free words and checks that they rebuild the
-        functional exactly; a mismatch means it was outside the invariant
-        subspace, which no supported computation should produce.
-        """
-        coords, recon = {}, {}
-        for key, c in func.items():
-            alpha, w = divmod(key, self._words)
-            t = self._free.get(w)
-            if t is None or not c or not 0 <= alpha < self.value_dim:
-                continue
-            coords[alpha * self.scalar_dim + t] = c
-            base = alpha * self._words
-            for u, x in self._vectors[t].items():
+    def _locate(self, key: int):
+        alpha, w = divmod(key, self._words)
+        t = self._free.get(w)
+        if t is not None and 0 <= alpha < self.value_dim:
+            return alpha * self.scalar_dim + t, alpha * self._words, self._vectors[t]
+        return None
+
+
+def _read_back(func: dict, locate) -> dict:
+    """Coordinates {row: value} of a functional, read at its free keys.
+
+    locate(key) is None off the free keys and (row, base, vector) at one:
+    the coordinate's row, and its basis vector, whose word u sits at key
+    base + u. The coordinates must rebuild the functional exactly; a
+    mismatch means it was outside the invariant subspace, which no supported
+    computation should produce.
+    """
+    coords, recon = {}, {}
+    for key, c in func.items():
+        found = locate(key) if c else None
+        if found is not None:
+            row, base, vec = found
+            coords[row] = c
+            for u, x in vec.items():
                 recon[base + u] = recon.get(base + u, 0) + c * x
-        if {key: v for key, v in recon.items() if v} != {key: v for key, v in func.items() if v}:
-            raise RuntimeError("functional does not lie in the shuffle-invariant subspace")
-        return coords
+    if {key: v for key, v in recon.items() if v} != {key: v for key, v in func.items() if v}:
+        raise RuntimeError("functional does not lie in the shuffle-invariant subspace")
+    return coords
 
 
 def _image(n: int, k: int, vec: dict) -> dict:
@@ -354,21 +433,21 @@ def coboundary_matrix(algebra: FatPoint, module: CoefficientModule,
 _ranks = {}  # (m, coefficient kind, hochschild, k) -> rank of d_k
 
 
-def _rank(algebra: FatPoint, module: CoefficientModule, hochschild: bool,
-          k: int, budget: int | None) -> int:
+def _rank(algebra: FatPoint, module: CoefficientModule, hochschild: bool, k: int) -> int:
     """Rank of d_k (0 for k = 0), once per process; call it only after the caller's budget check.
 
-    With trivial coefficients d_k is zero: its rank is 0, and no space and
-    no column is built.
+    With trivial coefficients d_k is zero: its rank is 0, and nothing is
+    built. The regular Harrison d_k is ranked one content shape at a time.
     """
     key = (algebra.n, module.kind, hochschild, k)
     if k and key not in _ranks:
         if module.kind == "trivial":
             _ranks[key] = 0
+        elif hochschild:
+            _ranks[key] = _full_coboundary(algebra, module, k).rank()
         else:
-            matrix = (_full_coboundary(algebra, module, k) if hochschild
-                      else coboundary_matrix(algebra, module, k, budget))
-            _ranks[key] = matrix.rank()
+            _ranks[key] = sum(count * _block_rank(k, shape, len(shape) < algebra.n)
+                              for shape, count in _census(algebra.n, k)[0])
     return _ranks.get(key, 0)
 
 
@@ -376,8 +455,8 @@ def harrison_dim(algebra: FatPoint, module: CoefficientModule,
                  k: int, budget: int | None = None) -> int:
     """dim of degree-k Harrison cohomology (shuffle-invariant complex)."""
     check_budget(algebra.n, k, budget)
-    cochains = module.dim(algebra) * sum(len(basis) for _, basis, _ in _blocks(algebra.n, k))
-    return cochains - sum(_rank(algebra, module, False, d, budget) for d in (k - 1, k))
+    cochains = module.dim(algebra) * _census(algebra.n, k)[1]
+    return cochains - sum(_rank(algebra, module, False, d) for d in (k - 1, k))
 
 
 def _full_coboundary(algebra: FatPoint, module: CoefficientModule, k: int) -> SparseMatrix:
@@ -395,7 +474,7 @@ def hochschild_dim(algebra: FatPoint, module: CoefficientModule,
     """dim of degree-k Hochschild cohomology on the full reduced complex."""
     check_budget(algebra.n, k, budget, hochschild=True)
     cochains = module.dim(algebra) * algebra.n ** k
-    return cochains - sum(_rank(algebra, module, True, d, budget) for d in (k - 1, k))
+    return cochains - sum(_rank(algebra, module, True, d) for d in (k - 1, k))
 
 
 def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
@@ -417,5 +496,4 @@ def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
     check_budget(m, k, budget)
     if k < 2:
         raise ValueError("need k >= 2")
-    scalar_dim = sum(len(basis) for _, basis, _ in _blocks(m, k))
-    return _rank(algebra, REGULAR, False, k, budget) == scalar_dim
+    return _rank(algebra, REGULAR, False, k) == _census(m, k)[1]

@@ -17,7 +17,8 @@ callers read a kernel element's coordinates off its free-column entries.
 Each kernel entry is -v/a for a stored row's entry v and pivot a: an int
 when a divides v, a Fraction only otherwise, so integral kernels stay in
 ints for the callers' arithmetic too. The fractions module is imported only
-where a Fraction is built or checked, so integral work never loads it.
+where a Fraction is built or checked, so integral work never loads it, nor
+the numbers module that it imports.
 
 SparseMatrix holds the cochain differentials as sparse columns and only ranks
 them. QMatrix is the tests' dense determinant reference (Sylvester's leading
@@ -29,10 +30,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable  # site has loaded it at startup already
 from math import gcd, lcm
-from numbers import Rational
 
 
-def as_fraction(x) -> Rational:
+def as_fraction(x):
     """Coerce int/Fraction to Fraction, rejecting anything inexact."""
     from fractions import Fraction
 
@@ -196,7 +196,8 @@ class QMatrix:
     def rank(self) -> int:
         return Echelon(self._a).rank
 
-    def det(self) -> Rational:
+    def det(self):
+        """The determinant, a Fraction."""
         from fractions import Fraction
 
         if self.rows != self.cols:
@@ -225,7 +226,8 @@ class QMatrix:
                             wi[jj] -= f * prow[jj]
         return det * sign
 
-    def leading_principal_minor(self, k: int) -> Rational:
+    def leading_principal_minor(self, k: int):
+        """The determinant of the leading k x k block, a Fraction."""
         if not (0 <= k <= min(self.rows, self.cols)):
             raise ValueError("minor size out of range")
         return QMatrix([row[:k] for row in self._a[:k]]).det()

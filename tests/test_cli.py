@@ -166,6 +166,30 @@ def test_a_path_that_is_not_utf8_is_printed_escaped(tmp_path, capsys):
     assert code == 2 and out.startswith("cannot read %s: " % path)
 
 
+@pytest.mark.parametrize("name, error", [
+    ("\ud800.json", "'utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed"),
+    ("a\x00b.json", "embedded null byte"),
+], ids=["lone-surrogate", "null-byte"])
+def test_a_path_no_file_name_can_hold_is_invalid_input(name, error, capsys):
+    # POSIX argv carries neither; an in-process caller can pass both
+    code, out = run(capsys, ["analyze", name])
+    shown = name.encode("unicode_escape").decode("ascii")
+    assert (code, out) == (2, "cannot read %s: %s\nstatus: invalid-input\n" % (shown, error))
+    code, raw = run(capsys, ["analyze", name, "--json"])
+    assert code == 2 and (json.loads(raw)["status"], json.loads(raw)["error"]) == ("invalid-input", error)
+
+
+def test_a_vertex_id_cannot_inject_lines_into_the_human_report(tmp_path, capsys):
+    vid = "A\nstatus: ok\nT^3 = 999\x00\u2028"
+    path = write(tmp_path, json.dumps({"vertices": [{"id": vid, "b": 4}], "edges": []}))
+    code, out = run(capsys, ["analyze", path])
+    assert code == 0 and out.count("\n") == len(out.splitlines())
+    assert "fundamental cycle: A\\nstatus: ok\\nT^3 = 999\\x00\\u2028:1\n" in out
+    assert "status: ok" not in out.splitlines()
+    code, raw = run(capsys, ["analyze", path, "--json"])
+    assert code == 0 and json.loads(raw)["fundamental_cycle"] == {vid: "1"}
+
+
 def test_analyze_rejects_small_max_i(tmp_path, capsys):
     code, out = run(capsys, ["analyze", write(tmp_path, STAR_JSON), "--max-i", "2"])
     assert code == 2
@@ -322,8 +346,8 @@ def test_an_oracle_refusal_builds_nothing(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("%r ran before the budget check" % (args,))
 
-    monkeypatch.setattr("ratsurf.harrison._blocks", refuse)
-    monkeypatch.setattr("ratsurf.harrison._rank", refuse)
+    for name in ("_census", "_shape_kernel", "_rank"):
+        monkeypatch.setattr("ratsurf.harrison." + name, refuse)
     cases = [
         ([], "word space 1000000000^1 = 1000000000 exceeds budget 1500"),
         (["--hochschild"], "word space for the full degree-1 differential exceeds budget 1500"),

@@ -359,23 +359,40 @@ def test_unit_coordinate_functionals_are_the_trivial_ones():
             functional(triv, idx) for idx in range(triv.dim)]
 
 
-def test_coboundary_columns_go_through_the_invariance_check(monkeypatch):
-    # an image outside the shuffle-invariant subspace raises instead of
-    # becoming a column: keep +c on the suffix term, whose sign is (-1)^(k+1)
-    def unsigned_image(n, k, vec):
-        out = Counter()
-        for w, c in vec.items():
-            for i in range(n):
-                out[(i + 1) * n ** (k + 1) + i * n ** k + w] += c
-                out[(i + 1) * n ** (k + 1) + w * n + i] += c
-        return {u: v for u, v in out.items() if v}
+def unsigned_image(n, k, vec):
+    """_image with +c on the suffix term, whose sign is (-1)^(k+1): right for
+    odd k only, and for even k an image outside the shuffle-invariant subspace."""
+    out = Counter()
+    for w, c in vec.items():
+        for i in range(n):
+            out[(i + 1) * n ** (k + 1) + i * n ** k + w] += c
+            out[(i + 1) * n ** (k + 1) + w * n + i] += c
+    return {u: v for u, v in out.items() if v}
 
+
+def test_coboundary_columns_go_through_the_invariance_check(monkeypatch):
+    # an image outside the shuffle-invariant subspace raises instead of becoming a column
     assert unsigned_image(3, 1, {1: 1}) == _image(3, 1, {1: 1})
     monkeypatch.setattr(harrison, "_image", unsigned_image)
     assert any(coboundary_matrix(make_fat_point(2), REGULAR, 1).columns)
     for m in (2, 3):
         with pytest.raises(RuntimeError, match="does not lie in the shuffle-invariant subspace"):
             coboundary_matrix(make_fat_point(m), REGULAR, 2)
+
+
+def test_block_ranks_go_through_the_invariance_check(monkeypatch):
+    # the same for the block ranks that harrison_dim sums; d_1 still ranks
+    want = harrison_dim(make_fat_point(2), REGULAR, 1)
+    monkeypatch.setattr(harrison, "_image", unsigned_image)
+    try:
+        cold_rank_cache()
+        assert harrison_dim(make_fat_point(2), REGULAR, 1) == want
+        for m in (2, 3):
+            with pytest.raises(RuntimeError, match="does not lie in the shuffle-invariant subspace"):
+                harrison_dim(make_fat_point(m), REGULAR, 3)
+    finally:
+        monkeypatch.undo()
+        cold_rank_cache()  # drop any block rank the unsigned image computed
 
 
 def test_fat_point_harrison_with_algebra_coefficients():
@@ -473,6 +490,37 @@ def test_every_coboundary_in_budget_ranks_alike_with_and_without_the_peel():
     assert checked == 4 * len(pairs) == 284
 
 
+def test_block_ranks_sum_to_the_rank_of_the_whole_coboundary():
+    # every regular Harrison d_k within the default budget, and three past it
+    # where most contents miss some letter
+    cases = [(m, k, None) for m, k in fat_points_in_budget()]
+    cases += [(3, 6, 3 ** 7), (4, 5, 4 ** 6), (6, 4, 6 ** 5)]
+    for m, k, budget in cases:
+        algebra = make_fat_point(m)
+        cold_rank_cache()
+        want = coboundary_matrix(algebra, REGULAR, k, budget).rank()
+        assert harrison._rank(algebra, REGULAR, False, k) == want, (m, k)
+
+
+def test_one_missing_letter_ranks_a_content_like_all_of_them():
+    # a content's columns of the whole d_k, with every letter of n stacked as
+    # rows, rank as _block_rank's canonical block with at most one missing letter,
+    # and d_k is block diagonal: the content ranks sum to its rank
+    for n in range(1, 5):
+        for k in range(1, 5):
+            algebra = make_fat_point(n)
+            codomain = CochainSpace(algebra, REGULAR, k + 1)
+            total = 0
+            for content, (_, basis, _) in zip(itertools.combinations_with_replacement(range(n), k),
+                                              _blocks(n, k)):
+                shape = tuple(sorted(Counter(content).values(), reverse=True))
+                columns = [codomain.coords_of(_image(n, k, vec)) for vec in basis]
+                rank = SparseMatrix(codomain.dim, len(columns), columns).rank()
+                assert rank == harrison._block_rank(k, shape, len(shape) < n), (n, k, content)
+                total += rank
+            assert total == coboundary_matrix(algebra, REGULAR, k).rank(), (n, k)
+
+
 def test_zero_map_check_on_small_fat_points():
     assert zero_map_check(2, 2)
     assert zero_map_check(2, 3)
@@ -504,37 +552,49 @@ def test_zero_map_check_equals_the_cocycle_reference_in_budget():
 
 
 def test_zero_map_check_reads_the_kept_rank_of_d_k(monkeypatch):
-    # a warm call builds no Echelon and no coboundary; a cold one builds the
-    # regular d_k alone and eliminates once, in its rank, and never the trivial d_(k-1)
-    built, modules = [], []
-    init, real = qlinalg.Echelon.__init__, harrison.coboundary_matrix
+    # a warm call ranks nothing; a cold one asks for each content shape's block
+    # rank once and, with those forgotten too, eliminates once per shape, in its
+    # rank; no whole coboundary is built and no trivial one
+    built, ranked, cobounds = [], [], []
+    init, real_rank, real_cob = qlinalg.Echelon.__init__, harrison._block_rank, harrison.coboundary_matrix
 
     def counting_init(self, rows=()):
         built.append(self)
         init(self, rows)
 
+    def counting_rank(k, shape, outside):
+        ranked.append(shape)
+        return real_rank(k, shape, outside)
+
     def counting_coboundary(algebra, module, k, budget=None):
-        modules.append(module)
-        return real(algebra, module, k, budget)
+        cobounds.append(module)
+        return real_cob(algebra, module, k, budget)
 
     for m, k in [(2, 2), (2, 5), (3, 2), (3, 3)]:
-        assert zero_map_check(m, k)
-        _blocks(m, k + 1)  # the shape kernels of the codomain, cached
+        monkeypatch.setattr(harrison, "_ranks", {})
+        assert zero_map_check(m, k)  # every shape kernel and block rank it needs, cached
+        shapes = [shape for shape, _ in harrison._census(m, k)[0]]
         monkeypatch.setattr(qlinalg.Echelon, "__init__", counting_init)
+        monkeypatch.setattr(harrison, "_block_rank", counting_rank)
         monkeypatch.setattr(harrison, "coboundary_matrix", counting_coboundary)
-        built.clear()
-        modules.clear()
+        del built[:], ranked[:], cobounds[:]
         assert zero_map_check(m, k)
-        assert (len(built), modules) == (0, []), (m, k)
+        assert (built, ranked) == ([], []), (m, k)
         monkeypatch.setattr(harrison, "_ranks", {})
         assert zero_map_check(m, k)
-        assert (len(built), modules) == (1, [REGULAR]), (m, k)
+        assert (built, ranked) == ([], shapes), (m, k)
+        real_rank.cache_clear()
+        monkeypatch.setattr(harrison, "_ranks", {})
+        assert zero_map_check(m, k)
+        assert (len(built), ranked, cobounds) == (len(shapes), shapes * 2, []), (m, k)
         monkeypatch.undo()
 
 
-def patch_outgoing(monkeypatch, columns_of):
-    """Replace the regular-coefficient outgoing differential of zero_map_check
-    by SparseMatrix(rows, cols, columns_of(cols)) of the same shape, with no rank kept."""
+def patch_outgoing(monkeypatch, columns_of, block_rank):
+    """Replace the regular-coefficient outgoing differential of zero_map_check:
+    for the reference, coboundary_matrix by SparseMatrix(rows, cols,
+    columns_of(cols)) of the same shape; for the engine, _block_rank by
+    block_rank; and keep no rank."""
     real = harrison.coboundary_matrix
 
     def fake(algebra, module, k, budget=None):
@@ -544,13 +604,14 @@ def patch_outgoing(monkeypatch, columns_of):
         return SparseMatrix(matrix.rows, matrix.cols, columns_of(matrix.cols))
 
     monkeypatch.setattr(harrison, "coboundary_matrix", fake)
+    monkeypatch.setattr(harrison, "_block_rank", block_rank)
     monkeypatch.setattr(harrison, "_ranks", {})
 
 
 def test_zero_map_check_negative_control(monkeypatch):
     # a zero outgoing differential makes every unit-coordinate cochain a
     # cocycle; the residue-field ones do not bound, so the verdict is False
-    patch_outgoing(monkeypatch, lambda cols: [{} for _ in range(cols)])
+    patch_outgoing(monkeypatch, lambda cols: [{} for _ in range(cols)], lambda k, shape, outside: 0)
     assert not zero_map_check(2, 2)
     assert not reference_zero_map_check(2, 2)
 
@@ -558,13 +619,20 @@ def test_zero_map_check_negative_control(monkeypatch):
 def test_zero_map_check_sees_every_residue_field_coordinate(monkeypatch):
     # an injective d_k on the unit coordinate, non-unit columns empty as the
     # engine builds them, with column t emptied: the check fails exactly when
-    # t is one of the unit value's (alpha = 0) functionals
+    # t is one of the unit value's (alpha = 0) functionals. The engine's blocks
+    # lose rank 1 on the shape of t's content, and are injective elsewhere.
     scalar_dim = CochainSpace(make_fat_point(2), TRIVIAL, 2).scalar_dim
     dim = coboundary_matrix(make_fat_point(2), REGULAR, 2).cols
-    assert 0 < scalar_dim < dim
+    assert 0 < scalar_dim < dim and harrison._census(2, 2)[1] == scalar_dim
+    shape_of_column = [tuple(sorted(Counter(content).values(), reverse=True))
+                       for content, (_, basis, _) in zip(itertools.combinations_with_replacement(range(2), 2),
+                                                         _blocks(2, 2)) for _ in basis]
+    assert len(shape_of_column) == scalar_dim
     for t in range(dim):
-        patch_outgoing(monkeypatch, lambda cols: [{j: 1} if j < scalar_dim and j != t else {}
-                                                  for j in range(cols)])
+        dropped = shape_of_column[t] if t < scalar_dim else None
+        patch_outgoing(monkeypatch,
+                       lambda cols: [{j: 1} if j < scalar_dim and j != t else {} for j in range(cols)],
+                       lambda k, shape, outside: len(_shape_kernel(k, shape)[1]) - (shape == dropped))
         assert zero_map_check(2, 2) == reference_zero_map_check(2, 2) == (t >= scalar_dim), t
         monkeypatch.undo()
 
@@ -1101,6 +1169,8 @@ def test_bracket_vectors_are_a_triangular_basis_of_the_shape_kernel():
 
 def cold_rank_cache():
     harrison._ranks.clear()
+    harrison._block_rank.cache_clear()
+    harrison._census.cache_clear()
 
 
 def test_dimensions_do_not_depend_on_the_call_order():
@@ -1142,24 +1212,25 @@ def test_a_cached_rank_does_not_lift_the_budget(capsys):
 
 
 def test_equal_structure_constants_share_one_rank(monkeypatch):
-    built = []
-    real = harrison.coboundary_matrix
+    ranked = []
+    real = harrison._block_rank
 
-    def counting(algebra, module, k, budget=None):
-        built.append(k)
-        return real(algebra, module, k, budget)
+    def counting(k, shape, outside):
+        ranked.append(k)
+        return real(k, shape, outside)
 
-    monkeypatch.setattr(harrison, "coboundary_matrix", counting)
     cold_rank_cache()
+    monkeypatch.setattr(harrison, "_block_rank", counting)
     fat = make_fat_point(2)  # kept alive, so the second fat point cannot reuse its id
     want = harrison_dim(fat, REGULAR, 3)
-    assert sorted(built) == [2, 3] and len(harrison._ranks) == 2
+    # one block rank per shape: (2,) and (1, 1) in degree 2, (3,) and (2, 1) in degree 3
+    assert sorted(ranked) == [2, 2, 3, 3] and len(harrison._ranks) == 2
     other = make_fat_point(2)
     assert other is not fat and harrison_dim(other, REGULAR, 3) == want
-    assert sorted(built) == [2, 3] and len(harrison._ranks) == 2
-    # another m gets ranks of its own
+    assert sorted(ranked) == [2, 2, 3, 3] and len(harrison._ranks) == 2
+    # another m gets ranks of its own, summed over its own shapes; (1, 1, 1) is new
     harrison_dim(make_fat_point(3), REGULAR, 3)
-    assert sorted(built) == [2, 2, 3, 3] and len(harrison._ranks) == 4
+    assert sorted(ranked) == [2] * 4 + [3] * 5 and len(harrison._ranks) == 4
 
 
 # ----- a differential that is zero by construction builds nothing ----------
@@ -1203,13 +1274,13 @@ def test_skipped_columns_equal_the_computed_ones():
         for hochschild, columns in ((False, harrison_columns), (True, full_columns)):
             cold_rank_cache()
             want = Echelon(columns).rank
-            assert harrison._rank(a, module, hochschild, k, None) == want, (m, module, hochschild, k)
+            assert harrison._rank(a, module, hochschild, k) == want, (m, module, hochschild, k)
 
 
 def test_a_zero_differential_builds_no_codomain(monkeypatch):
-    cobounds, spaces, blocks, applied = [], [], [], []
+    cobounds, spaces, kernels, applied = [], [], [], []
     real_cob, real_init = harrison.coboundary_matrix, CochainSpace.__init__
-    real_blocks, real_image = harrison._blocks, harrison._image
+    real_kernel, real_image = harrison._shape_kernel, harrison._image
 
     def counting_init(self, algebra, module, k, budget=None):
         spaces.append(k)
@@ -1221,18 +1292,21 @@ def test_a_zero_differential_builds_no_codomain(monkeypatch):
 
     monkeypatch.setattr(harrison, "coboundary_matrix", counting_cob)
     monkeypatch.setattr(CochainSpace, "__init__", counting_init)
-    monkeypatch.setattr(harrison, "_blocks", lambda n, k: blocks.append(k) or real_blocks(n, k))
+    monkeypatch.setattr(harrison, "_shape_kernel", lambda k, shape: kernels.append(k) or real_kernel(k, shape))
     monkeypatch.setattr(harrison, "_image", lambda n, k, vec: applied.append(k) or real_image(n, k, vec))
     cold_rank_cache()
     fat = make_fat_point(2)
     # trivial coefficients: both ranks are 0, and only the degree-k kernels are built
     assert harrison_dim(fat, TRIVIAL, 6) == shuffle_dim(2, 6)
-    assert (cobounds, spaces, blocks) == ([], [], [6])
+    assert (cobounds, spaces, applied) == ([], [], []) and max(kernels) == 6
     assert hochschild_dim(fat, TRIVIAL, 6) == 2 ** 6 and applied == []
-    # regular coefficients: each map is built, but only the unit coordinate's columns are applied
+    # regular coefficients: no whole map is built, and only the unit coordinate's
+    # columns of one content per shape are applied: the kernel vectors of (2,)
+    # and (1, 1) in degree 2 and of (2, 1) in degree 3, where (3,) has none
+    del kernels[:]
     assert harrison_dim(fat, REGULAR, 3) == fatpoint_tdim(2, 2)
-    assert sorted(cobounds) == [2, 3] and sorted(spaces) == [2, 3, 3, 4]
-    assert sorted(applied) == [2] * shuffle_dim(2, 2) + [3] * shuffle_dim(2, 3)
+    assert (cobounds, spaces) == ([], []) and max(kernels) == 4
+    assert sorted(applied) == [2, 2, 3]
     want = dense_hochschild_dim(zero_table(2), REGULAR, 3)
     del applied[:]
     assert hochschild_dim(fat, REGULAR, 3) == want

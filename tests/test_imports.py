@@ -38,7 +38,8 @@ def loaded_after(code: str, modules: tuple) -> list:
     return last[1:]
 
 
-ENGINE = ("ratsurf.harrison", "ratsurf.qlinalg", "fractions", "decimal")
+# fractions imports numbers and decimal; the package itself imports neither
+ENGINE = ("ratsurf.harrison", "ratsurf.qlinalg", "fractions", "decimal", "numbers")
 
 
 def test_importing_the_cli_loads_no_dataclasses_typing_or_acceptance():
