@@ -43,7 +43,6 @@ _EXPORTS = {
         "REGULAR",
         "DEFAULT_BUDGET",
         "make_fat_point",
-        "signed_shuffles",
         "coboundary_matrix",
         "harrison_dim",
         "hochschild_dim",

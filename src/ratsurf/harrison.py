@@ -34,6 +34,14 @@ arithmetic; a direct stacked-matrix computation over the full word space
 gives the same dimensions and is pinned by tests on small cases. A block
 needs the shuffle row sh(w[:p], w[p:]) only when the prefix w[:p] is a free
 word of its own shape kernel, which spans the same rows (see _shape_kernel).
+Rows are built from smaller shuffle products: a shuffle of x and y starts
+with the first letter of x or with that of y, so
+
+    sh(x, y) = x_0 sh(x', y) + (-1)^|x| y_0 sh(x, y')
+
+where x' drops the first letter x_0 of x, and y_0 passes the |x| letters of
+x. _shuffle fills a memo of these sub-shuffles, each {word: coefficient}
+with equal words merged and zeros dropped, for the whole process.
 
 A cochain is a sparse dict keyed alpha * n**k + word: alpha is the value
 coordinate and the word is read in base n, first letter most significant
@@ -70,7 +78,6 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import factorial, log2
-from operator import itemgetter
 
 from .qlinalg import Echelon, SparseMatrix
 from .series import BudgetError
@@ -127,34 +134,6 @@ TRIVIAL = CoefficientModule("trivial")
 REGULAR = CoefficientModule("regular")
 
 
-def signed_shuffles(p: int, q: int) -> list:
-    """All (p,q)-shuffles of {1..p+q} as (permutation tuple, sign).
-
-    The tuple s satisfies s[t-1] = s(t); there are C(p+q, p) of them. Each s(t)
-    of the first block exceeds exactly s(t) - t entries of the second, so the
-    sign is (-1)^sum(s(t) - t) over t = 1..p.
-    """
-    if p < 1 or q < 1:
-        raise ValueError("need p, q >= 1")
-    total = p + q
-    out = []
-    for first in itertools.combinations(range(1, total + 1), p):
-        chosen = set(first)
-        rest = tuple(x for x in range(1, total + 1) if x not in chosen)
-        out.append((first + rest, -1 if (sum(first) - p * (p + 1) // 2) % 2 else 1))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _movers(p: int, k: int) -> tuple:
-    """The signed (p, k-p)-shuffles as (take, sign), shared by every shape of degree k.
-
-    take(w) is w shuffled by s: the letters of w sorted by their target slots.
-    """
-    return tuple((itemgetter(*sorted(range(k), key=perm.__getitem__)), sign)
-                 for perm, sign in signed_shuffles(p, k - p))
-
-
 def _far_over(n: int, k: int, cap: int) -> bool:
     """Is n^k certainly over cap and too long to compute or print? k stays an int."""
     return n > 1 and k > (max(cap.bit_length(), 13000) + 1) / log2(n)
@@ -180,10 +159,11 @@ def _cap(budget: int | None, k: int) -> int:
 def _check_budget(n: int, degrees, cap: int) -> None:
     """Raise BudgetError, before any work, if some degree's word space n^k is over the cap.
 
-    The shuffle constraints of one word number about 2^(k-1) (the splits
-    p <= k/2), so 2^(k-1) is held to the same cap; it is compared by bit
-    length and is never computed. It binds only for n = 1, since n^k >= 2^k
-    otherwise.
+    2^(k-1), about the number of signed shuffles of one word over the splits
+    p <= k/2, is held to the same cap; it is compared by bit length and is
+    never computed. The rows are built from memoized sub-shuffles and do not
+    enumerate them, but for n = 1, whose word space 1^k is always 1, this is
+    the only bound on k; it binds for no other n, since n^k >= 2^k.
     """
     for k in degrees:
         if _far_over(n, k, cap):
@@ -204,16 +184,83 @@ def check_budget(n: int, k: int, budget: int | None = None, hochschild: bool = F
         raise BudgetError("word space for the full degree-%d differential exceeds budget %d" % (k, cap))
 
 
-def _multiset_words(counts: list):
-    """Each word with counts[c] copies of letter c, once, in lexicographic order."""
-    if not any(counts):
-        yield ()
-    for c, left in enumerate(counts):
-        if left:
-            counts[c] -= 1
-            for rest in _multiset_words(counts):
-                yield (c,) + rest
-            counts[c] += 1
+def _multiset_words(shape) -> list:
+    """Each word with shape[c] copies of letter c, once, in lexicographic order.
+
+    Iterative: from the sorted word, each next word finds the last ascent
+    w[i] < w[i+1], swaps w[i] with the last letter greater than it and
+    reverses the tail after i.
+    """
+    w = [c for c, count in enumerate(shape) for _ in range(count)]
+    words = [tuple(w)]
+    while True:
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
+            return words
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1:] = w[:i:-1]
+        words.append(tuple(w))
+
+
+_shuffles = {}  # (L, p, x, q, y) -> sh(x, y) for base-L codes x, y of lengths p, q; see _shuffle
+
+
+def _shuffle(L: int, p: int, x: int, q: int, y: int) -> dict:
+    """The signed shuffle product sh(x, y) as {code: coefficient}, zeros dropped.
+
+    Words on letters 0..L-1 are base-L integers, first letter most
+    significant; x has length p and y length q. sh(x, y) is the signed sum
+    of the (p,q)-shuffles of the word xy (module doc). The first letter of a
+    shuffle is x_0 or y_0, and y_0 first passes all p letters of x:
+
+        sh(x, y) = x_0 sh(x', y) + (-1)^p y_0 sh(x, y'),   sh(x, ()) = x, sh((), y) = y.
+
+    The entries are filled without recursion, each suffix pair (x[i:], y[j:])
+    after the two it extends, and kept for the process in _shuffles, shared
+    by every shape and degree on L letters. An entry is never mutated, so a
+    caller copies it before changing it.
+    """
+    want = (L, p, x, q, y)
+    if want in _shuffles:
+        return _shuffles[want]
+    power = [L ** e for e in range(p + q + 1)]
+    todo = [want]  # pairs to fill, each after the two it extends; none is pushed twice
+    while todo:
+        key = todo[-1]
+        _, lx, u, ly, v = key
+        if not lx or not ly:  # one side is empty: the other word alone
+            _shuffles[key] = {u * power[ly] + v: 1}
+            todo.pop()
+            continue
+        after_x = (L, lx - 1, u % power[lx - 1], ly, v)
+        after_y = (L, lx, u, ly - 1, v % power[ly - 1])
+        tail_x, tail_y = _shuffles.get(after_x), _shuffles.get(after_y)
+        if tail_x is None or tail_y is None:
+            if tail_x is None:
+                todo.append(after_x)
+            if tail_y is None:
+                todo.append(after_y)
+            continue
+        top = power[lx + ly - 1]
+        lead = u // power[lx - 1] * top
+        out = {lead + w: c for w, c in tail_x.items()}
+        lead = v // power[ly - 1] * top
+        sign = -1 if lx % 2 else 1
+        for w, c in tail_y.items():
+            w += lead
+            c = out.get(w, 0) + sign * c
+            if c:
+                out[w] = c
+            else:
+                del out[w]
+        _shuffles[key] = out
+        todo.pop()
+    return _shuffles[want]
 
 
 def _relabel(content) -> tuple:
@@ -249,23 +296,32 @@ def _shape_kernel(k: int, shape: tuple):
     every word is a sum of free words (the degree-p echelon form), and for
     sh(y1, y2) in I_p, sh(sh(y1, y2), v) = sh(y1, sh(y2, v)) by associativity
     of the signed shuffle, rows of the shorter split len(y1).
+
+    Each row is read from _shuffle's memo, built from the sub-shuffles of
+    the suffixes of x and y by sh(x, y) = x_0 sh(x', y) + (-1)^|x| y_0 sh(x, y')
+    with equal words merged, so the rows cancel as they are built: on
+    (9, (5, 4)) a row has 8 nonzeros on average, of up to 126 shuffles.
     """
-    words = list(_multiset_words(list(shape)))
-    index = {w: t for t, w in enumerate(words)}
-    constraints = Echelon()
+    words = _multiset_words(shape)
+    L = len(shape)
+    places = [L ** (k - 1 - t) for t in range(k)]
+    codes = [sum(a * place for a, place in zip(w, places)) for w in words]
+    index = {code: t for t, code in enumerate(codes)}
+    rows = []
     # sh_{k-p,p} of a word is +-sh_{p,k-p} of the word rotated by p letters,
     # so the splits p <= k/2 already give every constraint up to sign
     for p in range(1, k // 2 + 1):
-        movers = _movers(p, k)
-        for w in words:
-            if not _is_free(w[:p]):
-                continue
-            # constraint: the functional kills sh(w) = sum_s sgn(s) (w shuffled by s)
-            row = {}
-            for take, sign in movers:
-                j = index[take(w)]
-                row[j] = row.get(j, 0) + sign
-            constraints.add(row)
+        low = L ** (k - p)
+        for w, code in zip(words, codes):
+            if _is_free(w[:p]):
+                # constraint: the functional kills sh(w[:p], w[p:]); a copy, never the memo's entry
+                row = _shuffle(L, p, code // low, k - p, code % low)
+                rows.append({index[u]: c for u, c in row.items()})
+    # rows whose first column comes last go first: a new pivot then seldom lies in a
+    # stored row, so adding a row seldom clears one; the echelon form is unique, so
+    # the order changes only the cost
+    rows.sort(key=lambda row: min(row, default=-1), reverse=True)
+    constraints = Echelon(rows)
     n = len(words)
     basis = tuple(tuple(v.get(t, 0) for t in range(n)) for v in constraints.kernel_basis(n))
     return tuple(words), basis, tuple(constraints.free_columns(n))

@@ -53,11 +53,13 @@ def _make_primitive(row: dict) -> None:
 def _eliminate(target: dict, row: dict, c: int) -> None:
     """Clear column c of target with row, whose pivot is c; integers only."""
     f = target.pop(c)
-    g = gcd(row[c], f)
-    a, f = row[c] // g, f // g
-    if a != 1:
-        for j in target:
-            target[j] *= a
+    a = row[c]
+    if a != 1:  # pivot 1, the common case, needs no gcd and no scaling
+        g = gcd(a, f)
+        a, f = a // g, f // g
+        if a != 1:
+            for j in target:
+                target[j] *= a
     for j, v in row.items():
         if j != c:
             x = target.get(j, 0) - f * v

@@ -419,6 +419,23 @@ def test_oracle_one_letter_shuffle_count_is_budgeted(capsys):
     assert "verdict: MATCH" in out
 
 
+def test_oracle_one_letter_deep_degree_ends_in_a_status(capsys):
+    # a budget big enough for 2^1199 lets k = 1200 through; the words of
+    # degree 1200 once overflowed the stack of a recursive enumeration
+    argv = ["oracle", "--m", "1", "--k", "1200", "--budget", str(2 ** 1300), "--coeffs", "regular"]
+    for mode in ([], ["--json"]):
+        start = time.perf_counter()
+        code, out = run(capsys, argv + mode)
+        assert time.perf_counter() - start < 5.0, mode
+        assert code in (0, 5), out
+        if mode:
+            assert json.loads(out)["status"] == ("ok" if code == 0 else "budget-exceeded")
+        elif code == 0:
+            assert "brute-force harrison dimension: " in out
+        else:
+            assert out.endswith("status: budget-exceeded\n")
+
+
 def test_values_too_long_to_print_exit_budget_exceeded(tmp_path, capsys):
     cone = write(tmp_path, json.dumps({"vertices": [{"id": "A", "b": 12}], "edges": []}))
     cases = [

@@ -16,7 +16,8 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from operator import itemgetter
 
 import pytest
 
@@ -32,7 +33,6 @@ from ratsurf.harrison import (
     harrison_dim,
     hochschild_dim,
     make_fat_point,
-    signed_shuffles,
     zero_map_check,
     _blocks,
     _full_coboundary,
@@ -177,6 +177,34 @@ def test_coefficient_module_kinds():
     assert REGULAR.dim(a) == 3
     with pytest.raises(ValueError):
         CoefficientModule("bogus")
+
+
+def signed_shuffles(p: int, q: int) -> list:
+    """All (p,q)-shuffles of {1..p+q} as (permutation tuple, sign).
+
+    The tuple s satisfies s[t-1] = s(t); there are C(p+q, p) of them. Each s(t)
+    of the first block exceeds exactly s(t) - t entries of the second, so the
+    sign is (-1)^sum(s(t) - t) over t = 1..p.
+    """
+    if p < 1 or q < 1:
+        raise ValueError("need p, q >= 1")
+    total = p + q
+    out = []
+    for first in itertools.combinations(range(1, total + 1), p):
+        chosen = set(first)
+        rest = tuple(x for x in range(1, total + 1) if x not in chosen)
+        out.append((first + rest, -1 if (sum(first) - p * (p + 1) // 2) % 2 else 1))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _movers(p: int, k: int) -> tuple:
+    """The signed (p, k-p)-shuffles as (take, sign), shared by every shape of degree k.
+
+    take(w) is w shuffled by s: the letters of w sorted by their target slots.
+    """
+    return tuple((itemgetter(*sorted(range(k), key=perm.__getitem__)), sign)
+                 for perm, sign in signed_shuffles(p, k - p))
 
 
 def inversion_sign(perm):
@@ -1009,15 +1037,19 @@ def test_one_letter_shuffle_count_is_held_to_the_budget():
 
 # ----- free-prefix constraint rows against every row -----------------------
 
-def all_rows_shape_kernel(k, shape):
-    """_shape_kernel with the row sh(w[:p], w[p:]) of every word for each
-    split p <= k/2, whatever its prefix: the construction it replaced."""
-    words = list(harrison._multiset_words(list(shape)))
+def itemgetter_shape_kernel(k, shape, keep=lambda prefix: True):
+    """_shape_kernel built one signed shuffle at a time: for each split
+    p <= k/2, the row sh(w[:p], w[p:]) of each word with keep(w[:p]), added
+    in word order. With keep = _is_free this is the construction the
+    shuffle memo replaced."""
+    words = list(harrison._multiset_words(shape))
     index = {w: t for t, w in enumerate(words)}
     constraints = qlinalg.Echelon()
     for p in range(1, k // 2 + 1):
-        movers = harrison._movers(p, k)
+        movers = _movers(p, k)
         for w in words:
+            if not keep(w[:p]):
+                continue
             row = {}
             for take, sign in movers:
                 j = index[take(w)]
@@ -1026,6 +1058,12 @@ def all_rows_shape_kernel(k, shape):
     n = len(words)
     basis = tuple(tuple(v.get(t, 0) for t in range(n)) for v in constraints.kernel_basis(n))
     return tuple(words), basis, tuple(constraints.free_columns(n))
+
+
+def all_rows_shape_kernel(k, shape):
+    """_shape_kernel with the row of every word for each split p <= k/2,
+    whatever its prefix: the construction the free-prefix rows replaced."""
+    return itemgetter_shape_kernel(k, shape)
 
 
 def default_budget_shapes(max_letters=None):
@@ -1058,6 +1096,58 @@ def test_free_prefix_rows_are_fewer(monkeypatch):
     monkeypatch.setattr(qlinalg.Echelon, "add", lambda self, row: added.append(row) or real_add(self, row))
     assert _shape_kernel(9, (5, 4)) == all_rows_shape_kernel(9, (5, 4))
     assert len(added) == 277 + 504
+
+
+def test_shape_kernel_matches_the_itemgetter_construction():
+    # every 2-letter shape up to k = 12 and every default-budget shape; the
+    # tuples, not only the dimensions, since the echelon form is unique
+    shapes = {(k, s) for k in range(1, 13) for s in partitions(k) if len(s) <= 2}
+    for k, shape in sorted(shapes | set(default_budget_shapes())):
+        assert _shape_kernel(k, shape) == itemgetter_shape_kernel(k, shape, harrison._is_free), (k, shape)
+
+
+def test_memoized_shuffles_equal_the_signed_shuffle_expansion():
+    # every pair of nonempty words on at most 3 letters with |x| + |y| <= 8;
+    # itertools.product lists the words of one length in base-L code order.
+    # Renaming letters commutes with shuffling, so the expansion is summed
+    # for the words whose letters first occur in order 0, 1, 2, .. and
+    # renamed for the others.
+    try:
+        for letters in (1, 2, 3):
+            for n in range(2, 9):
+                words = list(itertools.product(range(letters), repeat=n))
+                code = {w: c for c, w in enumerate(words)}
+                renamings = [[code[tuple(sigma[a] for a in w)] for w in words]
+                             for sigma in itertools.permutations(range(letters))]
+                first = [w for w in words if list(dict.fromkeys(w)) == list(range(len(set(w))))]
+                for p in range(1, n):
+                    low = letters ** (n - p)
+                    for w in first:
+                        expansion = Counter()
+                        for take, sign in _movers(p, n):
+                            expansion[code[take(w)]] += sign
+                        for rename in renamings:
+                            c = rename[code[w]]
+                            got = harrison._shuffle(letters, p, c // low, n - p, c % low)
+                            assert got == {rename[u]: x for u, x in expansion.items() if x}, (words[c], p)
+    finally:
+        harrison._shuffles.clear()  # frees the 67k entries; kernels refill what they read
+
+
+def test_building_a_kernel_leaves_the_shuffle_memo_unchanged():
+    # __wrapped__ builds past the kernel cache; the first build fills the memo entries it reads
+    first = _shape_kernel.__wrapped__(9, (5, 4))
+    memo = {key: dict(entry) for key, entry in harrison._shuffles.items()}
+    assert memo
+    assert _shape_kernel.__wrapped__(9, (5, 4)) == first == _shape_kernel(9, (5, 4))
+    assert harrison._shuffles == memo
+
+
+def test_one_letter_words_enumerate_without_recursion():
+    # a recursive enumeration ran out of stack at k = 990
+    assert harrison._multiset_words((5000,)) == [(0,) * 5000]
+    assert harrison._multiset_words(()) == [()]
+    assert harrison._multiset_words((2, 1, 1)) == sorted(set(itertools.permutations((0, 0, 1, 2))))
 
 
 # ----- an independent count: the super-Lyndon words of each shape ----------
