@@ -13,7 +13,11 @@ structural counts (vertices, children) stay plain numbers.
 
 The JSON equals json.dumps(envelope, indent=2, sort_keys=True) but is
 written by _write_json: with indent set, json.dumps runs its pure-Python
-encoder, whose cost grows with nesting depth times output size.
+encoder, whose cost grows with nesting depth times output size. A str value
+is written in place, and a list of str, such as a series row, goes out item
+by item at C speed, never joined into one string. main writes the chunks to
+stdout 4096 at a time, and the human lines one at a time, so no answer is
+ever one string either.
 
 Every subcommand's options are declared once, in _COMMANDS. An argv made of
 exact spellings and valid values is read straight off that table. Anything
@@ -35,6 +39,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
@@ -52,6 +57,7 @@ EXIT_CODES = {
 }
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 _MAX_I_ERROR = "--max-i must be at least 3"
+_BATCH = 4096  # JSON chunks per write to stdout
 
 
 # the brute-force engine's names, bound into this module by _load_engine
@@ -96,16 +102,24 @@ def _write_json(value, out: list, newline: str = "\n") -> None:
     elif isinstance(value, dict):
         inner, sep = newline + "  ", "{" + newline + "  "
         for key, item in sorted(value.items()):
-            out.append(sep + _quote(key) + ": ")  # _quote raises TypeError on a non-str key
-            _write_json(item, out, inner)
+            head = sep + _quote(key) + ": "  # _quote raises TypeError on a non-str key
+            if isinstance(item, str):
+                out.append(head + _quote(item))
+            else:
+                out.append(head)
+                _write_json(item, out, inner)
             sep = "," + inner
         out.append(newline + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         inner, sep = newline + "  ", "[" + newline + "  "
-        for item in value:
-            out.append(sep)
-            _write_json(item, out, inner)
-            sep = "," + inner
+        if value and all(map(isinstance, value, repeat(str))):  # a row of decimals, at C speed
+            out.append(sep + _quote(value[0]))
+            out += map(("," + inner).__add__, map(_quote, islice(value, 1, None)))
+        else:
+            for item in value:
+                out.append(sep)
+                _write_json(item, out, inner)
+                sep = "," + inner
         out.append(newline + "]" if value else "[]")
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
@@ -236,16 +250,15 @@ def cmd_series(args) -> tuple:
     if args.order < 1:
         return "invalid-input", {"error": "--order must be at least 1"}
     series.check_digits(args.d, args.order)
-    q = series.shuffle_dim_series(args.d, args.order)
-    p = series.cone_series(args.d, q)
-    # the shuffle dims of the (d-1)-dim fat point are Q's coefficients
-    q_row = [_num(x) for x in q[1:]]
+    # every coefficient is an int, so str renders it; the shuffle dims of the
+    # (d-1)-dim fat point are Q's coefficients
+    q_row = list(map(str, islice(series.shuffle_dim_series(args.d, args.order), 1, None)))
     return "ok", {
         "d": _num(args.d),
         "order": args.order,
         "shuffle_dims": q_row,
         "q_coefficients": q_row,
-        "p_coefficients": [_num(x) for x in p[1:]],
+        "p_coefficients": list(map(str, islice(series.poincare_series(args.d, args.order), 1, None))),
     }
 
 
@@ -435,13 +448,24 @@ def main(argv=None) -> int:
     if args.json:
         out = []
         _write_json({"schema": "1", "command": args.command, "status": status, **data}, out)
-        print("".join(out))
+        _print(out, "", _BATCH)
     else:
         lines = args.lines(args, status, data)
         if status != "ok":
             lines.append("status: %s" % status)
-        print("\n".join(lines))
+        _print(lines, "\n", 1)  # a line may hold a whole series row
     return EXIT_CODES[status]
+
+
+def _print(chunks: list, sep: str, batch: int) -> None:
+    """Write sep.join(chunks) and a newline to stdout, as print would, in
+    writes of `batch` chunks each, so that the whole answer is never one string."""
+    write = sys.stdout.write
+    for start in range(0, len(chunks), batch):
+        if start:
+            write(sep)
+        write(sep.join(chunks[start:start + batch]))
+    write("\n")
 
 
 def console_main() -> int:

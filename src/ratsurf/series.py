@@ -17,8 +17,10 @@ Two families of numbers drive everything here:
 Every coefficient is a Python int: the shuffle dimensions are integer sums,
 and the cotangent series is built from them by integer recurrences. The low
 coefficients of a truncated series do not depend on where it is truncated,
-so cone_tdim keeps one series per degree d and only rebuilds it, longer,
-when a higher coefficient is asked for.
+so the module keeps one pair of rows, Q and P, per degree d, shared by
+shuffle_dim_series, poincare_series and cone_tdim (and so by the series and
+analyze commands). It rebuilds them, longer, only when a higher coefficient
+is asked for, and then to twice their order but not past the digit cap.
 
 The coefficients grow like (d-1)^k, so a deep or wide request can ask for
 numbers too long to print; check_digits refuses those up front.
@@ -106,13 +108,10 @@ def check_digits(d: int, order: int, terms: int = 1) -> None:
 def shuffle_dim_series(d: int, order: int) -> list:
     """Shuffle-dimension row of the degree-d cone: [0, shuffle_dim(d-1, 1..order)].
 
-    Entry k is the t^k coefficient of Q = sum_k shuffle_dim(d-1, k) t^k.
+    Entry k is the t^k coefficient of Q = sum_k shuffle_dim(d-1, k) t^k; a
+    copy of the cached row (_cone_rows).
     """
-    if d < 3:
-        raise ValueError("need d >= 3")
-    if order < 1:
-        raise ValueError("need order >= 1")
-    return _shuffle_row(d - 1, order)
+    return _cone_rows(d, order)[0][: order + 1]
 
 
 def cone_series(d: int, q: list) -> list:
@@ -150,32 +149,53 @@ def cone_series(d: int, q: list) -> list:
 
 
 def poincare_series(d: int, order: int) -> list:
-    """Cotangent dimension series of the degree-d cone, coefficients t^0..t^order."""
-    return cone_series(d, shuffle_dim_series(d, order))
+    """Cotangent dimension series of the degree-d cone, coefficients t^0..t^order.
+
+    A copy of the cached row (_cone_rows).
+    """
+    return _cone_rows(d, order)[1][: order + 1]
 
 
-# d -> poincare_series(d, order) for the largest order built so far
+# d -> (_shuffle_row(d - 1, n), its cone_series) for the largest order n built so far
 _CONE_ROWS: dict = {}
+
+
+def _cone_rows(d: int, order: int) -> tuple:
+    """The cached (Q, P) rows of degree d, built to at least t^order.
+
+    Rows too short are rebuilt to twice their order, so asking for orders 1,
+    2, ..., N in turn rebuilds them O(log N) times, but not past the largest
+    order check_digits admits for d unless order is longer. Callers hand out
+    slices, never the rows.
+    """
+    if d < 3:
+        raise ValueError("need d >= 3")
+    if order < 1:
+        raise ValueError("need order >= 1")
+    rows = _CONE_ROWS.get(d)
+    if rows is None or order >= len(rows[0]):
+        if rows is not None:
+            order = max(order, min(2 * (len(rows[0]) - 1), int(MAX_DIGITS / log10(d - 1))))
+        q = _shuffle_row(d - 1, order)
+        rows = _CONE_ROWS[d] = (q, cone_series(d, q))
+    return rows
 
 
 @lru_cache(maxsize=None)
 def cone_tdim(i: int, d: int) -> int:
     """dim T^i of the cone over the rational normal curve of degree d.
 
-    Reads the t^i coefficient of one cached series per d. When i lies past
-    the cached order the series is rebuilt to at least twice that order, so
-    asking for i = 1, 2, ..., N in turn rebuilds it only O(log N) times. The
-    lru_cache in front reports (i, d) lookups through cache_info().
+    Reads the t^i coefficient of the cached P row of degree d, which the
+    series command reads too; a row too short grows through poincare_series
+    (_cone_rows). The lru_cache in front reports (i, d) lookups through
+    cache_info().
     """
     if i < 1:
         raise ValueError("need i >= 1")
-    if d < 3:
-        raise ValueError("need d >= 3")
-    row = _CONE_ROWS.get(d)
-    if row is None or i >= len(row):
-        order = i if row is None else max(i, 2 * (len(row) - 1))
-        row = _CONE_ROWS[d] = poincare_series(d, order)
-    return row[i]
+    rows = _CONE_ROWS.get(d)
+    if rows is None or i >= len(rows[1]):
+        return poincare_series(d, i)[i]
+    return rows[1][i]
 
 
 def fatpoint_tdim(m: int, i: int) -> int:

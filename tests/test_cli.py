@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from ratsurf import acceptance, cli, resgraph
+from ratsurf import acceptance, cli, resgraph, series
 from ratsurf.acceptance import D4_JSON, FOUR_LEAF_B2_JSON, FOUR_LEAF_B3_JSON, STAR_JSON
 from ratsurf.blowup import multiplicity_tree
 from ratsurf.cli import EXIT_CODES, main
@@ -477,6 +477,21 @@ def test_values_under_the_digit_cap_still_print(tmp_path, capsys):
     assert code == 5
 
 
+def test_analyze_at_the_digit_cap_builds_no_row_past_it(tmp_path, capsys, monkeypatch):
+    # --max-i 13287 is the largest i check_digits admits for d = 3: growing
+    # the cached row to twice its order stops there, not at 24576
+    monkeypatch.setattr(series, "_CONE_ROWS", {})
+    cone_tdim.cache_clear()
+    cone = write(tmp_path, json.dumps({"vertices": [{"id": "A", "b": 3}], "edges": []}))
+    try:
+        code, raw = run(capsys, ["analyze", cone, "--max-i", "13287", "--json"])
+        assert len(series._CONE_ROWS[3][1]) - 1 <= 13287
+        assert (code, hashlib.sha256(raw.encode("ascii")).hexdigest()) == (
+            0, "d26824bc119cce19bc0bb666c8a4ffd9cfa1249c9ee5b4bb029d05e7acbc5cde")
+    finally:
+        cone_tdim.cache_clear()
+
+
 def test_the_parser_is_built_on_first_use_and_reused(tmp_path, capsys):
     probe = "import ratsurf.cli as c; print(c._parser.cache_info().currsize)"
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -854,9 +869,21 @@ def random_text(rng):
                    for _ in range(rng.randrange(8)))
 
 
+def random_row(rng):
+    """A list or tuple of 0 to 300 str, as the series rows are, or one whose
+    first item is a str and a later one another type."""
+    row = [random_text(rng) if rng.random() < 0.5 else str(rng.randint(-10 ** 40, 10 ** 40))
+           for _ in range(rng.choice([0, 1, 2, rng.randrange(301)]))]
+    if row and rng.random() < 0.3:
+        row.insert(rng.randrange(1, len(row) + 1), random_json_value(rng, 1))
+    return row if rng.random() < 0.8 else tuple(row)
+
+
 def random_json_value(rng, depth):
     """A seeded random value of the types the JSON writer takes."""
-    kind = rng.randrange(7 if depth > 0 else 5)
+    kind = rng.randrange(8 if depth > 0 else 5)
+    if kind == 7:
+        return random_row(rng)
     if kind == 0:
         return random_text(rng) if rng.random() < 0.7 else str(rng.randint(-10 ** 30, 10 ** 30))
     if kind == 1:
@@ -879,6 +906,11 @@ def test_json_writer_equals_json_dumps_with_indent():
     for _ in range(400):
         value = random_json_value(rng, rng.randrange(6))
         assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    # a list that starts with a str and goes on with another type, and a dict
+    # of str and other values, leave the all-str path
+    for value in (["1", 2], ["a", {}], ["a", None, "b"], ("", "\U0001f600", ["\\"]),
+                  {"a": "x", "b": 1, "c": ["y", '"'], "d": None, "e": {"f": "\u00e9"}}):
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
     # 450 containers deep, more than a tree at the budget's depth of about
     # 180 nests (a node's dict and its children's list per level)
     value = {"mult": "3"}
@@ -889,7 +921,7 @@ def test_json_writer_equals_json_dumps_with_indent():
 
 @pytest.mark.parametrize("value", [
     {1, 2}, b"bytes", 1j, Fraction(1, 2), object(), {1: "key that is not a str"}, {None: 0},
-    {"a": [1, {"b": {2}}]}, [0, {"c": (1, b"")}],
+    {"a": [1, {"b": {2}}]}, [0, {"c": (1, b"")}], ["a", b"x"], ("a", {1: "b"}),
 ])
 def test_json_writer_raises_type_error_on_other_types(value):
     with pytest.raises(TypeError):

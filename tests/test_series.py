@@ -331,6 +331,34 @@ def test_cone_tdim_does_not_depend_on_call_order(monkeypatch):
         assert v == poincare_series(d, i)[i]
 
 
+def test_the_shared_row_cache_equals_fresh_builds(monkeypatch):
+    # shuffle_dim_series, poincare_series and cone_tdim read one cached pair
+    # of rows per d: in any order of requests each answer equals a build from
+    # scratch, and a caller that mutates a row it was handed changes nothing
+    rng = random.Random(3112)
+    top = 90
+    for d in range(3, 13):
+        want = reference_poincare_series(d, top)
+        requests = [(rng.choice(("q", "p", "tdim")), rng.randint(1, top)) for _ in range(24)]
+        for order in (sorted(requests, key=lambda r: r[1]), sorted(requests, key=lambda r: -r[1]),
+                      rng.sample(requests, len(requests))):
+            monkeypatch.setattr(series, "_CONE_ROWS", {})
+            cone_tdim.cache_clear()
+            for kind, n in order:
+                q = series._shuffle_row(d - 1, n)
+                p = series.cone_series(d, q)
+                assert p == want[: n + 1], (d, n)
+                if kind == "tdim":
+                    assert cone_tdim(n, d) == p[n], (d, n)
+                    continue
+                row = shuffle_dim_series(d, n) if kind == "q" else poincare_series(d, n)
+                assert row == (q if kind == "q" else p), (d, kind, n)
+                row[-1] += 1
+                row[0] = -1
+                row.append(7)
+    cone_tdim.cache_clear()
+
+
 def test_cone_tdim_known_values():
     assert cone_tdim(1, 3) == 2
     assert cone_tdim(2, 6) == 15
