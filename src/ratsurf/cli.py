@@ -13,11 +13,10 @@ structural counts (vertices, children) stay plain numbers.
 
 The JSON equals json.dumps(envelope, indent=2, sort_keys=True) but is
 written by _write_json: with indent set, json.dumps runs its pure-Python
-encoder, whose cost grows with nesting depth times output size. A str value
-is written in place, and a list of str, such as a series row, goes out item
-by item at C speed, never joined into one string. main writes the chunks to
-stdout 4096 at a time, and the human lines one at a time, so no answer is
-ever one string either.
+encoder, whose cost grows with nesting depth times output size. A series
+row goes out item by item, never joined into one string. main writes the
+chunks to stdout 4096 at a time, and the human lines one at a time, so no
+answer is ever one string either.
 
 Every subcommand's options are declared once, in _COMMANDS. An argv made of
 exact spellings and valid values is read straight off that table. Anything
@@ -39,7 +38,7 @@ import json
 import os
 import sys
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
@@ -102,24 +101,16 @@ def _write_json(value, out: list, newline: str = "\n") -> None:
     elif isinstance(value, dict):
         inner, sep = newline + "  ", "{" + newline + "  "
         for key, item in sorted(value.items()):
-            head = sep + _quote(key) + ": "  # _quote raises TypeError on a non-str key
-            if isinstance(item, str):
-                out.append(head + _quote(item))
-            else:
-                out.append(head)
-                _write_json(item, out, inner)
+            out.append(sep + _quote(key) + ": ")  # _quote raises TypeError on a non-str key
+            _write_json(item, out, inner)
             sep = "," + inner
         out.append(newline + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         inner, sep = newline + "  ", "[" + newline + "  "
-        if value and all(map(isinstance, value, repeat(str))):  # a row of decimals, at C speed
-            out.append(sep + _quote(value[0]))
-            out += map(("," + inner).__add__, map(_quote, islice(value, 1, None)))
-        else:
-            for item in value:
-                out.append(sep)
-                _write_json(item, out, inner)
-                sep = "," + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
         out.append(newline + "]" if value else "[]")
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")

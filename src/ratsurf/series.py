@@ -20,7 +20,9 @@ coefficients of a truncated series do not depend on where it is truncated,
 so the module keeps one pair of rows, Q and P, per degree d, shared by
 shuffle_dim_series, poincare_series and cone_tdim (and so by the series and
 analyze commands). It rebuilds them, longer, only when a higher coefficient
-is asked for, and then to twice their order but not past the digit cap.
+is asked for, and then to twice their order but not past the digit cap. The
+rows are kept for the life of the process, and there is no bound on how
+many degrees are kept: about 24 MB for d = 3 at the cap.
 
 The coefficients grow like (d-1)^k, so a deep or wide request can ask for
 numbers too long to print; check_digits refuses those up front.
@@ -164,9 +166,10 @@ def _cone_rows(d: int, order: int) -> tuple:
     """The cached (Q, P) rows of degree d, built to at least t^order.
 
     Rows too short are rebuilt to twice their order, so asking for orders 1,
-    2, ..., N in turn rebuilds them O(log N) times, but not past the largest
-    order check_digits admits for d unless order is longer. Callers hand out
-    slices, never the rows.
+    2, ..., N in turn rebuilds them O(log N) times. A request that check_digits
+    admits grows them no further than the largest order it admits for d; a
+    longer one, from a caller that skips the check, still doubles them.
+    Callers hand out slices, never the rows.
     """
     if d < 3:
         raise ValueError("need d >= 3")
@@ -175,7 +178,8 @@ def _cone_rows(d: int, order: int) -> tuple:
     rows = _CONE_ROWS.get(d)
     if rows is None or order >= len(rows[0]):
         if rows is not None:
-            order = max(order, min(2 * (len(rows[0]) - 1), int(MAX_DIGITS / log10(d - 1))))
+            grown, cap = 2 * (len(rows[0]) - 1), int(MAX_DIGITS / log10(d - 1))
+            order = max(order, min(grown, cap) if order <= cap else grown)
         q = _shuffle_row(d - 1, order)
         rows = _CONE_ROWS[d] = (q, cone_series(d, q))
     return rows

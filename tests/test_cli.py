@@ -907,7 +907,7 @@ def test_json_writer_equals_json_dumps_with_indent():
         value = random_json_value(rng, rng.randrange(6))
         assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
     # a list that starts with a str and goes on with another type, and a dict
-    # of str and other values, leave the all-str path
+    # of str and other values, are written as json.dumps writes them
     for value in (["1", 2], ["a", {}], ["a", None, "b"], ("", "\U0001f600", ["\\"]),
                   {"a": "x", "b": 1, "c": ["y", '"'], "d": None, "e": {"f": "\u00e9"}}):
         assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -359,6 +359,32 @@ def test_the_shared_row_cache_equals_fresh_builds(monkeypatch):
     cone_tdim.cache_clear()
 
 
+def test_rows_past_the_digit_cap_still_double(monkeypatch):
+    # below the cap a row grows to the cap at most; past it, as when a
+    # library caller skips check_digits, it doubles, so i = cap+1, cap+2, ...
+    # rebuilds it O(log i) times and not once per i
+    monkeypatch.setattr(series, "MAX_DIGITS", 20)
+    monkeypatch.setattr(series, "_CONE_ROWS", {})
+    cap = int(20 / math.log10(2))  # 66 for d = 3
+    built = []
+
+    def counted(m, order, build=series._shuffle_row):
+        built.append(order)
+        return build(m, order)
+
+    monkeypatch.setattr(series, "_shuffle_row", counted)
+    cone_tdim.cache_clear()
+    try:
+        want = reference_poincare_series(3, cap + 200)
+        assert [cone_tdim(i, 3) for i in range(1, cap + 1)] == want[1: cap + 1]
+        assert max(built) == cap
+        del built[:]
+        assert [cone_tdim(i, 3) for i in range(cap + 1, cap + 201)] == want[cap + 1:]
+        assert built == [2 * cap, 4 * cap, 8 * cap]
+    finally:
+        cone_tdim.cache_clear()
+
+
 def test_cone_tdim_known_values():
     assert cone_tdim(1, 3) == 2
     assert cone_tdim(2, 6) == 15
