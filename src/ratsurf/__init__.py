@@ -37,12 +37,8 @@ _EXPORTS = {
         "fatpoint_tdim",
     ),
     "harrison": (
-        "CoefficientModule",
         "CochainSpace",
-        "TRIVIAL",
-        "REGULAR",
         "DEFAULT_BUDGET",
-        "make_fat_point",
         "coboundary_matrix",
         "harrison_dim",
         "hochschild_dim",

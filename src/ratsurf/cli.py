@@ -60,7 +60,7 @@ _BATCH = 4096  # JSON chunks per write to stdout
 
 
 # the brute-force engine's names, bound into this module by _load_engine
-_ENGINE = ("REGULAR", "TRIVIAL", "harrison_dim", "hochschild_dim", "make_fat_point")
+_ENGINE = ("harrison_dim", "hochschild_dim")
 
 
 def _load_engine() -> None:
@@ -269,13 +269,11 @@ def cmd_oracle(args) -> tuple:
     if args.budget is not None and args.budget < 1:
         return "invalid-input", {"error": "--budget must be at least 1"}
     _load_engine()
-    module = TRIVIAL if args.coeffs == "trivial" else REGULAR
-    algebra = make_fat_point(args.m)
     if args.hochschild:
-        dim = hochschild_dim(algebra, module, args.k, budget=args.budget)
+        dim = hochschild_dim(args.m, args.coeffs, args.k, budget=args.budget)
         kind = "hochschild"
     else:
-        dim = harrison_dim(algebra, module, args.k, budget=args.budget)
+        dim = harrison_dim(args.m, args.coeffs, args.k, budget=args.budget)
         kind = "harrison"
     data = {
         "m": _num(args.m),

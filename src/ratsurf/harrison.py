@@ -4,7 +4,10 @@ The m-dimensional fat point is A = Q*1 (+) V with V spanned by e_1..e_m and
 every product e_i e_j zero. Reduced cochains in degree k are multilinear
 maps on A that vanish whenever an argument is 1, so they are determined by
 their values on basis words (i_1..i_k) from V; coefficients are either the
-residue field (V acts as zero) or A itself with its multiplication.
+residue field (V acts as zero) or A itself with its multiplication. The
+engine takes the fat point as the int m and the coefficients by name,
+"trivial" or "regular", as the oracle command's --coeffs does; _cap checks
+every argument before any work.
 
 Differential, written on a k-cochain f evaluated at k+1 arguments:
 
@@ -51,7 +54,7 @@ a content; only the ranks of the differentials are read, each once, by
 SparseMatrix.rank, which peels the columns that own a row before
 qlinalg.Echelon eliminates the rest. The word budget is checked for every
 degree a computation touches first; dimensions and zero_map_check then share
-the ranks of d_k, each kept per process by m, coefficient kind and degree.
+the ranks of d_k, each kept per process by m, coefficient name and degree.
 
 The outer terms come only from the action on the values, and e_i . 1 = e_i
 is the only nonzero one. Trivial coefficients: the differential is the zero
@@ -91,60 +94,31 @@ def _need_int(name: str, x) -> None:
         raise TypeError("%s must be an int, not %r" % (name, x))
 
 
-class FatPoint:
-    """The m-dimensional fat point Q*1 (+) span(e_1..e_m): every product e_i e_j is 0."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, m: int) -> None:
-        _need_int("m", m)
-        if m < 1:
-            raise ValueError("need m >= 1")
-        self.n = m
-
-
-def make_fat_point(m: int) -> FatPoint:
-    """The m-dimensional fat point, the algebra every engine function takes."""
-    return FatPoint(m)
-
-
-class CoefficientModule:
-    """Coefficients for the complexes: the residue field or the algebra itself.
-
-    kind "trivial": values in Q, every e_i acts as zero.
-    kind "regular": values in A, basis 1, e_1, .., e_n, where e_i . 1 = e_i
-    and e_i . e_j = 0.
-    """
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str) -> None:
-        if kind not in ("trivial", "regular"):
-            raise ValueError("kind must be 'trivial' or 'regular'")
-        self.kind = kind
-
-    def dim(self, algebra: FatPoint) -> int:
-        return 1 if self.kind == "trivial" else algebra.n + 1
-
-    def __repr__(self) -> str:
-        return "CoefficientModule(%r)" % self.kind
-
-
-TRIVIAL = CoefficientModule("trivial")
-REGULAR = CoefficientModule("regular")
-
-
 def _far_over(n: int, k: int, cap: int) -> bool:
     """Is n^k certainly over cap and too long to compute or print? k stays an int."""
     return n > 1 and k > (max(cap.bit_length(), 13000) + 1) / log2(n)
 
 
-def _cap(budget: int | None, k: int) -> int:
+def _value_dim(m: int, coeffs: str) -> int:
+    """The dimension of the coefficients: 1 for the residue field ("trivial"),
+    where every e_i acts as zero, and m + 1 for the algebra ("regular"), with
+    basis 1, e_1, .., e_m, where e_i . 1 = e_i and e_i . e_j = 0."""
+    if coeffs not in ("trivial", "regular"):
+        raise ValueError("coeffs must be 'trivial' or 'regular', not %r" % (coeffs,))
+    return 1 if coeffs == "trivial" else m + 1
+
+
+def _cap(m: int, coeffs: str, k: int, budget: int | None) -> int:
     """The word-space cap a budget argument sets: DEFAULT_BUDGET for None, else budget >= 1.
 
-    Every entry point calls it first, so it also refuses a degree k below 1,
-    and a k or budget that is a bool or not an int.
+    Every entry point calls it first, so it also refuses, for m, then coeffs,
+    then k and budget: a bool or a non-int, an m or a degree k below 1, and a
+    coeffs other than "trivial" and "regular".
     """
+    _need_int("m", m)
+    if m < 1:
+        raise ValueError("need m >= 1")
+    _value_dim(m, coeffs)
     _need_int("k", k)
     if budget is not None:
         _need_int("budget", budget)
@@ -177,10 +151,15 @@ def _check_budget(n: int, degrees, cap: int) -> None:
 def check_budget(n: int, k: int, budget: int | None = None, hochschild: bool = False) -> None:
     """The up-front check of harrison_dim (word spaces n^k and n^(k+1)) or,
     with hochschild, of hochschild_dim (the full degree-k differential)."""
-    cap = _cap(budget, k)
+    _check(n, "trivial", k, budget, hochschild)  # the budget does not depend on the coefficients
+
+
+def _check(m: int, coeffs: str, k: int, budget: int | None, hochschild: bool) -> None:
+    """check_budget for an entry point that takes coeffs: every argument, then the work."""
+    cap = _cap(m, coeffs, k, budget)
     if not hochschild:
-        return _check_budget(n, (k, k + 1), cap)
-    if _far_over(n, k + 1, cap) or n ** (k + 1) > cap:
+        return _check_budget(m, (k, k + 1), cap)
+    if _far_over(m, k + 1, cap) or m ** (k + 1) > cap:
         raise BudgetError("word space for the full degree-%d differential exceeds budget %d" % (k, cap))
 
 
@@ -409,12 +388,11 @@ class CochainSpace:
     not) placed in value coordinate alpha, keyed alpha * n**k + word.
     """
 
-    def __init__(self, algebra: FatPoint, module: CoefficientModule, k: int,
-                 budget: int | None = None) -> None:
-        _check_budget(algebra.n, (k,), _cap(budget, k))
-        self.value_dim = module.dim(algebra)
-        self._words = algebra.n ** k
-        blocks = _blocks(algebra.n, k)
+    def __init__(self, m: int, coeffs: str, k: int, budget: int | None = None) -> None:
+        _check_budget(m, (k,), _cap(m, coeffs, k, budget))
+        self.value_dim = _value_dim(m, coeffs)
+        self._words = m ** k
+        blocks = _blocks(m, k)
         # the scalar kernel vectors in block order, and each one's index by its free word
         self._vectors = [vec for _, basis, _ in blocks for vec in basis]
         self._free = {fw: t for t, fw in enumerate(fw for _, _, free in blocks for fw in free)}
@@ -474,63 +452,59 @@ def _image(n: int, k: int, vec: dict) -> dict:
     return {u: v for u, v in out.items() if v}
 
 
-def coboundary_matrix(algebra: FatPoint, module: CoefficientModule,
-                      k: int, budget: int | None = None) -> SparseMatrix:
+def coboundary_matrix(m: int, coeffs: str, k: int, budget: int | None = None) -> SparseMatrix:
     """Matrix of the differential between shuffle-invariant spaces k -> k+1,
     in the CochainSpace bases, as sparse columns; only the unit coordinate's are nonempty."""
-    dom = CochainSpace(algebra, module, k, budget)
-    cod = CochainSpace(algebra, module, k + 1, budget)
-    unit = dom._vectors if module.kind == "regular" else []
-    columns = [cod.coords_of(_image(algebra.n, k, vec)) for vec in unit]
+    dom = CochainSpace(m, coeffs, k, budget)
+    cod = CochainSpace(m, coeffs, k + 1, budget)
+    unit = dom._vectors if coeffs == "regular" else []
+    columns = [cod.coords_of(_image(m, k, vec)) for vec in unit]
     columns += [{} for _ in range(dom.dim - len(columns))]
     return SparseMatrix(cod.dim, dom.dim, columns)
 
 
-_ranks = {}  # (m, coefficient kind, hochschild, k) -> rank of d_k
+_ranks = {}  # (m, coeffs, hochschild, k) -> rank of d_k
 
 
-def _rank(algebra: FatPoint, module: CoefficientModule, hochschild: bool, k: int) -> int:
+def _rank(m: int, coeffs: str, hochschild: bool, k: int) -> int:
     """Rank of d_k (0 for k = 0), once per process; call it only after the caller's budget check.
 
     With trivial coefficients d_k is zero: its rank is 0, and nothing is
     built. The regular Harrison d_k is ranked one content shape at a time.
     """
-    key = (algebra.n, module.kind, hochschild, k)
+    key = (m, coeffs, hochschild, k)
     if k and key not in _ranks:
-        if module.kind == "trivial":
+        if coeffs == "trivial":
             _ranks[key] = 0
         elif hochschild:
-            _ranks[key] = _full_coboundary(algebra, module, k).rank()
+            _ranks[key] = _full_coboundary(m, coeffs, k).rank()
         else:
-            _ranks[key] = sum(count * _block_rank(k, shape, len(shape) < algebra.n)
-                              for shape, count in _census(algebra.n, k)[0])
+            _ranks[key] = sum(count * _block_rank(k, shape, len(shape) < m)
+                              for shape, count in _census(m, k)[0])
     return _ranks.get(key, 0)
 
 
-def harrison_dim(algebra: FatPoint, module: CoefficientModule,
-                 k: int, budget: int | None = None) -> int:
+def harrison_dim(m: int, coeffs: str, k: int, budget: int | None = None) -> int:
     """dim of degree-k Harrison cohomology (shuffle-invariant complex)."""
-    check_budget(algebra.n, k, budget)
-    cochains = module.dim(algebra) * _census(algebra.n, k)[1]
-    return cochains - sum(_rank(algebra, module, False, d) for d in (k - 1, k))
+    _check(m, coeffs, k, budget, False)
+    cochains = _value_dim(m, coeffs) * _census(m, k)[1]
+    return cochains - sum(_rank(m, coeffs, False, d) for d in (k - 1, k))
 
 
-def _full_coboundary(algebra: FatPoint, module: CoefficientModule, k: int) -> SparseMatrix:
+def _full_coboundary(m: int, coeffs: str, k: int) -> SparseMatrix:
     """Differential on all reduced cochains as sparse columns, numbered by key;
     only the unit coordinate's are nonempty."""
-    size = algebra.n ** k
-    ndom = module.dim(algebra) * size
-    columns = [_image(algebra.n, k, {key: 1}) for key in range(size if module.kind == "regular" else 0)]
-    columns += [{} for _ in range(ndom - len(columns))]
-    return SparseMatrix(module.dim(algebra) * algebra.n ** (k + 1), ndom, columns)
+    size, values = m ** k, _value_dim(m, coeffs)
+    columns = [_image(m, k, {key: 1}) for key in range(size if coeffs == "regular" else 0)]
+    columns += [{} for _ in range(values * size - len(columns))]
+    return SparseMatrix(values * m ** (k + 1), values * size, columns)
 
 
-def hochschild_dim(algebra: FatPoint, module: CoefficientModule,
-                   k: int, budget: int | None = None) -> int:
+def hochschild_dim(m: int, coeffs: str, k: int, budget: int | None = None) -> int:
     """dim of degree-k Hochschild cohomology on the full reduced complex."""
-    check_budget(algebra.n, k, budget, hochschild=True)
-    cochains = module.dim(algebra) * algebra.n ** k
-    return cochains - sum(_rank(algebra, module, True, d) for d in (k - 1, k))
+    _check(m, coeffs, k, budget, True)
+    cochains = _value_dim(m, coeffs) * m ** k
+    return cochains - sum(_rank(m, coeffs, True, d) for d in (k - 1, k))
 
 
 def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
@@ -546,10 +520,10 @@ def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
     coordinate, and d_k is nonzero only there, so the map is zero exactly
     when d_k has rank scalar_dim: injective on the unit coordinate's cochains.
     """
-    algebra = make_fat_point(m)
+    _need_int("m", m)
     if m < 2:
         raise ValueError("need m >= 2")
     check_budget(m, k, budget)
     if k < 2:
         raise ValueError("need k >= 2")
-    return _rank(algebra, REGULAR, False, k) == _census(m, k)[1]
+    return _rank(m, "regular", False, k) == _census(m, k)[1]

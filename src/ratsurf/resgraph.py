@@ -319,13 +319,6 @@ class Cycle:
         """Z.K via adjunction on rational curves: sum a_i (b_i - 2)."""
         return sum(a * (b - 2) for a, b in zip(self.coefficients.values(), self.graph.b))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cycle)
-            and self.graph is other.graph
-            and self.coefficients == other.coefficients
-        )
-
     def __repr__(self) -> str:
         body = " ".join("%s:%d" % (vid, self.coefficients[vid]) for vid in self.graph.ids)
         return "Cycle(%s)" % body

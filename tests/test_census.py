@@ -1,0 +1,145 @@
+"""src/ holds what runs: every named function of the package is called by a
+shipped path, or it is on ALLOWED with its reason.
+
+A fresh interpreter runs, under sys.setprofile, every argv of test_cli's
+PINNED_RUNS in both output modes, one regular Hochschild oracle (nothing
+pinned reaches _full_coboundary), one argv that goes through argparse, and
+the demos. The named functions are the package's module functions and class
+methods and properties, lru_cache unwrapped; nested functions and
+comprehensions are not counted. The interpreter is fresh because the
+package's caches (lru_cache, the rank table, the names ratsurf binds on
+first access) would otherwise hide the calls that other tests already made.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import glob
+import importlib
+import io
+import json
+import os
+import pkgutil
+import runpy
+import subprocess
+import sys
+import types
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(TESTS)
+SRC = os.path.join(REPO, "src")
+
+TRACER = "perfbench tracer, ROADMAP items 1/2/10"
+REPR = "library API: a readable repr for interactive use"
+
+# each named function that no census run calls, and why it stays in src/
+ALLOWED = {
+    "resgraph.is_negative_definite": TRACER,
+    "resgraph._add": TRACER,
+    "qlinalg.QMatrix.__init__": TRACER,
+    "qlinalg.QMatrix.rank": TRACER,
+    "qlinalg.QMatrix.det": TRACER,
+    "qlinalg.QMatrix.leading_principal_minor": TRACER,
+    "qlinalg.as_fraction": TRACER,
+    "harrison.CochainSpace.__init__": TRACER,
+    "harrison.CochainSpace.coords_of": TRACER,
+    "harrison.CochainSpace._locate": TRACER,
+    "harrison.coboundary_matrix": TRACER,
+    "harrison._blocks": TRACER,
+    "cli.__getattr__": TRACER,
+    "cli.console_main": "the installed console script; it runs out of process",
+    "resgraph.Cycle.__init__": "library API: a cycle built from caller input, checked",
+    "resgraph.ResolutionGraph.edges": "library API: the sorted edge pairs, which tests read",
+    "resgraph.ResolutionGraph.__repr__": REPR,
+    "resgraph.Cycle.__repr__": REPR,
+    "blowup.MultiplicityTree.__repr__": REPR,
+    "ratsurf.__dir__": "library API: dir(ratsurf) lists the names that load on first access",
+}
+
+# extra argv beyond PINNED_RUNS, each in both output modes
+EXTRA_RUNS = [
+    ["oracle", "--m", "2", "--k", "3", "--coeffs", "regular", "--hochschild"],
+    ["series", "--ord", "5", "--d=4"],
+]
+
+
+def named_functions() -> dict:
+    """{code object: "module.qualname"} of every named function whose code is in src/ratsurf."""
+    import ratsurf
+
+    package = os.path.dirname(ratsurf.__file__)
+    modules = [ratsurf] + [importlib.import_module("ratsurf." + info.name)
+                           for info in pkgutil.iter_modules(ratsurf.__path__)]
+    out = {}
+
+    def add(fn):
+        fn = getattr(fn, "__wrapped__", fn)  # lru_cache
+        if isinstance(fn, types.FunctionType) and os.path.dirname(fn.__code__.co_filename) == package:
+            out.setdefault(fn.__code__, fn.__module__.replace("ratsurf.", "") + "." + fn.__qualname__)
+
+    for module in modules:
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                for attr in vars(obj).values():
+                    if isinstance(attr, property):
+                        for fn in (attr.fget, attr.fset, attr.fdel):
+                            add(fn)
+                    else:
+                        add(getattr(attr, "__func__", attr))  # staticmethod, classmethod
+            else:
+                add(obj)
+    return out
+
+
+def census(argvs: list) -> dict:
+    """Run argvs through cli.main and the demos under sys.setprofile: the
+    named functions, and those never called."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sink = io.StringIO()
+    sys.setprofile(profile)
+    try:
+        import ratsurf.cli  # "from ratsurf.cli import" would ask cli.__getattr__ for __path__
+
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            for argv in argvs:
+                ratsurf.cli.main(argv)
+            for demo in sorted(glob.glob(os.path.join(REPO, "demos", "*.py"))):
+                try:
+                    runpy.run_path(demo, run_name="__main__")
+                except SystemExit as exc:
+                    assert not exc.code, (demo, exc.code)
+    finally:
+        sys.setprofile(None)
+    names = named_functions()
+    return {"names": sorted(names.values()),
+            "uncalled": sorted(name for code, name in names.items() if code not in called)}
+
+
+def test_every_function_in_src_runs_or_is_allowed(tmp_path):
+    from ratsurf.acceptance import D4_JSON, FOUR_LEAF_B3_JSON, STAR_JSON
+    from test_cli import NON_REDUCED, PINNED_RUNS, y_tower_json
+
+    # the inputs PINNED_RUNS reads, written as test_cli_output_bytes_are_pinned writes them
+    for name, text in (("star.json", STAR_JSON), ("non-reduced.json", NON_REDUCED), ("d4.json", D4_JSON),
+                       ("not-rational.json", FOUR_LEAF_B3_JSON), ("broken.json", "{broken"),
+                       ("y125.json", y_tower_json(125))):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "latin1.json").write_bytes(b'{"vertices": [{"id": "\xe9"}]}')
+    argvs = [argv + mode for argv in [run[0] for run in PINNED_RUNS] + EXTRA_RUNS for mode in ([], ["--json"])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS]))
+    code = "import json, sys, test_census; print(json.dumps(test_census.census(json.load(sys.stdin))))"
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(argvs), capture_output=True,
+                          text=True, env=env, cwd=str(tmp_path), timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout)
+    names, uncalled = set(result["names"]), set(result["uncalled"])
+    assert "harrison.harrison_dim" in names and "harrison._shape_kernel" in names
+    for found, fault in ((uncalled - set(ALLOWED), "never called: move it into tests/, delete it or allow it"),
+                         (set(ALLOWED) - names, "allowed, but no longer in src/"),
+                         (set(ALLOWED) & names - uncalled, "allowed, but called")):
+        assert not found, "%s: %s" % (fault, ", ".join(sorted(found)))

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from ratsurf import series
-from ratsurf.harrison import REGULAR, harrison_dim, make_fat_point
+from ratsurf.harrison import harrison_dim
 from ratsurf.qlinalg import as_fraction
 from ratsurf.series import (
     IntegralityError,
@@ -417,7 +417,7 @@ def test_fatpoint_tdim_small_table():
 def test_fatpoint_tdim_of_the_dual_numbers_matches_brute_force():
     # k[x]/(x^2) is a hypersurface: T^1 is one-dimensional, higher T^i vanish
     for i in range(1, 7):
-        assert harrison_dim(make_fat_point(1), REGULAR, i + 1) == fatpoint_tdim(1, i)
+        assert harrison_dim(1, "regular", i + 1) == fatpoint_tdim(1, i)
     assert [fatpoint_tdim(1, i) for i in range(1, 7)] == [1, 0, 0, 0, 0, 0]
 
 
