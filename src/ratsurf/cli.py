@@ -14,9 +14,10 @@ structural counts (vertices, children) stay plain numbers.
 The JSON equals json.dumps(envelope, indent=2, sort_keys=True) but is
 written by _write_json: with indent set, json.dumps runs its pure-Python
 encoder, whose cost grows with nesting depth times output size. A series
-row goes out item by item, never joined into one string. main writes the
-chunks to stdout 4096 at a time, and the human lines one at a time, so no
-answer is ever one string either.
+row is never joined into one string: its decimal strings go into the chunk
+list themselves, between shared separators, with no per-number quote or
+copy. main writes the chunks to stdout 4096 at a time (about 2048 numbers),
+and the human lines one at a time, so no answer is ever one string either.
 
 Every subcommand's options are declared once, in _COMMANDS. An argv made of
 exact spellings and valid values is read straight off that table. Anything
@@ -90,9 +91,28 @@ def _num(x) -> str:
     return str(int(x))
 
 
+def _decimal(items) -> bool:
+    """True if the list or tuple items holds str alone, made of ASCII digits
+    and at least one of them, as str(int) writes non-negative ints: JSON
+    escapes none of them."""
+    if not items or type(items[0]) is not str:
+        return False
+    try:
+        text = "".join(items)
+    except TypeError:  # a later item that is not a str
+        return False
+    # bytes.isdigit is ASCII only; str.isdigit also takes superscripts and
+    # other scripts' digits, and looks each character up in the Unicode tables
+    return text.isascii() and text.encode("ascii").isdigit()
+
+
 def _write_json(value, out: list, newline: str = "\n") -> None:
     """Append json.dumps(value, indent=2, sort_keys=True) to out, byte for
     byte, in chunks; newline is a line break and the indent of value's last line.
+
+    A row of decimal strings (_decimal) goes into out by reference, its
+    items alternating with one shared separator string, with no call, quote
+    or copy per item. Everything else is written item by item.
 
     Takes dicts with str keys, lists, tuples, str, int, float, bool and None,
     and raises TypeError on any other type."""
@@ -107,6 +127,13 @@ def _write_json(value, out: list, newline: str = "\n") -> None:
         out.append(newline + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         inner, sep = newline + "  ", "[" + newline + "  "
+        if _decimal(value):
+            pieces = ['",' + inner + '"'] * (2 * len(value) - 1)
+            pieces[::2] = value
+            out.append(sep + '"')
+            out += pieces
+            out.append('"' + newline + "]")
+            return
         for item in value:
             out.append(sep)
             _write_json(item, out, inner)

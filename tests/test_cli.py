@@ -11,6 +11,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -919,9 +920,65 @@ def test_json_writer_equals_json_dumps_with_indent():
     assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+class Text(str):
+    """A str subclass, which json.dumps writes as the text it holds."""
+
+
+# rows like a decimal row that the writer must still quote item by item:
+# non-ASCII digits, a sign, a control character, a quote, and other types
+NEAR_MISSES = ("\u00b2", "\u0663", "\uff11", "-1", "1\n", '7"', None, 3, ["4"], {"5": "6"})
+
+
+def random_decimal_row(rng):
+    """A list or tuple of 1 to 300 decimal strings, with "" and str
+    subclasses among them; one in three has one item from NEAR_MISSES."""
+    row = []
+    for _ in range(rng.choice([1, 2, rng.randrange(1, 301)])):
+        text = str(rng.randint(0, 10 ** rng.randrange(1, 41)))
+        row.append(rng.choice([text, text, text, "", Text(text)]))
+    if rng.random() < 1 / 3:
+        row[rng.randrange(len(row))] = rng.choice(NEAR_MISSES)
+    return row if rng.random() < 0.8 else tuple(row)
+
+
+def test_json_writer_writes_decimal_rows_as_json_dumps():
+    rng = random.Random(3303)
+    for _ in range(400):
+        value = random_decimal_row(rng)
+        for _ in range(rng.randrange(3)):  # nested, so the row's indent varies
+            value = {"row": value, "n": 1} if rng.random() < 0.5 else [value, "2"]
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    for row in (["0"], [""], ["", ""], ["", "1"], (Text("1"), "2"), ["1", Text("2")], ["12", "\u00b2"],
+                ["\u0663"], ["\uff11"], ["1", "-1"], ["1\n"], ['7"'], ["1", 2], ["1", None], ("1", ["2"])):
+        assert json_text(row) == json.dumps(row, indent=2, sort_keys=True), row
+
+
+def test_a_decimal_row_goes_into_the_output_by_reference():
+    _, data = cli.cmd_series(SimpleNamespace(d=3, order=50))
+    out = []
+    cli._write_json(data, out)
+    written = {id(chunk) for chunk in out}
+    for key in ("shuffle_dims", "q_coefficients", "p_coefficients"):
+        assert all(id(item) in written for item in data[key]), key
+    assert "".join(out) == json.dumps(data, indent=2, sort_keys=True)
+
+
+def test_a_write_boundary_inside_a_decimal_row_keeps_the_bytes(monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(["series", "--d", "3", "--order", "5000", "--json"]) == 0
+    _, data = cli.cmd_series(SimpleNamespace(d=3, order=5000))
+    assert len(data["p_coefficients"]) > cli._BATCH
+    expected = json.dumps({"schema": "1", "command": "series", "status": "ok", **data}, indent=2, sort_keys=True)
+    assert "".join(writes) == expected + "\n"
+    # the first write, one batch of chunks, ends inside the P row (keys sorted)
+    assert '"p_coefficients": [' in writes[0] and '"q_coefficients"' not in writes[0]
+
+
 @pytest.mark.parametrize("value", [
     {1, 2}, b"bytes", 1j, Fraction(1, 2), object(), {1: "key that is not a str"}, {None: 0},
     {"a": [1, {"b": {2}}]}, [0, {"c": (1, b"")}], ["a", b"x"], ("a", {1: "b"}),
+    ["1", b"2"], ("7", {2: "x"}), ["1", "2", {3}],
 ])
 def test_json_writer_raises_type_error_on_other_types(value):
     with pytest.raises(TypeError):
