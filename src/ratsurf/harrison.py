@@ -59,20 +59,21 @@ the ranks of d_k, each kept per process by m, coefficient name and degree.
 The outer terms come only from the action on the values, and e_i . 1 = e_i
 is the only nonzero one. Trivial coefficients: the differential is the zero
 map, with rank 0 and nothing built. Regular: only the unit coordinate's
-columns are nonempty, and the kernel vector of a content c maps into value
-coordinate x + 1 only at the content c + x, for each letter x. That block
-of the codomain comes from c alone, so the Harrison d_k is block diagonal
-by content, and rank d_k is the sum over contents c of the rank of the
-block M_c. Up to relabeling M_c depends only on k, the shape of c and
-whether some letter is missing from c: for two missing letters x and y,
-the image of a domain vector at y is its image at x with x and y swapped,
-so the two row blocks have one kernel, and any number of missing letters
-give the rank of one. _block_rank ranks one canonical M_c per (k, shape,
-outside), and _census counts the contents of each shape. Each image is
-still rebuilt from its free-word coordinates (_read_back), so one outside
-the shuffle-invariant subspace raises. CochainSpace and coboundary_matrix build the whole
-Harrison d_k in one basis; they are the reference the block ranks are
-tested against. Hochschild is ranked on the full complex, with no blocks.
+columns are nonempty, and a cochain on the words of a content c maps into
+value coordinate x + 1 only at the content c + x, for each letter x. That
+block of the codomain comes from c alone, so d_k, Harrison or Hochschild,
+is block diagonal by content, and its rank is the sum over contents c of
+the rank of the block M_c. Up to relabeling M_c depends only on k, the
+shape of c and whether some letter is missing from c: for two missing
+letters x and y, the image of a domain vector at y is its image at x with
+x and y swapped, so the two row blocks have one kernel, and any number of
+missing letters give the rank of one. _block_rank (on the content's kernel
+vectors) and _hochschild_block_rank (on its unit words) rank one canonical
+M_c per (k, shape, outside), and _shapes counts the contents of each
+shape. Each Harrison image is still rebuilt from its free-word coordinates
+(_read_back), so one outside the shuffle-invariant subspace raises.
+CochainSpace and coboundary_matrix build the whole Harrison d_k in one
+basis; they are the reference the block ranks are tested against.
 """
 
 from __future__ import annotations
@@ -330,30 +331,31 @@ def _blocks(n: int, k: int):
 
 
 def _partitions(k: int, parts: int, largest: int | None = None):
-    """The descending tuples of positive ints with sum k, at most `parts` long."""
+    """The descending tuples of positive ints with sum k, at most `parts` long; the first is >= k / parts."""
     if not k:
         yield ()
     elif parts:
-        for first in range(min(k, largest or k), 0, -1):
+        for first in range(min(k, largest or k), -(-k // parts) - 1, -1):
             for rest in _partitions(k - first, parts - 1, first):
                 yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
-def _census(n: int, k: int) -> tuple:
-    """The shapes of the degree-k contents on n letters, each with its number
-    of contents, and the number of shuffle-invariant scalar cochains.
-
-    A shape with l parts, of which r_j are equal to j, is the shape of
-    n! / ((n - l)! prod r_j!) contents: the ways to give its parts letters.
-    """
+def _shapes(n: int, k: int) -> tuple:
+    """The shapes of the degree-k contents on n letters, each with its number of contents:
+    one with l parts, r_j of them equal to j, gives its parts letters in n! / ((n - l)! prod r_j!) ways."""
     shapes = []
     for shape in _partitions(k, n):
         count = factorial(n) // factorial(n - len(shape))
         for repeats in Counter(shape).values():
             count //= factorial(repeats)
         shapes.append((shape, count))
-    return tuple(shapes), sum(count * len(_shape_kernel(k, shape)[1]) for shape, count in shapes)
+    return tuple(shapes)
+
+
+def _census(n: int, k: int) -> int:
+    """The number of shuffle-invariant scalar cochains of degree k on n letters."""
+    return sum(count * len(_shape_kernel(k, shape)[1]) for shape, count in _shapes(n, k))
 
 
 @lru_cache(maxsize=None)
@@ -377,6 +379,19 @@ def _block_rank(k: int, shape: tuple, outside: bool) -> int:
             free[base + fw] = (len(free), base, vec)
     columns = [_read_back(_image(n, k, vec), free.get) for vec in _content_block(n, k, content)[1]]
     return SparseMatrix(len(free), len(columns), columns).rank()
+
+
+@lru_cache(maxsize=None)
+def _hochschild_block_rank(k: int, shape: tuple, outside: bool) -> int:
+    """Rank of the regular Hochschild d_k on the unit words of one content, canonical as
+    in _block_rank; every word is a codomain coordinate, so each image is a column as it stands."""
+    n = len(shape) + outside
+    codes = [0]  # a one-part shape's one word, placed without spelling out its k letters
+    if len(shape) > 1:
+        places = [n ** (k - 1 - t) for t in range(k)]
+        codes = [sum(a * p for a, p in zip(w, places)) for w in _multiset_words(shape)]
+    columns = [_image(n, k, {code: 1}) for code in codes]
+    return SparseMatrix((n + 1) * n ** (k + 1), len(columns), columns).rank()
 
 
 class CochainSpace:
@@ -468,40 +483,24 @@ _ranks = {}  # (m, coeffs, hochschild, k) -> rank of d_k
 
 def _rank(m: int, coeffs: str, hochschild: bool, k: int) -> int:
     """Rank of d_k (0 for k = 0), once per process; call it only after the caller's budget check.
-
-    With trivial coefficients d_k is zero: its rank is 0, and nothing is
-    built. The regular Harrison d_k is ranked one content shape at a time.
-    """
+    Trivial coefficients give rank 0 with nothing built; a regular d_k is summed over content shapes."""
     key = (m, coeffs, hochschild, k)
     if k and key not in _ranks:
-        if coeffs == "trivial":
-            _ranks[key] = 0
-        elif hochschild:
-            _ranks[key] = _full_coboundary(m, coeffs, k).rank()
-        else:
-            _ranks[key] = sum(count * _block_rank(k, shape, len(shape) < m)
-                              for shape, count in _census(m, k)[0])
+        block_rank = _hochschild_block_rank if hochschild else _block_rank
+        _ranks[key] = 0 if coeffs == "trivial" else sum(
+            count * block_rank(k, shape, len(shape) < m) for shape, count in _shapes(m, k))
     return _ranks.get(key, 0)
 
 
 def harrison_dim(m: int, coeffs: str, k: int, budget: int | None = None) -> int:
     """dim of degree-k Harrison cohomology (shuffle-invariant complex)."""
     _check(m, coeffs, k, budget, False)
-    cochains = _value_dim(m, coeffs) * _census(m, k)[1]
+    cochains = _value_dim(m, coeffs) * _census(m, k)
     return cochains - sum(_rank(m, coeffs, False, d) for d in (k - 1, k))
 
 
-def _full_coboundary(m: int, coeffs: str, k: int) -> SparseMatrix:
-    """Differential on all reduced cochains as sparse columns, numbered by key;
-    only the unit coordinate's are nonempty."""
-    size, values = m ** k, _value_dim(m, coeffs)
-    columns = [_image(m, k, {key: 1}) for key in range(size if coeffs == "regular" else 0)]
-    columns += [{} for _ in range(values * size - len(columns))]
-    return SparseMatrix(values * m ** (k + 1), values * size, columns)
-
-
 def hochschild_dim(m: int, coeffs: str, k: int, budget: int | None = None) -> int:
-    """dim of degree-k Hochschild cohomology on the full reduced complex."""
+    """dim of degree-k Hochschild cohomology on the full reduced complex, ranked by content shape."""
     _check(m, coeffs, k, budget, True)
     cochains = _value_dim(m, coeffs) * m ** k
     return cochains - sum(_rank(m, coeffs, True, d) for d in (k - 1, k))
@@ -526,4 +525,4 @@ def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
     check_budget(m, k, budget)
     if k < 2:
         raise ValueError("need k >= 2")
-    return _rank(m, "regular", False, k) == _census(m, k)[1]
+    return _rank(m, "regular", False, k) == _census(m, k)

@@ -3,7 +3,7 @@ shipped path, or it is on ALLOWED with its reason.
 
 A fresh interpreter runs, under sys.setprofile, every argv of test_cli's
 PINNED_RUNS in both output modes, one regular Hochschild oracle (nothing
-pinned reaches _full_coboundary), one argv that goes through argparse, and
+pinned reaches _hochschild_block_rank), one argv that goes through argparse, and
 the demos. The named functions are the package's module functions and class
 methods and properties, lru_cache unwrapped; nested functions and
 comprehensions are not counted. The interpreter is fresh because the

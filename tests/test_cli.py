@@ -305,6 +305,21 @@ def test_oracle_hochschild(capsys):
     assert "brute-force hochschild dimension: 6" in out
 
 
+def test_oracle_hochschild_on_one_letter_answers_at_any_degree():
+    # one letter has the one shape (k,), whose one word is placed without its k
+    # letters: d_k has rank 1 for odd k and 0 for even k, so every degree has 2 - 1.
+    # Each run is a fresh process, so no kept rank answers it.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for k in (10 ** 18, 10 ** 18 + 1):
+        for mode in ([], ["--json"]):
+            argv = ["oracle", "--m", "1", "--k", str(k), "--coeffs", "regular", "--hochschild"] + mode
+            proc = subprocess.run([sys.executable, "-m", "ratsurf.cli"] + argv, capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=src), timeout=5)
+            assert proc.returncode == 0, proc.stderr
+            answer = json.loads(proc.stdout)["brute_force"] if mode else proc.stdout.splitlines()[1]
+            assert answer == ("1" if mode else "brute-force hochschild dimension: 1"), (k, mode)
+
+
 def test_oracle_budget_exceeded(capsys):
     code, out = run(capsys, ["oracle", "--m", "4", "--k", "9"])
     assert code == 5
@@ -347,7 +362,7 @@ def test_an_oracle_refusal_builds_nothing(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("%r ran before the budget check" % (args,))
 
-    for name in ("_census", "_shape_kernel", "_rank"):
+    for name in ("_census", "_shapes", "_shape_kernel", "_rank", "_block_rank", "_hochschild_block_rank"):
         monkeypatch.setattr("ratsurf.harrison." + name, refuse)
     cases = [
         ([], "word space 1000000000^1 = 1000000000 exceeds budget 1500"),

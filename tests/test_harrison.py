@@ -12,7 +12,10 @@ a complete intersection, and Q[x]/(x^2-1) is etale.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -31,7 +34,6 @@ from ratsurf.harrison import (
     hochschild_dim,
     zero_map_check,
     _blocks,
-    _full_coboundary,
     _image,
     _shape_kernel,
 )
@@ -124,7 +126,7 @@ def test_the_fat_point_squares_to_zero():
                 want[(i + 1) * m ** 2 + j * m + i] += 1
             assert _image(m, 1, {j: 1}) == dict(want)
         for coeffs, nonempty in (("trivial", 0), ("regular", m)):
-            assert sum(map(bool, _full_coboundary(m, coeffs, 1).columns)) == nonempty
+            assert sum(map(bool, full_coboundary(m, coeffs, 1).columns)) == nonempty
     with pytest.raises(ValueError, match="^need m >= 1$"):
         harrison_dim(0, "trivial", 1)
 
@@ -343,7 +345,7 @@ def test_differential_squares_to_zero_on_sparse_cochains():
                     once = reference_differential(a, coeffs, k, {(alpha, w): Fraction(1)})
                     assert reference_differential(a, coeffs, k + 1, once) == {}, (a.products, coeffs, k)
     for k in (1, 2):
-        first, second = _full_coboundary(2, "regular", k), _full_coboundary(2, "regular", k + 1)
+        first, second = full_coboundary(2, "regular", k), full_coboundary(2, "regular", k + 1)
         assert any(first.columns) and not any(compose(second, first))
 
 
@@ -533,7 +535,7 @@ def test_every_coboundary_in_budget_ranks_alike_with_and_without_the_peel():
     checked = 0
     for m, k in pairs:
         for coeffs in ("trivial", "regular"):
-            for matrix in (coboundary_matrix(m, coeffs, k), _full_coboundary(m, coeffs, k)):
+            for matrix in (coboundary_matrix(m, coeffs, k), full_coboundary(m, coeffs, k)):
                 want = Echelon(matrix.columns).rank
                 assert matrix.rank() == want == Echelon(row_dicts(matrix.columns)).rank, (m, k, coeffs)
                 checked += 1
@@ -567,6 +569,82 @@ def test_one_missing_letter_ranks_a_content_like_all_of_them():
                 assert rank == harrison._block_rank(k, shape, len(shape) < n), (n, k, content)
                 total += rank
             assert total == coboundary_matrix(n, "regular", k).rank(), (n, k)
+
+
+def test_hochschild_block_ranks_sum_to_the_rank_of_the_whole_complex():
+    # every fat point with m^(k+1) within the default budget and seven past it,
+    # both coefficient kinds: the sum over content shapes of count times block
+    # rank is the rank of the whole m^k-column d_k
+    cases = fat_points_in_budget() + [(2, 11), (2, 12), (3, 7), (4, 5), (4, 6), (6, 3), (6, 4)]
+    for m, k in cases:
+        for coeffs in ("trivial", "regular"):
+            cold_rank_cache()
+            want = full_coboundary(m, coeffs, k).rank()
+            assert harrison._rank(m, coeffs, True, k) == want, (m, k, coeffs)
+
+
+def test_a_block_that_forgets_its_missing_letter_changes_the_hochschild_rank(monkeypatch):
+    # the mutation: every block ranked as if its content held every letter loses
+    # the images at a missing one. In even degree k the image of the word x^k
+    # cancels at x (x^(k+1) - x^(k+1)) but not at another letter y (y x^k - x^k y),
+    # so the sum falls short exactly for m >= 2 and even k
+    real = harrison._hochschild_block_rank
+    monkeypatch.setattr(harrison, "_hochschild_block_rank", lambda k, shape, outside: real(k, shape, False))
+    differ = []
+    for m, k in fat_points_in_budget():
+        monkeypatch.setattr(harrison, "_ranks", {})
+        if harrison._rank(m, "regular", True, k) != full_coboundary(m, "regular", k).rank():
+            differ.append((m, k))
+    assert differ == [(m, k) for m, k in fat_points_in_budget() if m > 1 and k % 2 == 0]
+    assert {(2, 2), (3, 2), (4, 4)} <= set(differ) and len(differ) == 15
+
+
+def test_a_cold_hochschild_dimension_ranks_one_block_per_shape(monkeypatch):
+    # a cold regular hochschild_dim ranks one block for each content shape of
+    # degrees k - 1 and k, and builds no shuffle kernel; a warm one ranks nothing
+    ranked, eliminated = [], []
+    real_block, real_rank = harrison._hochschild_block_rank, SparseMatrix.rank
+
+    def refuse(k, shape):
+        raise AssertionError("built the shape kernel %r" % ((k, shape),))
+
+    def counting_block(k, shape, outside):
+        ranked.append((k, shape))
+        return real_block(k, shape, outside)
+
+    def counting_rank(self):
+        eliminated.append(self.cols)
+        return real_rank(self)
+
+    monkeypatch.setattr(harrison, "_shape_kernel", refuse)
+    monkeypatch.setattr(harrison, "_hochschild_block_rank", counting_block)
+    monkeypatch.setattr(SparseMatrix, "rank", counting_rank)
+    for m, k in [(1, 7), (2, 3), (2, 9), (3, 4), (4, 3), (6, 3)]:
+        harrison._ranks.clear()
+        harrison._shapes.cache_clear()
+        real_block.cache_clear()
+        del ranked[:], eliminated[:]
+        want = hochschild_dim(m, "regular", k)
+        shapes = [(d, shape) for d in (k - 1, k) for shape, _ in harrison._shapes(m, d)]
+        assert ranked == shapes and len(eliminated) == len(shapes), (m, k)
+        del ranked[:], eliminated[:]
+        assert hochschild_dim(m, "regular", k) == want
+        assert (ranked, eliminated) == ([], []), (m, k)
+
+
+def test_partitions_equal_a_brute_force_enumeration():
+    # the descending tuples with sum k and at most `parts` parts, in descending
+    # order; the first part starts at ceil(k / parts), so one part is one step
+    for k in range(13):
+        for parts in range(7):
+            want = {tuple(sorted(c, reverse=True)) for n in range(parts + 1)
+                    for c in itertools.combinations_with_replacement(range(1, k + 1), n) if sum(c) == k}
+            assert list(harrison._partitions(k, parts)) == sorted(want, reverse=True), (k, parts)
+    # in a fresh process with a time limit, so a loop over all k first parts fails instead of hanging
+    code = "from ratsurf.harrison import _partitions; print(list(_partitions(10 ** 18, 1)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=5,
+                          env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harrison.__file__))))
+    assert proc.stdout == "[(%d,)]\n" % 10 ** 18, proc.stderr
 
 
 def test_zero_map_check_on_small_fat_points():
@@ -620,7 +698,7 @@ def test_zero_map_check_reads_the_kept_rank_of_d_k(monkeypatch):
     for m, k in [(2, 2), (2, 5), (3, 2), (3, 3)]:
         monkeypatch.setattr(harrison, "_ranks", {})
         assert zero_map_check(m, k)  # every shape kernel and block rank it needs, cached
-        shapes = [shape for shape, _ in harrison._census(m, k)[0]]
+        shapes = [shape for shape, _ in harrison._shapes(m, k)]
         monkeypatch.setattr(qlinalg.Echelon, "__init__", counting_init)
         monkeypatch.setattr(harrison, "_block_rank", counting_rank)
         monkeypatch.setattr(harrison, "coboundary_matrix", counting_coboundary)
@@ -670,7 +748,7 @@ def test_zero_map_check_sees_every_residue_field_coordinate(monkeypatch):
     # lose rank 1 on the shape of t's content, and are injective elsewhere.
     scalar_dim = CochainSpace(2, "trivial", 2).scalar_dim
     dim = coboundary_matrix(2, "regular", 2).cols
-    assert 0 < scalar_dim < dim and harrison._census(2, 2)[1] == scalar_dim
+    assert 0 < scalar_dim < dim and harrison._census(2, 2) == scalar_dim
     shape_of_column = [tuple(sorted(Counter(content).values(), reverse=True))
                        for content, (_, basis, _) in zip(itertools.combinations_with_replacement(range(2), 2),
                                                          _blocks(2, 2)) for _ in basis]
@@ -783,6 +861,16 @@ def decode(func, n, k):
     return {(key // n ** k, word_of(key % n ** k, n, k)): c for key, c in func.items()}
 
 
+def full_coboundary(m, coeffs, k):
+    """The engine's whole Hochschild d_k on the m-dimensional fat point: every
+    reduced cochain's _image as a sparse column, numbered by key; only the
+    unit coordinate's are nonempty. The block ranks are tested against it."""
+    size, values = m ** k, harrison._value_dim(m, coeffs)
+    columns = [_image(m, k, {key: 1}) for key in range(size if coeffs == "regular" else 0)]
+    columns += [{} for _ in range(values * size - len(columns))]
+    return SparseMatrix(values * m ** (k + 1), values * size, columns)
+
+
 def reference_full_coboundary(algebra, coeffs, k):
     """The Hochschild columns in itertools.product order, numbered by reduce."""
     n = algebra.n
@@ -863,7 +951,7 @@ def test_differential_matches_the_tuple_keyed_reference():
         ref = zero_table(m)
         for coeffs in ("trivial", "regular"):
             for ours, theirs in ((coboundary_matrix(m, coeffs, k), reference_coboundary(ref, coeffs, k)),
-                                 (_full_coboundary(m, coeffs, k), reference_full_coboundary(ref, coeffs, k))):
+                                 (full_coboundary(m, coeffs, k), reference_full_coboundary(ref, coeffs, k))):
                 assert (ours.rows, ours.cols) == (theirs.rows, theirs.cols), (m, k, coeffs)
                 assert ours.columns == theirs.columns, (m, k, coeffs)
     assert len(pairs) == 71
@@ -1275,7 +1363,8 @@ def test_bracket_vectors_are_a_triangular_basis_of_the_shape_kernel():
 def cold_rank_cache():
     harrison._ranks.clear()
     harrison._block_rank.cache_clear()
-    harrison._census.cache_clear()
+    harrison._hochschild_block_rank.cache_clear()
+    harrison._shapes.cache_clear()
 
 
 def test_dimensions_do_not_depend_on_the_call_order():
@@ -1357,7 +1446,7 @@ def test_silent_coordinates_are_those_with_no_action_and_no_linear_part():
         quiet = set(range(harrison._value_dim(m, coeffs)))
         for k in (1, 2):
             scalar_dim = CochainSpace(m, coeffs, k).scalar_dim
-            for columns, size in ((_full_coboundary(m, coeffs, k).columns, m ** k),
+            for columns, size in ((full_coboundary(m, coeffs, k).columns, m ** k),
                                   (coboundary_matrix(m, coeffs, k).columns, scalar_dim)):
                 quiet -= {idx // size for idx, col in enumerate(columns) if col}
         assert quiet == want, (m, coeffs)
@@ -1371,7 +1460,7 @@ def test_skipped_columns_equal_the_computed_ones():
         harrison_columns = reference_coboundary(ref, coeffs, k).columns
         assert coboundary_matrix(m, coeffs, k).columns == harrison_columns, (m, coeffs, k)
         full_columns = reference_full_coboundary(ref, coeffs, k).columns
-        assert _full_coboundary(m, coeffs, k).columns == full_columns, (m, coeffs, k)
+        assert full_coboundary(m, coeffs, k).columns == full_columns, (m, coeffs, k)
         for hochschild, columns in ((False, harrison_columns), (True, full_columns)):
             cold_rank_cache()
             want = Echelon(columns).rank
@@ -1408,6 +1497,8 @@ def test_a_zero_differential_builds_no_codomain(monkeypatch):
     assert (cobounds, spaces) == ([], []) and max(kernels) == 4
     assert sorted(applied) == [2, 2, 3]
     want = dense_hochschild_dim(zero_table(2), "regular", 3)
+    # Hochschild applies the unit words of one content per shape: 00, 01 and 10
+    # in degree 2, 000 and the three words of (2, 1) in degree 3
     del applied[:]
     assert hochschild_dim(2, "regular", 3) == want
-    assert sorted(applied) == [2] * 2 ** 2 + [3] * 2 ** 3
+    assert sorted(applied) == [2] * 3 + [3] * 4
