@@ -21,9 +21,10 @@ where a Fraction is built or checked, so integral work never loads it, nor
 the numbers module that it imports.
 
 SparseMatrix holds the cochain differentials as sparse columns and only ranks
-them. QMatrix is the tests' dense determinant reference (Sylvester's leading
-minors). No module of the package calls it; it stays here only because the
-benchmark's tracer wraps its rank, det and leading_principal_minor by name.
+them. QMatrix is a dense determinant over Q: resgraph.is_negative_definite
+reads its leading principal minors (Sylvester's criterion), though no graph
+path calls that, and the benchmark's tracer wraps its rank, det and
+leading_principal_minor by name.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ class SparseMatrix:
 
 
 class QMatrix:
-    """Dense matrix over Q from equal-length rows; the tests' determinant reference (module doc)."""
+    """Dense matrix over Q from equal-length rows, for determinants and minors (module doc)."""
 
     __slots__ = ("rows", "cols", "_a")
 

@@ -25,16 +25,14 @@ keeps the Cycle with the pairings Z.E_i the loop ends with, so Z.Z, Z.K and
 the blow-up components read them by vertex index. The singularity is
 rational when arithmetic_genus of Z is 0, and its multiplicity is then -Z.Z.
 
-is_negative_definite is the library's test for any symmetric int matrix: one
-fraction-free least-degree pivot pass over the sparse rows, stopped at the
-first pivot >= 0 or past FILL_BUDGET fill updates.
+is_negative_definite is the library's test for any dense symmetric int
+matrix: Sylvester's criterion on qlinalg's leading principal minors. No graph
+path calls it.
 """
 
 from __future__ import annotations
 
 import json
-from heapq import heapify, heappop, heappush
-from math import gcd
 
 from .series import BudgetError
 
@@ -54,12 +52,9 @@ GRAPH_ERROR_CODES = (
 # Laufer's loop stops after LOOP_BUDGET units of work, one per neighbour of each
 # bumped vertex, and a multiplicity tree stops once its nodes' vertices times
 # depth (the root's is 1) sum past TREE_BUDGET, which caps the depth near 180.
-# is_negative_definite stops after FILL_BUDGET fill updates, where K_n takes
-# about n^3/3 (K_120 0.56e6, K_154 1.19e6, about 0.3 s).
 MAX_GRAPH_BYTES = 2_000_000
 LOOP_BUDGET = 1_000_000
 TREE_BUDGET = 1_000_000
-FILL_BUDGET = 1_200_000
 
 
 class GraphError(ValueError):
@@ -212,82 +207,20 @@ def parse_graph(text: str) -> ResolutionGraph:
 
 
 def is_negative_definite(rows) -> bool:
-    """Are all pivots of P A P^T = L D L^T negative? rows are sparse dicts or
-    dense sequences of Python ints; each step eliminates a vertex of least
-    current degree (ties by index), and the pivot signs do not depend on
-    that order.
-
-    The pass is fraction-free: every entry of the matrix being eliminated is
-    a reduced pair num/den of ints, den > 0, and the Schur update of a pivot
-    touches only the entries among its neighbours: a pivot of degree k
-    makes k(k-1) fill updates between them, none for a leaf, and more than
-    FILL_BUDGET of those raise BudgetError, which a tree never does. Raises
-    ValueError for a matrix that is not square, symmetric and of ints.
+    """Sylvester's criterion: is (-1)^k times every leading principal k x k
+    minor positive? rows are the dense rows of a square symmetric matrix of
+    Python ints; anything else raises ValueError. Each minor is a Fraction
+    elimination, so an n x n matrix costs O(n^4) with no budget.
     """
     n = len(rows)
-    adj = [{j: x for j, x in (r.items() if isinstance(r, dict) else enumerate(r)) if x}
-           for r in rows]
-    if any(not isinstance(r, dict) and len(r) != n for r in rows) or any(
-        type(x) is not int or not 0 <= j < n or adj[j].get(i, 0) != x
-        for i, r in enumerate(adj) for j, x in r.items()
+    if any(isinstance(r, dict) or len(r) != n for r in rows) or any(
+        type(x) is not int or rows[j][i] != x for i, r in enumerate(rows) for j, x in enumerate(r)
     ):
         raise ValueError("negative definiteness needs a symmetric square matrix of ints")
-    num = [r.pop(i, 0) for i, r in enumerate(adj)]
-    den = [1] * n
-    adj = [{j: (x, 1) for j, x in r.items()} for r in adj]
-    # vertex i of current degree d waits on the heap as the int d * n + i, so
-    # the least key is the least degree, ties by index
-    heap = [len(r) * n + i for i, r in enumerate(adj)]
-    heapify(heap)
-    fill = 0
-    while heap:
-        degree, p = divmod(heappop(heap), n)
-        row = adj[p]
-        if row is None or degree != len(row):
-            continue
-        a, d = num[p], den[p]
-        if a >= 0:
-            return False
-        adj[p] = None
-        fill += degree * (degree - 1)
-        if fill > FILL_BUDGET:
-            raise BudgetError(
-                "definiteness check: more than %d fill updates; the graph is too dense" % FILL_BUDGET
-            )
-        # A_ij += w_i A_pj for the neighbours i, j of p, w_i = A_ip / -A_pp;
-        # every product is reduced by its two cross gcds, as Fraction multiplies
-        w = []
-        for i, (x, y) in row.items():
-            del adj[i][p]
-            g, h = gcd(x, a), gcd(d, y)
-            w.append((i, x, y, x // g * (d // h), y // h * (-a // g)))
-        for k, (i, x, y, wn, wd) in enumerate(w):
-            ri = adj[i]
-            for j, xj, yj, _, _ in w[k + 1:]:
-                g, h = gcd(wn, yj), gcd(xj, wd)
-                c, e = ri.get(j, (0, 1))
-                c, e = _add(c, e, wn // g * (xj // h), wd // h * (yj // g))
-                if c:
-                    ri[j] = adj[j][i] = (c, e)
-                else:
-                    del ri[j], adj[j][i]
-            g, h = gcd(wn, y), gcd(x, wd)
-            num[i], den[i] = _add(num[i], den[i], wn // g * (x // h), wd // h * (y // g))
-        for i in row:
-            heappush(heap, len(adj[i]) * n + i)
-    return True
+    from .qlinalg import QMatrix  # graph paths never load qlinalg or fractions
 
-
-def _add(n1: int, d1: int, n2: int, d2: int) -> tuple:
-    """n1/d1 + n2/d2 as a reduced pair, for reduced pairs with d1, d2 > 0.
-    Only small gcds are taken (Knuth's trick, as fractions.Fraction adds)."""
-    g = gcd(d1, d2)
-    if g == 1:
-        return n1 * d2 + d1 * n2, d1 * d2
-    s = d1 // g
-    t = n1 * (d2 // g) + n2 * s
-    g = gcd(t, g)
-    return t // g, s * (d2 // g)
+    m = QMatrix(rows)
+    return all((-1) ** k * m.leading_principal_minor(k) > 0 for k in range(1, n + 1))
 
 
 class Cycle:

@@ -35,7 +35,6 @@ REPR = "library API: a readable repr for interactive use"
 # each named function that no census run calls, and why it stays in src/
 ALLOWED = {
     "resgraph.is_negative_definite": TRACER,
-    "resgraph._add": TRACER,
     "qlinalg.QMatrix.__init__": TRACER,
     "qlinalg.QMatrix.rank": TRACER,
     "qlinalg.QMatrix.det": TRACER,

@@ -2,8 +2,8 @@
 
 The sparse integer elimination (Echelon) is checked against the dense
 Fraction elimination it replaced, kept here as the reference oracle.
-Matrices are plain lists of rows; QMatrix is the dense determinant
-reference that the Sylvester test in test_resgraph relies on.
+Matrices are plain lists of rows; QMatrix is the dense determinant whose
+leading minors resgraph.is_negative_definite reads.
 """
 
 from __future__ import annotations
