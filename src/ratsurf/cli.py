@@ -60,30 +60,16 @@ _MAX_I_ERROR = "--max-i must be at least 3"
 _BATCH = 4096  # JSON chunks per write to stdout
 
 
-# the brute-force engine's names, bound into this module by _load_engine
-_ENGINE = ("harrison_dim", "hochschild_dim")
-
-
-def _load_engine() -> None:
-    """Import harrison (and qlinalg under it) on first use, not with the CLI.
-
-    Each engine name becomes a global of this module. setdefault keeps a
-    name that was set from outside first, such as a timing wrapper, so
-    cmd_oracle calls whatever the module attribute holds.
-    """
+def __getattr__(name):
+    # PEP 562: the brute-force engine (harrison, and qlinalg under it) loads on first use, and the
+    # name it loads is bound here; cmd_oracle reads the names off the module, so one set from
+    # outside first, such as a timing wrapper, wins
+    if name not in ("harrison_dim", "hochschild_dim"):
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
     from . import harrison
 
-    names = globals()
-    for name in _ENGINE:
-        names.setdefault(name, getattr(harrison, name))
-
-
-def __getattr__(name):
-    # PEP 562: reading an engine name off the module loads the engine
-    if name not in _ENGINE:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    _load_engine()
-    return globals()[name]
+    value = globals()[name] = getattr(harrison, name)
+    return value
 
 
 def _num(x) -> str:
@@ -295,12 +281,12 @@ def cmd_oracle(args) -> tuple:
         return "invalid-input", {"error": "need --m >= 1 and --k >= 1"}
     if args.budget is not None and args.budget < 1:
         return "invalid-input", {"error": "--budget must be at least 1"}
-    _load_engine()
+    engine = sys.modules[__name__]
     if args.hochschild:
-        dim = hochschild_dim(args.m, args.coeffs, args.k, budget=args.budget)
+        dim = engine.hochschild_dim(args.m, args.coeffs, args.k, budget=args.budget)
         kind = "hochschild"
     else:
-        dim = harrison_dim(args.m, args.coeffs, args.k, budget=args.budget)
+        dim = engine.harrison_dim(args.m, args.coeffs, args.k, budget=args.budget)
         kind = "harrison"
     data = {
         "m": _num(args.m),

@@ -6,8 +6,8 @@ maps on A that vanish whenever an argument is 1, so they are determined by
 their values on basis words (i_1..i_k) from V; coefficients are either the
 residue field (V acts as zero) or A itself with its multiplication. The
 engine takes the fat point as the int m and the coefficients by name,
-"trivial" or "regular", as the oracle command's --coeffs does; _cap checks
-every argument before any work.
+"trivial" or "regular", as the oracle command's --coeffs does; _check refuses
+bad arguments and degrees over the budget before any work.
 
 Differential, written on a k-cochain f evaluated at k+1 arguments:
 
@@ -52,9 +52,9 @@ coordinate and the word is read in base n, first letter most significant
 column, and one relabeling routine, _content_block, places a shape kernel on
 a content; only the ranks of the differentials are read, each once, by
 SparseMatrix.rank, which peels the columns that own a row before
-qlinalg.Echelon eliminates the rest. The word budget is checked for every
-degree a computation touches first; dimensions and zero_map_check then share
-the ranks of d_k, each kept per process by m, coefficient name and degree.
+qlinalg.Echelon eliminates the rest. The dimensions and zero_map_check
+share the ranks of d_k, which _rank's lru_cache keeps per process by m,
+coefficient name, complex and degree.
 
 The outer terms come only from the action on the values, and e_i . 1 = e_i
 is the only nonzero one. Trivial coefficients: the differential is the zero
@@ -84,15 +84,9 @@ from functools import lru_cache
 from math import factorial, log2
 
 from .qlinalg import Echelon, SparseMatrix
-from .series import BudgetError
+from .series import BudgetError, _need_int
 
 DEFAULT_BUDGET = 1500
-
-
-def _need_int(name: str, x) -> None:
-    """Refuse a bool or a non-int, which would otherwise pass for a number."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError("%s must be an int, not %r" % (name, x))
 
 
 def _far_over(n: int, k: int, cap: int) -> bool:
@@ -100,68 +94,38 @@ def _far_over(n: int, k: int, cap: int) -> bool:
     return n > 1 and k > (max(cap.bit_length(), 13000) + 1) / log2(n)
 
 
-def _value_dim(m: int, coeffs: str) -> int:
-    """The dimension of the coefficients: 1 for the residue field ("trivial"),
-    where every e_i acts as zero, and m + 1 for the algebra ("regular"), with
-    basis 1, e_1, .., e_m, where e_i . 1 = e_i and e_i . e_j = 0."""
-    if coeffs not in ("trivial", "regular"):
-        raise ValueError("coeffs must be 'trivial' or 'regular', not %r" % (coeffs,))
-    return 1 if coeffs == "trivial" else m + 1
+def _check(m: int, coeffs: str, k: int, budget: int | None, offsets) -> int:
+    """Refuse, before any work, an entry point's arguments, then each degree k + offset over
+    the budget; return the value dimension, 1 for "trivial" and m + 1 for "regular" (module doc).
 
-
-def _cap(m: int, coeffs: str, k: int, budget: int | None) -> int:
-    """The word-space cap a budget argument sets: DEFAULT_BUDGET for None, else budget >= 1.
-
-    Every entry point calls it first, so it also refuses, for m, then coeffs,
-    then k and budget: a bool or a non-int, an m or a degree k below 1, and a
-    coeffs other than "trivial" and "regular".
+    In order: a bool or a non-int m, an m below 1, a coeffs other than "trivial" and "regular",
+    a bool or a non-int k or budget, a k below 1 and a budget below 1 (None is DEFAULT_BUDGET).
+    The offsets are added only then, to an int. A degree d is over the budget when its word
+    space m^d is, or 2^(d-1), about the signed shuffles of one word over the splits p <= d/2,
+    compared by bit length and never computed: the rows come from memoized sub-shuffles, but
+    for m = 1, whose word space is always 1, this is the only bound on d.
     """
-    _need_int("m", m)
+    _need_int(m=m)
     if m < 1:
         raise ValueError("need m >= 1")
-    _value_dim(m, coeffs)
-    _need_int("k", k)
+    if coeffs not in ("trivial", "regular"):
+        raise ValueError("coeffs must be 'trivial' or 'regular', not %r" % (coeffs,))
+    _need_int(k=k)
     if budget is not None:
-        _need_int("budget", budget)
+        _need_int(budget=budget)
     if k < 1:
         raise ValueError("need k >= 1")
     cap = DEFAULT_BUDGET if budget is None else budget
     if cap < 1:
         raise ValueError("budget must be positive")
-    return cap
-
-
-def _check_budget(n: int, degrees, cap: int) -> None:
-    """Raise BudgetError, before any work, if some degree's word space n^k is over the cap.
-
-    2^(k-1), about the number of signed shuffles of one word over the splits
-    p <= k/2, is held to the same cap; it is compared by bit length and is
-    never computed. The rows are built from memoized sub-shuffles and do not
-    enumerate them, but for n = 1, whose word space 1^k is always 1, this is
-    the only bound on k; it binds for no other n, since n^k >= 2^k.
-    """
-    for k in degrees:
-        if _far_over(n, k, cap):
-            raise BudgetError("word space %d^%d exceeds budget %d" % (n, k, cap))
-        if n ** k > cap:
-            raise BudgetError("word space %d^%d = %d exceeds budget %d" % (n, k, n ** k, cap))
-        if k > cap.bit_length():  # 2^(k-1) > cap
-            raise BudgetError("shuffle count 2^%d per word exceeds budget %d" % (k - 1, cap))
-
-
-def check_budget(n: int, k: int, budget: int | None = None, hochschild: bool = False) -> None:
-    """The up-front check of harrison_dim (word spaces n^k and n^(k+1)) or,
-    with hochschild, of hochschild_dim (the full degree-k differential)."""
-    _check(n, "trivial", k, budget, hochschild)  # the budget does not depend on the coefficients
-
-
-def _check(m: int, coeffs: str, k: int, budget: int | None, hochschild: bool) -> None:
-    """check_budget for an entry point that takes coeffs: every argument, then the work."""
-    cap = _cap(m, coeffs, k, budget)
-    if not hochschild:
-        return _check_budget(m, (k, k + 1), cap)
-    if _far_over(m, k + 1, cap) or m ** (k + 1) > cap:
-        raise BudgetError("word space for the full degree-%d differential exceeds budget %d" % (k, cap))
+    for d in (k + offset for offset in offsets):
+        if _far_over(m, d, cap):
+            raise BudgetError("word space %d^%d exceeds budget %d" % (m, d, cap))
+        if m ** d > cap:
+            raise BudgetError("word space %d^%d = %d exceeds budget %d" % (m, d, m ** d, cap))
+        if d > cap.bit_length():  # 2^(d-1) > cap
+            raise BudgetError("shuffle count 2^%d per word exceeds budget %d" % (d - 1, cap))
+    return 1 if coeffs == "trivial" else m + 1
 
 
 def _multiset_words(shape) -> list:
@@ -404,8 +368,7 @@ class CochainSpace:
     """
 
     def __init__(self, m: int, coeffs: str, k: int, budget: int | None = None) -> None:
-        _check_budget(m, (k,), _cap(m, coeffs, k, budget))
-        self.value_dim = _value_dim(m, coeffs)
+        self.value_dim = _check(m, coeffs, k, budget, (0,))
         self._words = m ** k
         blocks = _blocks(m, k)
         # the scalar kernel vectors in block order, and each one's index by its free word
@@ -478,32 +441,28 @@ def coboundary_matrix(m: int, coeffs: str, k: int, budget: int | None = None) ->
     return SparseMatrix(cod.dim, dom.dim, columns)
 
 
-_ranks = {}  # (m, coeffs, hochschild, k) -> rank of d_k
-
-
+@lru_cache(maxsize=None)
 def _rank(m: int, coeffs: str, hochschild: bool, k: int) -> int:
     """Rank of d_k (0 for k = 0), once per process; call it only after the caller's budget check.
     Trivial coefficients give rank 0 with nothing built; a regular d_k is summed over content shapes."""
-    key = (m, coeffs, hochschild, k)
-    if k and key not in _ranks:
-        block_rank = _hochschild_block_rank if hochschild else _block_rank
-        _ranks[key] = 0 if coeffs == "trivial" else sum(
-            count * block_rank(k, shape, len(shape) < m) for shape, count in _shapes(m, k))
-    return _ranks.get(key, 0)
+    if not k or coeffs == "trivial":
+        return 0
+    block_rank = _hochschild_block_rank if hochschild else _block_rank
+    return sum(count * block_rank(k, shape, len(shape) < m) for shape, count in _shapes(m, k))
 
 
 def harrison_dim(m: int, coeffs: str, k: int, budget: int | None = None) -> int:
     """dim of degree-k Harrison cohomology (shuffle-invariant complex)."""
-    _check(m, coeffs, k, budget, False)
-    cochains = _value_dim(m, coeffs) * _census(m, k)
+    cochains = _check(m, coeffs, k, budget, (0, 1)) * _census(m, k)
     return cochains - sum(_rank(m, coeffs, False, d) for d in (k - 1, k))
 
 
 def hochschild_dim(m: int, coeffs: str, k: int, budget: int | None = None) -> int:
     """dim of degree-k Hochschild cohomology on the full reduced complex, ranked by content shape."""
-    _check(m, coeffs, k, budget, True)
-    cochains = _value_dim(m, coeffs) * m ** k
-    return cochains - sum(_rank(m, coeffs, True, d) for d in (k - 1, k))
+    values, cap = _check(m, coeffs, k, budget, ()), budget or DEFAULT_BUDGET
+    if _far_over(m, k + 1, cap) or m ** (k + 1) > cap:
+        raise BudgetError("word space for the full degree-%d differential exceeds budget %d" % (k, cap))
+    return values * m ** k - sum(_rank(m, coeffs, True, d) for d in (k - 1, k))
 
 
 def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
@@ -519,10 +478,10 @@ def zero_map_check(m: int, k: int, budget: int | None = None) -> bool:
     coordinate, and d_k is nonzero only there, so the map is zero exactly
     when d_k has rank scalar_dim: injective on the unit coordinate's cochains.
     """
-    _need_int("m", m)
+    _need_int(m=m)
     if m < 2:
         raise ValueError("need m >= 2")
-    check_budget(m, k, budget)
+    _check(m, "trivial", k, budget, (0, 1))  # the budget does not depend on the coefficients
     if k < 2:
         raise ValueError("need k >= 2")
     return _rank(m, "regular", False, k) == _census(m, k)

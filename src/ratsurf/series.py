@@ -51,6 +51,13 @@ class IntegralityError(ArithmeticError):
     """
 
 
+def _need_int(**values) -> None:
+    """Refuse a bool or a non-int, which would otherwise pass for a number, by its argument's name."""
+    for name, x in values.items():
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise TypeError("%s must be an int, not %r" % (name, x))
+
+
 def _shuffle_row(m: int, order: int) -> list:
     """[0, shuffle_dim(m, 1), ..., shuffle_dim(m, order)] in one integer pass.
 
@@ -86,6 +93,7 @@ def shuffle_dim(m: int, k: int) -> int:
     The Witt-type count (1/k) * sum over divisors q of k of
     (-1)^(k + k/q) mu(q) m^(k/q), read off _shuffle_row's divisor-sum row.
     """
+    _need_int(m=m, k=k)
     if k < 1:
         raise ValueError("need k >= 1")
     return _shuffle_row(m, k)[k]
@@ -169,8 +177,11 @@ def _cone_rows(d: int, order: int) -> tuple:
     2, ..., N in turn rebuilds them O(log N) times. A request that check_digits
     admits grows them no further than the largest order it admits for d; a
     longer one, from a caller that skips the check, still doubles them.
-    Callers hand out slices, never the rows.
+    Callers hand out slices, never the rows. A bool or a non-int d or order
+    is refused before the lookup: 3.0 == 3 would otherwise read or replace
+    the int rows of degree 3.
     """
+    _need_int(d=d, order=order)
     if d < 3:
         raise ValueError("need d >= 3")
     if order < 1:
@@ -185,7 +196,7 @@ def _cone_rows(d: int, order: int) -> tuple:
     return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: (4, 3.0) must not hit (4, 3)
 def cone_tdim(i: int, d: int) -> int:
     """dim T^i of the cone over the rational normal curve of degree d.
 
@@ -194,6 +205,7 @@ def cone_tdim(i: int, d: int) -> int:
     (_cone_rows). The lru_cache in front reports (i, d) lookups through
     cache_info().
     """
+    _need_int(i=i, d=d)
     if i < 1:
         raise ValueError("need i >= 1")
     rows = _CONE_ROWS.get(d)
@@ -208,6 +220,7 @@ def fatpoint_tdim(m: int, i: int) -> int:
     The formula holds for m >= 2. For m = 1 the fat point k[x]/(x^2) is a
     hypersurface, so T^1 is 1-dimensional and T^i vanishes for i >= 2.
     """
+    _need_int(m=m, i=i)
     if m < 1:
         raise ValueError("need m >= 1")
     if i < 1:

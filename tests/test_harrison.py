@@ -28,7 +28,6 @@ from ratsurf.harrison import (
     BudgetError,
     CochainSpace,
     DEFAULT_BUDGET,
-    check_budget,
     coboundary_matrix,
     harrison_dim,
     hochschild_dim,
@@ -142,8 +141,6 @@ def every_entry_point(k, budget, m=2, coeffs="trivial"):
         lambda: hochschild_dim(m, coeffs, k, budget=budget),
         lambda: CochainSpace(m, coeffs, k, budget=budget),
         lambda: coboundary_matrix(m, coeffs, k, budget=budget),
-        lambda: check_budget(m, k, budget),
-        lambda: check_budget(m, k, budget, hochschild=True),
         lambda: zero_map_check(m, k, budget=budget),
     ]
 
@@ -502,8 +499,8 @@ def test_harrison_is_at_most_hochschild():
 
 
 def _within_default_budget(m, k):
-    try:
-        check_budget(m, k)
+    try:  # harrison_dim's own refusal, without its work
+        harrison._check(m, "trivial", k, None, (0, 1))
     except BudgetError:
         return False
     return True
@@ -583,6 +580,12 @@ def test_hochschild_block_ranks_sum_to_the_rank_of_the_whole_complex():
             assert harrison._rank(m, coeffs, True, k) == want, (m, k, coeffs)
 
 
+def fresh_rank_cache(monkeypatch):
+    """Rank into an empty _rank cache until the test ends, so ranks computed
+    from a faked block rank never reach the real one."""
+    monkeypatch.setattr(harrison, "_rank", lru_cache(maxsize=None)(harrison._rank.__wrapped__))
+
+
 def test_a_block_that_forgets_its_missing_letter_changes_the_hochschild_rank(monkeypatch):
     # the mutation: every block ranked as if its content held every letter loses
     # the images at a missing one. In even degree k the image of the word x^k
@@ -592,7 +595,7 @@ def test_a_block_that_forgets_its_missing_letter_changes_the_hochschild_rank(mon
     monkeypatch.setattr(harrison, "_hochschild_block_rank", lambda k, shape, outside: real(k, shape, False))
     differ = []
     for m, k in fat_points_in_budget():
-        monkeypatch.setattr(harrison, "_ranks", {})
+        fresh_rank_cache(monkeypatch)
         if harrison._rank(m, "regular", True, k) != full_coboundary(m, "regular", k).rank():
             differ.append((m, k))
     assert differ == [(m, k) for m, k in fat_points_in_budget() if m > 1 and k % 2 == 0]
@@ -620,7 +623,7 @@ def test_a_cold_hochschild_dimension_ranks_one_block_per_shape(monkeypatch):
     monkeypatch.setattr(harrison, "_hochschild_block_rank", counting_block)
     monkeypatch.setattr(SparseMatrix, "rank", counting_rank)
     for m, k in [(1, 7), (2, 3), (2, 9), (3, 4), (4, 3), (6, 3)]:
-        harrison._ranks.clear()
+        harrison._rank.cache_clear()
         harrison._shapes.cache_clear()
         real_block.cache_clear()
         del ranked[:], eliminated[:]
@@ -696,7 +699,7 @@ def test_zero_map_check_reads_the_kept_rank_of_d_k(monkeypatch):
         return real_cob(m, coeffs, k, budget)
 
     for m, k in [(2, 2), (2, 5), (3, 2), (3, 3)]:
-        monkeypatch.setattr(harrison, "_ranks", {})
+        fresh_rank_cache(monkeypatch)
         assert zero_map_check(m, k)  # every shape kernel and block rank it needs, cached
         shapes = [shape for shape, _ in harrison._shapes(m, k)]
         monkeypatch.setattr(qlinalg.Echelon, "__init__", counting_init)
@@ -705,11 +708,11 @@ def test_zero_map_check_reads_the_kept_rank_of_d_k(monkeypatch):
         del built[:], ranked[:], cobounds[:]
         assert zero_map_check(m, k)
         assert (built, ranked) == ([], []), (m, k)
-        monkeypatch.setattr(harrison, "_ranks", {})
+        fresh_rank_cache(monkeypatch)
         assert zero_map_check(m, k)
         assert (built, ranked) == ([], shapes), (m, k)
         real_rank.cache_clear()
-        monkeypatch.setattr(harrison, "_ranks", {})
+        fresh_rank_cache(monkeypatch)
         assert zero_map_check(m, k)
         assert (len(built), ranked, cobounds) == (len(shapes), shapes * 2, []), (m, k)
         monkeypatch.undo()
@@ -719,7 +722,7 @@ def patch_outgoing(monkeypatch, columns_of, block_rank):
     """Replace the regular-coefficient outgoing differential of zero_map_check:
     for the reference, coboundary_matrix by SparseMatrix(rows, cols,
     columns_of(cols)) of the same shape; for the engine, _block_rank by
-    block_rank; and keep no rank."""
+    block_rank, ranked into a fresh_rank_cache."""
     real = harrison.coboundary_matrix
 
     def fake(m, coeffs, k, budget=None):
@@ -730,7 +733,7 @@ def patch_outgoing(monkeypatch, columns_of, block_rank):
 
     monkeypatch.setattr(harrison, "coboundary_matrix", fake)
     monkeypatch.setattr(harrison, "_block_rank", block_rank)
-    monkeypatch.setattr(harrison, "_ranks", {})
+    fresh_rank_cache(monkeypatch)
 
 
 def test_zero_map_check_negative_control(monkeypatch):
@@ -865,7 +868,7 @@ def full_coboundary(m, coeffs, k):
     """The engine's whole Hochschild d_k on the m-dimensional fat point: every
     reduced cochain's _image as a sparse column, numbered by key; only the
     unit coordinate's are nonempty. The block ranks are tested against it."""
-    size, values = m ** k, harrison._value_dim(m, coeffs)
+    size, values = m ** k, 1 if coeffs == "trivial" else m + 1
     columns = [_image(m, k, {key: 1}) for key in range(size if coeffs == "regular" else 0)]
     columns += [{} for _ in range(values * size - len(columns))]
     return SparseMatrix(values * m ** (k + 1), values * size, columns)
@@ -1361,7 +1364,7 @@ def test_bracket_vectors_are_a_triangular_basis_of_the_shape_kernel():
 # ----- each differential's rank is computed once per process ---------------
 
 def cold_rank_cache():
-    harrison._ranks.clear()
+    harrison._rank.cache_clear()
     harrison._block_rank.cache_clear()
     harrison._hochschild_block_rank.cache_clear()
     harrison._shapes.cache_clear()
@@ -1394,7 +1397,8 @@ def test_a_cached_rank_does_not_lift_the_budget(capsys):
     assert refused == "word space 3^7 = 2187 exceeds budget 1500\nstatus: budget-exceeded\n"
     assert harrison_dim(3, "trivial", 6, budget=5000) == shuffle_dim(3, 6)
     assert hochschild_dim(3, "trivial", 6, budget=5000) == 3 ** 6
-    assert (3, "trivial", False, 6) in harrison._ranks
+    hits = harrison._rank.cache_info().hits
+    assert harrison._rank(3, "trivial", False, 6) == 0 and harrison._rank.cache_info().hits == hits + 1
     with pytest.raises(BudgetError, match=r"^word space 3\^7 = 2187 exceeds budget 1500$"):
         harrison_dim(3, "trivial", 6)
     with pytest.raises(BudgetError, match=r"^word space for the full degree-6 differential exceeds budget 1500$"):
@@ -1415,13 +1419,13 @@ def test_equal_structure_constants_share_one_rank(monkeypatch):
     monkeypatch.setattr(harrison, "_block_rank", counting)
     want = harrison_dim(2, "regular", 3)
     # one block rank per shape: (2,) and (1, 1) in degree 2, (3,) and (2, 1) in degree 3
-    assert sorted(ranked) == [2, 2, 3, 3] and len(harrison._ranks) == 2
+    assert sorted(ranked) == [2, 2, 3, 3] and harrison._rank.cache_info().currsize == 2
     # the ranks are kept by m and the coefficient name, so a second call ranks nothing
     assert harrison_dim(2, "regular", 3) == want
-    assert sorted(ranked) == [2, 2, 3, 3] and len(harrison._ranks) == 2
+    assert sorted(ranked) == [2, 2, 3, 3] and harrison._rank.cache_info().currsize == 2
     # another m gets ranks of its own, summed over its own shapes; (1, 1, 1) is new
     harrison_dim(3, "regular", 3)
-    assert sorted(ranked) == [2] * 4 + [3] * 5 and len(harrison._ranks) == 4
+    assert sorted(ranked) == [2] * 4 + [3] * 5 and harrison._rank.cache_info().currsize == 4
 
 
 # ----- a differential that is zero by construction builds nothing ----------
@@ -1443,7 +1447,7 @@ def test_silent_coordinates_are_those_with_no_action_and_no_linear_part():
             quiet -= {key // size for key, col in enumerate(columns) if col}
         assert quiet == want, (a.products, coeffs)
     for m, coeffs, want in fat_cases:
-        quiet = set(range(harrison._value_dim(m, coeffs)))
+        quiet = set(range(CochainSpace(m, coeffs, 1).value_dim))
         for k in (1, 2):
             scalar_dim = CochainSpace(m, coeffs, k).scalar_dim
             for columns, size in ((full_coboundary(m, coeffs, k).columns, m ** k),

@@ -116,7 +116,7 @@ def functions_of(obj) -> list:
 
 def public_objects() -> list:
     """The exported names, then every other public function and class that a
-    ratsurf module defines (Echelon, check_budget, cli.main, ...)."""
+    ratsurf module defines (Echelon, parse_graph, cli.main, ...)."""
     objects = [getattr(ratsurf, name) for name in ratsurf.__all__]
     for name in ("qlinalg", "series", "harrison", "resgraph", "blowup", "formulas", "acceptance", "cli"):
         module = importlib.import_module("ratsurf." + name)

@@ -489,3 +489,33 @@ def test_shuffle_row_guards_its_entries_and_arguments():
         series._shuffle_row(0, 5)
     with pytest.raises(ValueError):
         shuffle_dim_series(3, 0)
+
+
+def test_a_bool_or_non_int_argument_is_refused_before_any_cache(monkeypatch, capsys):
+    # 3.0 == 3 and hashes alike, so unchecked poincare_series(3.0, 8) rebuilt the
+    # degree-3 rows in floats, and a later series command printed 2.0 3.0 ...
+    from ratsurf.cli import main
+
+    monkeypatch.setattr(series, "_CONE_ROWS", {})
+    assert cone_tdim(4, 3) == 1  # cached, so a typed-blind lru_cache would answer (4, 3.0) with it
+    calls = [
+        ("d", lambda: poincare_series(3.0, 8)),
+        ("order", lambda: poincare_series(3, 8.0)),
+        ("d", lambda: shuffle_dim_series(3.0, 8)),
+        ("order", lambda: shuffle_dim_series(3, True)),
+        ("m", lambda: shuffle_dim(True, 3)),
+        ("k", lambda: shuffle_dim(2, 3.0)),
+        ("d", lambda: cone_tdim(4, 3.0)),
+        ("i", lambda: cone_tdim(True, 3)),
+        ("m", lambda: fatpoint_tdim(2.0, 2)),
+        ("i", lambda: fatpoint_tdim(2, "2")),
+    ]
+    for name, call in calls:
+        with pytest.raises(TypeError, match="^%s must be an int, not " % name):
+            call()
+    assert main(["series", "--d", "3", "--order", "5"]) == 0
+    assert capsys.readouterr().out == (
+        "d = 3\n"
+        "shuffle dims of the (d-1)-dim fat point, k = 1..5: 2 3 2 3 6\n"
+        "Q coefficients t^1..t^5: 2 3 2 3 6\n"
+        "P coefficients t^1..t^5 (cotangent dims of the cone): 2 0 0 1 2\n")
