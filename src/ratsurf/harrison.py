@@ -44,13 +44,16 @@ with the first letter of x or with that of y, so
 
 where x' drops the first letter x_0 of x, and y_0 passes the |x| letters of
 x. _shuffle fills a memo of these sub-shuffles, each {word: coefficient}
-with equal words merged and zeros dropped, for the whole process.
+with equal words merged and zeros dropped, for the whole process. A shape
+kernel keys its words by their base-L codes, as the memo does, from its rows
+to its blocks.
 
 A cochain is a sparse dict keyed alpha * n**k + word: alpha is the value
 coordinate and the word is read in base n, first letter most significant
 (itertools.product order). One differential routine, _image, builds every
 column, and one relabeling routine, _content_block, places a shape kernel on
-a content; only the ranks of the differentials are read, each once, by
+a content, once per process and content, and not at all when the relabel
+is the identity; only the ranks of the differentials are read, each once, by
 SparseMatrix.rank, which peels the columns that own a row before
 qlinalg.Echelon eliminates the rest. The dimensions and zero_map_check
 share the ranks of d_k, which _rank's lru_cache keeps per process by m,
@@ -216,10 +219,10 @@ def _relabel(content) -> tuple:
 
 @lru_cache(maxsize=None)
 def _is_free(word: tuple) -> bool:
-    """Is word, relabeled canonically, a free word of its own shape kernel?"""
+    """Is word, relabeled canonically and read as a code, a free code of its own shape kernel?"""
     ordered, shape = _relabel(word)
-    words, _, free = _shape_kernel(len(word), shape)
-    return words.index(tuple(map(ordered.index, word))) in free
+    code = sum(ordered.index(a) * len(shape) ** t for t, a in enumerate(reversed(word)))
+    return code in _shape_kernel(len(word), shape)[2]
 
 
 @lru_cache(maxsize=None)
@@ -227,11 +230,12 @@ def _shape_kernel(k: int, shape: tuple):
     """Shuffle-constraint kernel on the words with letter multiplicities `shape`.
 
     shape is a descending multiplicity pattern for canonical letters 0,1,2,...
-    Returns (words, basis, free_positions): words is the sorted tuple of
-    block words; basis vectors are tuples indexed like words and
-    free-position normalized, with int entries wherever the echelon pivot
-    divides (Fractions otherwise); free_positions[t] is the word index at
-    which basis vector t reads 1 and the others read 0.
+    A word is its base-L code, L = len(shape), as in _shuffle's memo.
+    Returns (codes, basis, free): codes are the shape's words in ascending
+    (lexicographic) order; basis vectors are sparse dicts code -> value, free
+    normalized, with int entries wherever the echelon pivot divides
+    (Fractions otherwise); free[t] is the code at which basis vector t reads
+    1 and the others read 0.
 
     The rows are the signed shuffles sh(w[:p], w[p:]), p <= k/2, whose prefix
     w[:p] is a free word of its canonically relabeled degree-p shape kernel.
@@ -241,7 +245,7 @@ def _shape_kernel(k: int, shape: tuple):
     sh(y1, y2) in I_p, sh(sh(y1, y2), v) = sh(y1, sh(y2, v)) by associativity
     of the signed shuffle, rows of the shorter split len(y1).
 
-    Each row is read from _shuffle's memo, built from the sub-shuffles of
+    Each row is _shuffle's memo entry itself, built from the sub-shuffles of
     the suffixes of x and y by sh(x, y) = x_0 sh(x', y) + (-1)^|x| y_0 sh(x, y')
     with equal words merged, so the rows cancel as they are built: on
     (9, (5, 4)) a row has 8 nonzeros on average, of up to 126 shuffles.
@@ -249,8 +253,7 @@ def _shape_kernel(k: int, shape: tuple):
     words = _multiset_words(shape)
     L = len(shape)
     places = [L ** (k - 1 - t) for t in range(k)]
-    codes = [sum(a * place for a, place in zip(w, places)) for w in words]
-    index = {code: t for t, code in enumerate(codes)}
+    codes = tuple(sum(a * place for a, place in zip(w, places)) for w in words)
     rows = []
     # sh_{k-p,p} of a word is +-sh_{p,k-p} of the word rotated by p letters,
     # so the splits p <= k/2 already give every constraint up to sign
@@ -258,33 +261,31 @@ def _shape_kernel(k: int, shape: tuple):
         low = L ** (k - p)
         for w, code in zip(words, codes):
             if _is_free(w[:p]):
-                # constraint: the functional kills sh(w[:p], w[p:]); a copy, never the memo's entry
-                row = _shuffle(L, p, code // low, k - p, code % low)
-                rows.append({index[u]: c for u, c in row.items()})
+                # constraint: the functional kills sh(w[:p], w[p:]); Echelon copies the memo's entry
+                rows.append(_shuffle(L, p, code // low, k - p, code % low))
     # rows whose first column comes last go first: a new pivot then seldom lies in a
     # stored row, so adding a row seldom clears one; the echelon form is unique, so
     # the order changes only the cost
     rows.sort(key=lambda row: min(row, default=-1), reverse=True)
     constraints = Echelon(rows)
-    n = len(words)
-    basis = tuple(tuple(v.get(t, 0) for t in range(n)) for v in constraints.kernel_basis(n))
-    return tuple(words), basis, tuple(constraints.free_columns(n))
+    return codes, tuple(constraints.kernel_basis(codes)), tuple(constraints.free_columns(codes))
 
 
-def _content_block(n: int, k: int, content) -> tuple:
-    """The block of one degree-k content on letters 0..n-1: (words, basis, free_words).
-
-    words are the content's words as base-n integers, basis vectors are
-    sparse dicts word -> value (the shape kernel's entries, so ints on
-    integral kernels), and free_words lists the words whose values
-    coordinatize the block's kernel, free_words[t] belonging to basis[t].
-    """
+@lru_cache(maxsize=None)
+def _content_block(n: int, k: int, content: tuple) -> tuple:
+    """The block of one degree-k content, a sorted tuple of letters 0..n-1, once per process:
+    its shape kernel's (codes, basis, free) with each code relabeled to the content's letters
+    and read in base n; the kernel itself when the relabel is the identity on n = len(shape) letters."""
     ordered, shape = _relabel(content)
-    cwords, cbasis, cfree = _shape_kernel(k, shape)
-    places = [n ** (k - 1 - t) for t in range(k)]
-    words = tuple(sum(ordered[c] * p for c, p in zip(cw, places)) for cw in cwords)
-    basis = tuple({words[t]: x for t, x in enumerate(vec) if x} for vec in cbasis)
-    return words, basis, tuple(words[t] for t in cfree)
+    block = _shape_kernel(k, shape)
+    L = len(shape)
+    if n == L and ordered == list(range(n)):
+        return block
+    codes, basis, free = block
+    places = [(L ** t, n ** t) for t in range(k)]
+    new = {code: sum(ordered[code // low % L] * place for low, place in places) for code in codes}
+    return (tuple(new.values()), tuple({new[u]: x for u, x in vec.items()} for vec in basis),
+            tuple(new[f] for f in free))
 
 
 @lru_cache(maxsize=None)
@@ -333,11 +334,11 @@ def _block_rank(k: int, shape: tuple, outside: bool) -> int:
     the shuffle-invariant subspace raises instead of becoming a column.
     """
     n = len(shape) + outside
-    content = [a for a, c in enumerate(shape) for _ in range(c)]
+    content = tuple(a for a, c in enumerate(shape) for _ in range(c))
     big = n ** (k + 1)
     free = {}  # a free word's key in value coordinate x + 1 -> (row, base, its basis vector)
     for x in range(n):
-        _, basis, free_words = _content_block(n, k + 1, content + [x])
+        _, basis, free_words = _content_block(n, k + 1, tuple(sorted(content + (x,))))
         base = (x + 1) * big
         for fw, vec in zip(free_words, basis):
             free[base + fw] = (len(free), base, vec)

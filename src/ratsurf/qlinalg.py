@@ -7,13 +7,16 @@ the columns left), each of which adds 1 to the rank, and eliminates only the
 columns that remain. A row is a sparse dict col -> value (or a dense
 sequence); it is cleared of denominators, reduced against the stored rows,
 made primitive with a positive pivot, and stored after the other rows are
-cleared at its pivot. No Fraction arithmetic happens inside, and a row that
-adds nothing costs one pass over its pivot entries.
+cleared at its pivot (only those with a pivot left of it can hold it). No
+Fraction arithmetic happens inside, and a row that adds nothing costs one
+pass over its pivot entries.
 
-Kernel bases come out in free-column normalized form: basis vector t has
-value 1 at its own free column and 0 at the free columns of the others. The
-reduced echelon form is unique, so this does not depend on the row order;
-callers read a kernel element's coordinates off its free-column entries.
+Columns are int keys (range(n), or a shape kernel's word codes), passed in
+order to free_columns and kernel_basis. Kernel bases come out in free-column
+normalized form: basis vector t has value 1 at its own free column and 0 at
+the free columns of the others. The reduced echelon form is unique, so this
+does not depend on the row order; callers read a kernel element's
+coordinates off its free-column entries.
 Each kernel entry is -v/a for a stored row's entry v and pivot a: an int
 when a divides v, a Fraction only otherwise, so integral kernels stay in
 ints for the callers' arithmetic too. The fractions module is imported only
@@ -29,6 +32,7 @@ leading_principal_minor by name.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Iterable  # site has loaded it at startup already
 from math import gcd, lcm
 
@@ -73,10 +77,11 @@ def _eliminate(target: dict, row: dict, c: int) -> None:
 class Echelon:
     """Reduced row echelon form of the rows added so far (see module doc)."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_pivots")
 
     def __init__(self, rows: Iterable = ()) -> None:
         self._rows = {}  # pivot column -> primitive integer row, positive at the pivot
+        self._pivots = []  # the pivot columns, ascending
         for row in rows:
             self.add(row)
 
@@ -84,11 +89,11 @@ class Echelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def free_columns(self, ncols: int) -> list:
-        return [c for c in range(ncols) if c not in self._rows]
+    def free_columns(self, cols: Iterable) -> list:
+        return [c for c in cols if c not in self._rows]
 
     def reduce(self, row) -> dict:
-        """A nonzero multiple of row minus its part in the span; {} iff row is in the span."""
+        """A nonzero multiple of row minus its part in the span, in a new dict; {} iff row is in the span."""
         row = {j: x for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
         if any(type(x) is not int for x in row.values()):  # clear denominators
             den = lcm(*(x.denominator for x in row.values()))
@@ -110,20 +115,22 @@ class Echelon:
         if row[c] < 0:
             for j in row:
                 row[j] = -row[j]
-        for other in self._rows.values():
+        for p in self._pivots[:bisect_left(self._pivots, c)]:  # no row holds a column left of its pivot
+            other = self._rows[p]
             if c in other:
                 _eliminate(other, row, c)
                 _make_primitive(other)
         self._rows[c] = row
+        insort(self._pivots, c)
         return True
 
-    def kernel_basis(self, ncols: int) -> list:
-        """Right kernel as sparse dicts col -> value, one per free column, in order.
+    def kernel_basis(self, cols: Iterable) -> list:
+        """Right kernel as sparse dicts col -> value, one per free column of cols, in their order.
 
         Free columns read 1; a pivot column reads -v // a when the pivot a
         divides the row entry v, and Fraction(-v, a) only otherwise.
         """
-        free = self.free_columns(ncols)
+        free = self.free_columns(cols)
         basis = {f: {f: 1} for f in free}
         for c, row in self._rows.items():
             a = row[c]

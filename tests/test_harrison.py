@@ -658,7 +658,7 @@ def test_zero_map_check_on_small_fat_points():
 
 def kernel_of(matrix):
     """Right kernel of a sparse-column matrix, free-column normalized, through its rows."""
-    return Echelon(row_dicts(matrix.columns)).kernel_basis(matrix.cols)
+    return Echelon(row_dicts(matrix.columns)).kernel_basis(range(matrix.cols))
 
 
 def reference_zero_map_check(m, k, budget=None):
@@ -922,13 +922,24 @@ def test_integer_keys_encode_words_in_product_order():
             assert decode(encode(func, n, k), n, k) == func
 
 
+def positional_kernel(k, shape):
+    """_shape_kernel(k, shape) in the positional form the references build: the
+    words as letter tuples, each basis vector dense and indexed like the words,
+    and the free words by position."""
+    codes, basis, free = _shape_kernel(k, shape)
+    words = tuple(tuple(code // len(shape) ** (k - 1 - t) % len(shape) for t in range(k)) for code in codes)
+    position = {code: t for t, code in enumerate(codes)}
+    dense = tuple(tuple(vec.get(code, 0) for code in codes) for vec in basis)
+    return words, dense, tuple(position[f] for f in free)
+
+
 def reference_blocks(n, k):
     """The content blocks with tuple words, relabeled from the shape kernels."""
     out = []
     for content in itertools.combinations_with_replacement(range(n), k):
         counts = Counter(content)
         ordered = sorted(counts, key=lambda a: (-counts[a], a))
-        cwords, cbasis, cfree = _shape_kernel(k, tuple(counts[a] for a in ordered))
+        cwords, cbasis, cfree = positional_kernel(k, tuple(counts[a] for a in ordered))
         words = tuple(tuple(ordered[c] for c in cw) for cw in cwords)
         basis = tuple({words[t]: x for t, x in enumerate(vec) if x} for vec in cbasis)
         out.append((words, basis, tuple(words[t] for t in cfree)))
@@ -998,7 +1009,7 @@ def test_shape_kernel_matches_the_dense_reference():
             if k > 5 and len(shape) > 3:
                 continue
             letters = [c for c, mult in enumerate(shape) for _ in range(mult)]
-            assert _shape_kernel(k, shape) == dense_shuffle_kernel(letters), (k, shape)
+            assert positional_kernel(k, shape) == dense_shuffle_kernel(letters), (k, shape)
             checked += 1
     assert checked == 33
 
@@ -1096,7 +1107,7 @@ def test_fat_point_cochains_are_plain_ints():
     for k in range(1, 8):
         for shape in partitions(k):
             if len(shape) <= 3:
-                _, basis, _ = _shape_kernel(k, shape)
+                _, basis, _ = positional_kernel(k, shape)
                 assert all(type(x) is int for vec in basis for x in vec), (k, shape)
 
 
@@ -1162,8 +1173,8 @@ def itemgetter_shape_kernel(k, shape, keep=lambda prefix: True):
                 row[j] = row.get(j, 0) + sign
             constraints.add(row)
     n = len(words)
-    basis = tuple(tuple(v.get(t, 0) for t in range(n)) for v in constraints.kernel_basis(n))
-    return tuple(words), basis, tuple(constraints.free_columns(n))
+    basis = tuple(tuple(v.get(t, 0) for t in range(n)) for v in constraints.kernel_basis(range(n)))
+    return tuple(words), basis, tuple(constraints.free_columns(range(n)))
 
 
 def all_rows_shape_kernel(k, shape):
@@ -1188,7 +1199,7 @@ def test_shape_kernel_matches_the_all_rows_reference():
     shapes = default_budget_shapes()
     assert len(shapes) == 45 and (11, (11,)) in shapes and (4, (1,) * 4) in shapes
     for k, shape in shapes:
-        assert _shape_kernel(k, shape) == all_rows_shape_kernel(k, shape), (k, shape)
+        assert positional_kernel(k, shape) == all_rows_shape_kernel(k, shape), (k, shape)
 
 
 def test_free_prefix_rows_are_fewer(monkeypatch):
@@ -1200,7 +1211,7 @@ def test_free_prefix_rows_are_fewer(monkeypatch):
     added = []
     real_add = qlinalg.Echelon.add
     monkeypatch.setattr(qlinalg.Echelon, "add", lambda self, row: added.append(row) or real_add(self, row))
-    assert _shape_kernel(9, (5, 4)) == all_rows_shape_kernel(9, (5, 4))
+    assert positional_kernel(9, (5, 4)) == all_rows_shape_kernel(9, (5, 4))
     assert len(added) == 277 + 504
 
 
@@ -1209,7 +1220,7 @@ def test_shape_kernel_matches_the_itemgetter_construction():
     # tuples, not only the dimensions, since the echelon form is unique
     shapes = {(k, s) for k in range(1, 13) for s in partitions(k) if len(s) <= 2}
     for k, shape in sorted(shapes | set(default_budget_shapes())):
-        assert _shape_kernel(k, shape) == itemgetter_shape_kernel(k, shape, harrison._is_free), (k, shape)
+        assert positional_kernel(k, shape) == itemgetter_shape_kernel(k, shape, harrison._is_free), (k, shape)
 
 
 def test_memoized_shuffles_equal_the_signed_shuffle_expansion():
@@ -1347,7 +1358,7 @@ def test_bracket_vectors_are_a_triangular_basis_of_the_shape_kernel():
             if 2 ** k * len(_shape_kernel(k, shape)[0]) <= 4000]
     shapes = [(2, (2,)), (6, (2, 2, 2)), (6, (4, 2))] + random.Random(18).sample(pool, 10)
     for k, shape in shapes:
-        words, basis, free = _shape_kernel(k, shape)
+        words, basis, free = positional_kernel(k, shape)
         vectors = [(w, bracket_vector(w)) for w in super_lyndon_words(k, shape)]
         assert len(vectors) == len(basis), (k, shape)
         rows = [[(j, r) for j, r in enumerate(row) if r] for row in constraint_rows(words, k)]
@@ -1368,6 +1379,7 @@ def cold_rank_cache():
     harrison._block_rank.cache_clear()
     harrison._hochschild_block_rank.cache_clear()
     harrison._shapes.cache_clear()
+    harrison._content_block.cache_clear()
 
 
 def test_dimensions_do_not_depend_on_the_call_order():
@@ -1426,6 +1438,78 @@ def test_equal_structure_constants_share_one_rank(monkeypatch):
     # another m gets ranks of its own, summed over its own shapes; (1, 1, 1) is new
     harrison_dim(3, "regular", 3)
     assert sorted(ranked) == [2] * 4 + [3] * 5 and harrison._rank.cache_info().currsize == 4
+
+
+def test_each_content_block_is_relabeled_once_per_process(monkeypatch):
+    # _block_rank asks for a degree-(k+1) content once for each neighbouring
+    # degree-k shape; the cache relabels it on the first request only
+    requests = []
+    real = harrison._content_block
+
+    def recording(n, k, content):
+        requests.append((n, k, content))
+        return real(n, k, content)
+
+    cold_rank_cache()
+    monkeypatch.setattr(harrison, "_content_block", recording)
+    want = harrison_dim(2, "regular", 8)
+    assert want == fatpoint_tdim(2, 7)
+    assert real.cache_info().misses == len(set(requests)) < len(requests)
+    assert all(list(content) == sorted(content) for _, _, content in requests)  # one key per content
+    # the ranks forgotten and the blocks kept: the same requests again, and no miss
+    misses, asked = real.cache_info().misses, len(requests)
+    harrison._rank.cache_clear()
+    harrison._block_rank.cache_clear()
+    assert harrison_dim(2, "regular", 8) == want
+    assert requests[asked:] == requests[:asked] and real.cache_info().misses == misses
+
+
+# harrison_dim and hochschild_dim for every (m, k), m < 40, that harrison_dim admits
+# under budget 5000 (m^(k+1) <= 5000, and k + 1 <= 13 for one letter), recorded as
+# literals so that a changed rank fails by its arguments:
+# (m, k): (Harrison trivial, Harrison regular, Hochschild trivial, Hochschild regular)
+PINNED_5000 = {
+    (1, 1): (1, 1, 1, 1), (1, 2): (1, 1, 1, 1), (1, 3): (0, 0, 1, 1), (1, 4): (0, 0, 1, 1),
+    (1, 5): (0, 0, 1, 1), (1, 6): (0, 0, 1, 1), (1, 7): (0, 0, 1, 1), (1, 8): (0, 0, 1, 1),
+    (1, 9): (0, 0, 1, 1), (1, 10): (0, 0, 1, 1), (1, 11): (0, 0, 1, 1), (1, 12): (0, 0, 1, 1),
+    (2, 1): (2, 4, 2, 4), (2, 2): (3, 4, 4, 6), (2, 3): (2, 1, 8, 12), (2, 4): (3, 4, 16, 24),
+    (2, 5): (6, 9, 32, 48), (2, 6): (11, 16, 64, 96), (2, 7): (18, 25, 128, 192),
+    (2, 8): (30, 42, 256, 384), (2, 9): (56, 82, 512, 768), (2, 10): (105, 154, 1024, 1536),
+    (2, 11): (186, 267, 2048, 3072), (3, 1): (3, 9, 3, 9), (3, 2): (6, 15, 9, 24), (3, 3): (8, 18, 27, 72),
+    (3, 4): (18, 46, 81, 216), (3, 5): (48, 126, 243, 648), (3, 6): (124, 324, 729, 1944),
+    (4, 1): (4, 16, 4, 16), (4, 2): (10, 36, 16, 60), (4, 3): (20, 70, 64, 240),
+    (4, 4): (60, 220, 256, 960), (4, 5): (204, 756, 1024, 3840), (5, 1): (5, 25, 5, 25),
+    (5, 2): (15, 70, 25, 120), (5, 3): (40, 185, 125, 600), (5, 4): (150, 710, 625, 3000),
+    (6, 1): (6, 36, 6, 36), (6, 2): (21, 120, 36, 210), (6, 3): (70, 399, 216, 1260),
+    (7, 1): (7, 49, 7, 49), (7, 2): (28, 189, 49, 336), (7, 3): (112, 756, 343, 2352),
+    (8, 1): (8, 64, 8, 64), (8, 2): (36, 280, 64, 504), (8, 3): (168, 1308, 512, 4032),
+    (9, 1): (9, 81, 9, 81), (9, 2): (45, 396, 81, 720), (10, 1): (10, 100, 10, 100),
+    (10, 2): (55, 540, 100, 990), (11, 1): (11, 121, 11, 121), (11, 2): (66, 715, 121, 1320),
+    (12, 1): (12, 144, 12, 144), (12, 2): (78, 924, 144, 1716), (13, 1): (13, 169, 13, 169),
+    (13, 2): (91, 1170, 169, 2184), (14, 1): (14, 196, 14, 196), (14, 2): (105, 1456, 196, 2730),
+    (15, 1): (15, 225, 15, 225), (15, 2): (120, 1785, 225, 3360), (16, 1): (16, 256, 16, 256),
+    (16, 2): (136, 2160, 256, 4080), (17, 1): (17, 289, 17, 289), (17, 2): (153, 2584, 289, 4896),
+    (18, 1): (18, 324, 18, 324), (19, 1): (19, 361, 19, 361), (20, 1): (20, 400, 20, 400),
+    (21, 1): (21, 441, 21, 441), (22, 1): (22, 484, 22, 484), (23, 1): (23, 529, 23, 529),
+    (24, 1): (24, 576, 24, 576), (25, 1): (25, 625, 25, 625), (26, 1): (26, 676, 26, 676),
+    (27, 1): (27, 729, 27, 729), (28, 1): (28, 784, 28, 784), (29, 1): (29, 841, 29, 841),
+    (30, 1): (30, 900, 30, 900), (31, 1): (31, 961, 31, 961), (32, 1): (32, 1024, 32, 1024),
+    (33, 1): (33, 1089, 33, 1089), (34, 1): (34, 1156, 34, 1156), (35, 1): (35, 1225, 35, 1225),
+    (36, 1): (36, 1296, 36, 1296), (37, 1): (37, 1369, 37, 1369), (38, 1): (38, 1444, 38, 1444),
+    (39, 1): (39, 1521, 39, 1521),
+}
+
+
+def test_dimensions_past_the_default_budget_equal_the_pinned_table():
+    cases = [(m, k) for m in range(1, 40) for k in range(1, 14)
+             if all(m ** d <= 5000 and d <= 13 for d in (k, k + 1))]
+    assert sorted(PINNED_5000) == cases and len(cases) == 87
+    kinds = [(harrison_dim, "trivial"), (harrison_dim, "regular"),
+             (hochschild_dim, "trivial"), (hochschild_dim, "regular")]
+    cold_rank_cache()
+    wrong = [(dim.__name__, m, coeffs, k) for (m, k), want in PINNED_5000.items()
+             for (dim, coeffs), value in zip(kinds, want) if dim(m, coeffs, k, budget=5000) != value]
+    assert wrong == []
 
 
 # ----- a differential that is zero by construction builds nothing ----------

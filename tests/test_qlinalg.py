@@ -113,7 +113,7 @@ def _sparse_to_dense(vec, n):
 
 def kernel(m, ncols):
     """Echelon's kernel basis of dense rows m, as dense lists."""
-    return [_sparse_to_dense(v, ncols) for v in Echelon(m).kernel_basis(ncols)]
+    return [_sparse_to_dense(v, ncols) for v in Echelon(m).kernel_basis(range(ncols))]
 
 
 def random_rows(rng, rows, cols, density, rational=False):
@@ -194,7 +194,7 @@ def test_kernel_basis_is_free_column_normalized():
         cols = rng.randint(1, 6)
         m = random_matrix(rng, rng.randint(1, 5), cols)
         basis = kernel(m, cols)
-        free = Echelon(m).free_columns(cols)
+        free = Echelon(m).free_columns(range(cols))
         assert len(free) == len(basis)
         for t, v in enumerate(basis):
             for s, c in enumerate(free):
@@ -271,7 +271,7 @@ def test_mat_stack_vertical_empty_needs_columns():
         SparseMatrix(0, 4, [])
     empty = SparseMatrix(0, 4, [{}] * 4)
     assert (empty.rows, empty.cols, empty.rank()) == (0, 4, 0)
-    assert Echelon().free_columns(4) == [0, 1, 2, 3]
+    assert Echelon().free_columns(range(4)) == [0, 1, 2, 3]
 
 
 def test_mat_stack_vertical_rejects_column_mismatch():
@@ -287,7 +287,7 @@ def test_mat_rank_and_mat_kernel_dim_wrappers():
     rows = [[1, 0, 1], [0, 1, 1]]
     m = QMatrix(rows)
     assert (m.rows, m.cols, m.rank()) == (2, 3, 2)
-    assert Echelon(rows).free_columns(3) == [2]
+    assert Echelon(rows).free_columns(range(3)) == [2]
 
 
 def in_column_span(m, vec) -> bool:
@@ -326,9 +326,9 @@ def test_echelon_matches_the_dense_reference(rational):
         pivots, free, basis = reference_kernel(rows, ncols)
         span = Echelon(rows)
         assert span.rank == len(pivots)
-        assert span.free_columns(ncols) == free
-        assert [c for c in range(ncols) if c not in span.free_columns(ncols)] == pivots
-        assert [_sparse_to_dense(v, ncols) for v in span.kernel_basis(ncols)] == basis
+        assert span.free_columns(range(ncols)) == free
+        assert [c for c in range(ncols) if c not in span.free_columns(range(ncols))] == pivots
+        assert [_sparse_to_dense(v, ncols) for v in span.kernel_basis(range(ncols))] == basis
         assert QMatrix(rows).rank() == len(pivots)
 
 
@@ -337,13 +337,13 @@ def test_echelon_does_not_depend_on_the_row_order_or_scaling():
     for _ in range(60):
         ncols = rng.randint(1, 8)
         rows = random_rows(rng, rng.randint(1, 8), ncols, 0.5)
-        want = Echelon(rows).kernel_basis(ncols)
+        want = Echelon(rows).kernel_basis(range(ncols))
         mixed = []
         for row in rows:
             scale = Fraction(rng.choice([-2, 1, 5]), 3)
             mixed.append([x * scale for x in row])
         rng.shuffle(mixed)
-        assert Echelon({j: x for j, x in enumerate(row)} for row in mixed).kernel_basis(ncols) == want
+        assert Echelon({j: x for j, x in enumerate(row)} for row in mixed).kernel_basis(range(ncols)) == want
 
 
 def test_reduce_decides_span_membership():
@@ -382,7 +382,7 @@ def test_kernel_entries_are_ints_exactly_when_the_pivot_divides():
         nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
         rows = random_rows(rng, nrows, ncols, rng.choice([0.3, 0.6, 1.0]), rational=rng.random() < 0.3)
         _, free, want = reference_kernel(rows, ncols)
-        got = Echelon(rows).kernel_basis(ncols)
+        got = Echelon(rows).kernel_basis(range(ncols))
         assert [_sparse_to_dense(v, ncols) for v in got] == want
         for f, vec, ref in zip(free, got, want):
             assert vec[f] == 1 and type(vec[f]) is int
