@@ -14,10 +14,11 @@ structural counts (vertices, children) stay plain numbers.
 The JSON equals json.dumps(envelope, indent=2, sort_keys=True) but is
 written by _write_json: with indent set, json.dumps runs its pure-Python
 encoder, whose cost grows with nesting depth times output size. A series
-row is never joined into one string: its decimal strings go into the chunk
-list themselves, between shared separators, with no per-number quote or
-copy. main writes the chunks to stdout 4096 at a time (about 2048 numbers),
-and the human lines one at a time, so no answer is ever one string either.
+row is never joined into one string, in either mode: its decimal strings go
+into the chunk list themselves, between shared separators (_between), with
+no per-number quote or copy. main builds one chunk list, the JSON text or
+the human lines with their pieces spliced in, and writes it to stdout 256
+chunks at a time, so no answer is ever one string either.
 
 Every subcommand's options are declared once, in _COMMANDS. An argv made of
 exact spellings and valid values is read straight off that table. Anything
@@ -57,7 +58,7 @@ EXIT_CODES = {
 }
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 _MAX_I_ERROR = "--max-i must be at least 3"
-_BATCH = 4096  # JSON chunks per write to stdout
+_BATCH = 256  # chunks per write to stdout, in either mode
 
 
 def __getattr__(name):
@@ -92,6 +93,13 @@ def _decimal(items) -> bool:
     return text.isascii() and text.encode("ascii").isdigit()
 
 
+def _between(items, sep: str) -> list:
+    """The items with sep between each two of them, all by reference."""
+    pieces = [sep] * (2 * len(items) - 1)
+    pieces[::2] = items
+    return pieces
+
+
 def _write_json(value, out: list, newline: str = "\n") -> None:
     """Append json.dumps(value, indent=2, sort_keys=True) to out, byte for
     byte, in chunks; newline is a line break and the indent of value's last line.
@@ -114,10 +122,8 @@ def _write_json(value, out: list, newline: str = "\n") -> None:
     elif isinstance(value, (list, tuple)):
         inner, sep = newline + "  ", "[" + newline + "  "
         if _decimal(value):
-            pieces = ['",' + inner + '"'] * (2 * len(value) - 1)
-            pieces[::2] = value
             out.append(sep + '"')
-            out += pieces
+            out += _between(value, '",' + inner + '"')
             out.append('"' + newline + "]")
             return
         for item in value:
@@ -269,11 +275,12 @@ def cmd_series(args) -> tuple:
 def _series_lines(args, status: str, data: dict) -> list:
     if "error" in data:
         return [data["error"]]
-    order, q_row = data["order"], " ".join(data["q_coefficients"])  # shuffle_dims is the same row
+    # a row line is a list: its prefix, then the row's pieces (shuffle_dims is the Q row)
+    order, q_row = data["order"], _between(data["q_coefficients"], " ")
     return ["d = " + data["d"],
-            "shuffle dims of the (d-1)-dim fat point, k = 1..%d: %s" % (order, q_row),
-            "Q coefficients t^1..t^%d: %s" % (order, q_row),
-            "P coefficients t^1..t^%d (cotangent dims of the cone): %s" % (order, " ".join(data["p_coefficients"]))]
+            ["shuffle dims of the (d-1)-dim fat point, k = 1..%d: " % order, *q_row],
+            ["Q coefficients t^1..t^%d: " % order, *q_row],
+            ["P coefficients t^1..t^%d (cotangent dims of the cone): " % order, *_between(data["p_coefficients"], " ")]]
 
 
 def cmd_oracle(args) -> tuple:
@@ -447,27 +454,20 @@ def main(argv=None) -> int:
         status, data = "invalid-input", {"error": str(e), "error_code": e.code}
     except BudgetError as e:
         status, data = "budget-exceeded", {"error": str(e)}
+    out = []
     if args.json:
-        out = []
         _write_json({"schema": "1", "command": args.command, "status": status, **data}, out)
-        _print(out, "", _BATCH)
     else:
         lines = args.lines(args, status, data)
         if status != "ok":
             lines.append("status: %s" % status)
-        _print(lines, "\n", 1)  # a line may hold a whole series row
-    return EXIT_CODES[status]
-
-
-def _print(chunks: list, sep: str, batch: int) -> None:
-    """Write sep.join(chunks) and a newline to stdout, as print would, in
-    writes of `batch` chunks each, so that the whole answer is never one string."""
+        for line in _between(lines, "\n"):
+            out += line if type(line) is list else [line]  # a series row line comes in pieces
+    out.append("\n")
     write = sys.stdout.write
-    for start in range(0, len(chunks), batch):
-        if start:
-            write(sep)
-        write(sep.join(chunks[start:start + batch]))
-    write("\n")
+    for start in range(0, len(out), _BATCH):
+        write("".join(out[start:start + _BATCH]))
+    return EXIT_CODES[status]
 
 
 def console_main() -> int:

@@ -990,6 +990,19 @@ def test_a_write_boundary_inside_a_decimal_row_keeps_the_bytes(monkeypatch):
     assert '"p_coefficients": [' in writes[0] and '"q_coefficients"' not in writes[0]
 
 
+def test_a_human_series_row_is_written_in_pieces_with_the_same_bytes(monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(["series", "--d", "3", "--order", "5000"]) == 0
+    text = "".join(writes)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "36d66b49f6f7b73a75f6efe2dda658833853708aa84167000ce52854932ae26f")
+    # no write holds the whole P row, which one line of print would
+    _, data = cli.cmd_series(SimpleNamespace(d=3, order=5000))
+    p_row = " ".join(data["p_coefficients"])
+    assert p_row in text and not any(p_row in chunk for chunk in writes)
+
+
 @pytest.mark.parametrize("value", [
     {1, 2}, b"bytes", 1j, Fraction(1, 2), object(), {1: "key that is not a str"}, {None: 0},
     {"a": [1, {"b": {2}}]}, [0, {"c": (1, b"")}], ["a", b"x"], ("a", {1: "b"}),
