@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import series
 from .blowup import NotApplicableError, multiplicity_tree
 from .resgraph import NotRationalError, ResolutionGraph, is_reduced
-from .series import check_digits, cone_tdim
 
 
 # a dimension that is exact, or else a lower bound
@@ -71,7 +71,8 @@ def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
         return AnalysisReport(status="not-applicable", cycle=e.cycle, p_a=0,
                               mult=e.mult, reduced=is_reduced(e.cycle))
     mults = tree.multiplicities()
-    check_digits(max(mults), imax, len(mults))
+    series.check_digits(max(mults), imax, len(mults))
+    rows = {d: series.poincare_series(d, imax)[3:] for d in set(mults)}  # t^3..t^imax, read once
     sum_d, sum_b = sum(d - 1 for d in mults), sum(b - 1 for b in g.b)
     return AnalysisReport(
         status="ok",
@@ -80,7 +81,7 @@ def analyze(g: ResolutionGraph, imax: int = 6) -> AnalysisReport:
         mult=tree.mult,
         reduced=tree.reduced,
         tree=tree,
-        tdims={i: sum(cone_tdim(i, d) for d in mults) for i in range(3, imax + 1)},
+        tdims=dict(enumerate(map(sum, zip(*[rows[d] for d in mults])), 3)),
         t2=BoundedValue(sum((d - 1) * (d - 3) for d in mults), tree.reduced),
         codim_ac=BoundedValue(sum(d - 3 for d in mults), tree.reduced),
         gmd=ObstructionReport(sum_d, sum_b, sum_d >= sum_b),

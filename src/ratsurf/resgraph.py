@@ -17,12 +17,12 @@ every distinct failure mode.
 
 One loop per graph decides definiteness and finds the fundamental cycle,
 the smallest Z > 0 with Z.E_i <= 0 everywhere: Laufer's loop bumps the
-vertices that pair positively, from all ones on, and tracks Z.Z. On a
-connected graph -A is an irreducible symmetric Z-matrix, so the form is
-negative definite exactly when the loop ends with Z.Z < 0 (Berman &
+vertices that pair positively, from all ones on, and tracks Z.Z and Z.K.
+On a connected graph -A is an irreducible symmetric Z-matrix, so the form
+is negative definite exactly when the loop ends with Z.Z < 0 (Berman &
 Plemmons 1979, ch. 6); Z.Z >= 0 at any step means it is not. The graph
-keeps the Cycle with the pairings Z.E_i the loop ends with, so Z.Z, Z.K and
-the blow-up components read them by vertex index. The singularity is
+keeps the Cycle with the Z.E_i, Z.Z and Z.K the loop ends with, and the
+blow-up components read the pairings by vertex index. The singularity is
 rational when arithmetic_genus of Z is 0, and its multiplicity is then -Z.Z.
 
 is_negative_definite is the library's test for any dense symmetric int
@@ -228,11 +228,11 @@ class Cycle:
 
     coefficients maps each vertex id to its coefficient, in the graph's
     vertex order, and pairings[i] is Z.E_i for the vertex of index i. Both
-    are fixed when the cycle is built; every pairing read afterwards comes
-    from pairings.
+    are fixed when the cycle is built, and so are Z.Z and Z.K; every pairing
+    read afterwards comes from them.
     """
 
-    __slots__ = ("graph", "coefficients", "pairings")
+    __slots__ = ("graph", "coefficients", "pairings", "_zz", "_zk")
 
     def __init__(self, graph: ResolutionGraph, coefficients: dict) -> None:
         if set(coefficients) != set(graph.ids):
@@ -244,13 +244,15 @@ class Cycle:
         self.graph, self.coefficients = graph, dict(zip(graph.ids, a))
         self.pairings = [sum(mult * a[j] for j, mult in graph.neighbors(i).items()) - b * a[i]
                          for i, b in enumerate(graph.b)]
+        self._zz = sum(x * p for x, p in zip(a, self.pairings))
+        self._zk = sum(x * (b - 2) for x, b in zip(a, graph.b))
 
     def self_intersection(self) -> int:
-        return sum(a * p for a, p in zip(self.coefficients.values(), self.pairings))
+        return self._zz
 
     def canonical_pairing(self) -> int:
         """Z.K via adjunction on rational curves: sum a_i (b_i - 2)."""
-        return sum(a * (b - 2) for a, b in zip(self.coefficients.values(), self.graph.b))
+        return self._zk
 
     def __repr__(self) -> str:
         body = " ".join("%s:%d" % (vid, self.coefficients[vid]) for vid in self.graph.ids)
@@ -279,13 +281,13 @@ def _laufer(g: ResolutionGraph) -> Cycle:
     bs, adj = g.b, g._adj
     a = [1] * g.n
     pair = [sum(adj[i].values()) - b for i, b in enumerate(bs)]
-    zz = sum(pair)
+    zz, zk = sum(pair), sum(bs) - 2 * g.n
     todo = [i for i, p in enumerate(pair) if p > 0]
     budget = LOOP_BUDGET
     while zz < 0:
         if not todo:
             z = object.__new__(Cycle)
-            z.graph, z.coefficients, z.pairings = g, dict(zip(g.ids, a)), pair
+            z.graph, z.coefficients, z.pairings, z._zz, z._zk = g, dict(zip(g.ids, a)), pair, zz, zk
             return z
         i = todo.pop()
         b, p, row = bs[i], pair[i], adj[i]
@@ -296,6 +298,7 @@ def _laufer(g: ResolutionGraph) -> Cycle:
         a[i] += steps
         pair[i] = q = p - steps * b
         zz += steps * (p + q)  # (Z + sE_i)^2 = Z^2 + s(2 Z.E_i - s b_i)
+        zk += steps * (b - 2)
         for j, mult in row.items():
             x = pair[j]
             pair[j] = y = x + steps * mult

@@ -508,6 +508,31 @@ def test_analyze_at_the_digit_cap_builds_no_row_past_it(tmp_path, capsys, monkey
         cone_tdim.cache_clear()
 
 
+def test_a_cold_analyze_grows_each_multiplicitys_rows_at_most_once(tmp_path, capsys, monkeypatch):
+    # analyze reads one P row per distinct multiplicity, up to --max-i, in
+    # place of cone_tdim(i, d) for each i and d: on a cold cache the rows of
+    # each degree of a two-node tower grow once, and every T^i equals the
+    # cone_tdim sum it replaces
+    monkeypatch.setattr(series, "_CONE_ROWS", {})
+    build, grown = series._shuffle_row, []
+
+    def counted(m, order, row):
+        grown.append((m + 1, order))
+        return build(m, order, row)
+
+    monkeypatch.setattr(series, "_shuffle_row", counted)
+    code, raw = run(capsys, ["analyze", write(tmp_path, STAR_JSON), "--max-i", "84", "--json"])
+    mults = multiplicity_tree(parse_graph(STAR_JSON)).multiplicities()
+    assert code == 0 and mults == [6, 3]
+    assert sorted(grown) == [(3, 84), (6, 84)]
+    cone_tdim.cache_clear()
+    try:
+        assert json.loads(raw)["tdims"] == {str(i): str(sum(cone_tdim(i, d) for d in mults))
+                                            for i in range(3, 85)}
+    finally:
+        cone_tdim.cache_clear()
+
+
 def test_the_parser_is_built_on_first_use_and_reused(tmp_path, capsys):
     probe = "import ratsurf.cli as c; print(c._parser.cache_info().currsize)"
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -659,6 +659,35 @@ def test_cycle_pairings_by_index_equal_the_intersection_form():
     assert nodes > 100
 
 
+def test_z_z_and_z_k_equal_their_sums_on_generated_graphs_and_every_blow_up_component():
+    # Laufer's loop tracks Z.Z and Z.K through its bumps, and Cycle.__init__
+    # sums them once; both must equal the sums over the intersection form,
+    # for the fundamental cycle and for a cycle built by hand, on every
+    # generated graph and on every blow-up component beneath it
+    rng = random.Random(53)
+    graphs = []
+    for _ in range(800):
+        bs, edges = random_connected_form(rng)
+        try:
+            graphs.append(ResolutionGraph([("V%d" % i, b) for i, b in enumerate(bs)],
+                                          [("V%d" % i, "V%d" % j) for i, j in edges]))
+        except GraphError:
+            pass
+    graphs += random_trees(rng, 400)
+    components = bumped = 0
+    todo = list(graphs)
+    while todo:
+        g = todo.pop()
+        z = fundamental_cycle(g)
+        bumped += max(z.coefficients.values()) > 1
+        assert_pairings_match_the_form(z)
+        assert_pairings_match_the_form(Cycle(g, {vid: rng.randint(-3, 5) for vid in g.ids}))
+        comps = blowup_components(z)
+        todo += comps
+        components += len(comps)
+    assert len(graphs) >= 800 and components >= 1000 and bumped >= 300, (len(graphs), components, bumped)
+
+
 def test_resgraph_does_not_import_fractions():
     with open(resgraph.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())

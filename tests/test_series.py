@@ -308,13 +308,13 @@ def test_poincare_series_matches_fraction_reference():
 def test_cone_series_rejects_a_negative_coefficient():
     # a shuffle row too small for its degree drives P negative
     with pytest.raises(IntegralityError):
-        series.cone_series(5, [0, 0, 0, 0])
+        series.cone_series(5, [0, 0, 0, 0], [0])
 
 
 def test_cone_series_rejects_a_row_without_t1():
     for q in ([], [0]):
         with pytest.raises(ValueError, match="order >= 1"):
-            series.cone_series(3, q)
+            series.cone_series(3, q, [0])
 
 
 def test_cone_tdim_does_not_depend_on_call_order(monkeypatch):
@@ -345,8 +345,8 @@ def test_the_shared_row_cache_equals_fresh_builds(monkeypatch):
             monkeypatch.setattr(series, "_CONE_ROWS", {})
             cone_tdim.cache_clear()
             for kind, n in order:
-                q = series._shuffle_row(d - 1, n)
-                p = series.cone_series(d, q)
+                q = series._shuffle_row(d - 1, n, [0])
+                p = series.cone_series(d, q, [0])
                 assert p == want[: n + 1], (d, n)
                 if kind == "tdim":
                     assert cone_tdim(n, d) == p[n], (d, n)
@@ -362,27 +362,100 @@ def test_the_shared_row_cache_equals_fresh_builds(monkeypatch):
 def test_rows_past_the_digit_cap_still_double(monkeypatch):
     # below the cap a row grows to the cap at most; past it, as when a
     # library caller skips check_digits, it doubles, so i = cap+1, cap+2, ...
-    # rebuilds it O(log i) times and not once per i
+    # grows it O(log i) times and not once per i. Each growth appends only
+    # the coefficients past the row's end: the entries it had stay the same
+    # objects, so none is computed again
     monkeypatch.setattr(series, "MAX_DIGITS", 20)
     monkeypatch.setattr(series, "_CONE_ROWS", {})
     cap = int(20 / math.log10(2))  # 66 for d = 3
     built = []
 
-    def counted(m, order, build=series._shuffle_row):
-        built.append(order)
-        return build(m, order)
+    def counted(build):
+        def extend(*args):
+            row = args[-1]
+            old = row[:]
+            out = build(*args)
+            assert out is row and all(x is y for x, y in zip(old, row)) and len(row) > len(old)
+            built.append((build.__name__, len(old) - 1, len(row) - 1))
+            return out
+        return extend
 
-    monkeypatch.setattr(series, "_shuffle_row", counted)
+    monkeypatch.setattr(series, "_shuffle_row", counted(series._shuffle_row))
+    monkeypatch.setattr(series, "cone_series", counted(series.cone_series))
     cone_tdim.cache_clear()
     try:
         want = reference_poincare_series(3, cap + 200)
         assert [cone_tdim(i, 3) for i in range(1, cap + 1)] == want[1: cap + 1]
-        assert max(built) == cap
+        ends = [end for name, _, end in built if name == "_shuffle_row"]
+        assert [n for name, n, _ in built if name == "_shuffle_row"] == [0] + ends[:-1]
+        assert max(ends) == cap
         del built[:]
         assert [cone_tdim(i, 3) for i in range(cap + 1, cap + 201)] == want[cap + 1:]
-        assert built == [2 * cap, 4 * cap, 8 * cap]
+        assert built == [(name, n, 2 * n) for n in (cap, 2 * cap, 4 * cap)
+                         for name in ("_shuffle_row", "cone_series")]
     finally:
         cone_tdim.cache_clear()
+
+
+def test_extended_rows_equal_fresh_builds_in_any_request_order(monkeypatch):
+    # _cone_rows extends the cached Q and P from where they end: after every
+    # request both equal a build from [0] at their length and the reference,
+    # whether the orders rise, fall or come at random, and whether the rows
+    # stop at the digit cap or, past a lowered cap, keep doubling
+    rng = random.Random(39)
+    top = 60
+    doubled = past_cap = 0
+    for d in range(3, 13):
+        want_q = [0] + [reference_shuffle_dim(d - 1, k) for k in range(1, 2 * top + 1)]
+        want_p = reference_poincare_series(d, 2 * top)
+        orders = [rng.randint(1, top) for _ in range(10)]
+        for max_digits in (series.MAX_DIGITS, 10):
+            monkeypatch.setattr(series, "MAX_DIGITS", max_digits)
+            cap = int(max_digits / math.log10(d - 1))
+            for requests in (sorted(orders), sorted(orders, reverse=True), orders):
+                monkeypatch.setattr(series, "_CONE_ROWS", {})
+                for n in requests:
+                    assert poincare_series(d, n) == want_p[: n + 1], (d, n)
+                    q, p = series._CONE_ROWS[d]
+                    assert len(q) == len(p) > n
+                    assert q == series._shuffle_row(d - 1, len(q) - 1, [0]) == want_q[: len(q)], (d, n)
+                    assert p == series.cone_series(d, q, [0]) == want_p[: len(p)], (d, n)
+                    doubled += len(q) - 1 > n
+                    past_cap += len(q) - 1 > max(cap, n)
+    assert doubled >= 400 and past_cap >= 300, (doubled, past_cap)
+
+
+def test_a_growth_that_fails_leaves_both_rows_as_they_were(monkeypatch):
+    # an IntegralityError halfway through a growth, in Q or in P, leaves the
+    # cached pair of one length and unchanged, and the next request grows it
+    d = 4
+    want_p = reference_poincare_series(d, 30)
+    build = series._shuffle_row
+
+    def fails_halfway(m, order, row):
+        build(m, (len(row) - 1 + order) // 2, row)
+        raise IntegralityError("forced")
+
+    def drives_p_negative(m, order, row):
+        build(m, order, row)[order - 1] = -10 ** 30  # P fails at t^order, after t^(order-1)
+        return row
+
+    for bad, message in ((fails_halfway, "forced"), (drives_p_negative, r"t\^30 for d=4 is -")):
+        monkeypatch.setattr(series, "_CONE_ROWS", {})
+        monkeypatch.setattr(series, "_shuffle_row", bad)
+        with pytest.raises(IntegralityError, match=message):
+            poincare_series(d, 30)
+        assert d not in series._CONE_ROWS
+        monkeypatch.setattr(series, "_shuffle_row", build)
+        poincare_series(d, 10)
+        monkeypatch.setattr(series, "_shuffle_row", bad)
+        with pytest.raises(IntegralityError, match=message):
+            poincare_series(d, 30)
+        q, p = series._CONE_ROWS[d]
+        assert len(q) == len(p) == 11 and p == want_p[:11]
+        monkeypatch.setattr(series, "_shuffle_row", build)
+        assert poincare_series(d, 30) == want_p
+        assert len(series._CONE_ROWS[d][0]) == len(series._CONE_ROWS[d][1]) == 31
 
 
 def test_cone_tdim_known_values():
@@ -440,7 +513,7 @@ def test_coefficients_stay_under_the_digit_estimate():
     for d in list(range(3, 25)) + [100, 1001]:
         for order in (1, 2, 3, 4, 5, 8, 13, 40, 120):
             q = shuffle_dim_series(d, order)
-            assert max(q + series.cone_series(d, q)) < 10 * (d - 1) ** order, (d, order)
+            assert max(q + series.cone_series(d, q, [0])) < 10 * (d - 1) ** order, (d, order)
 
 
 def test_check_digits_caps_the_estimated_length():
@@ -462,15 +535,15 @@ def test_shuffle_row_matches_the_moebius_sum():
     rng = random.Random(10)
     for m in range(1, 31):
         order = rng.randint(1, 300) if m > 3 else 300
-        row = series._shuffle_row(m, order)
+        row = series._shuffle_row(m, order, [0])
         assert row == [0] + [reference_shuffle_dim(m, k) for k in range(1, order + 1)], m
 
 
 def test_a_shorter_shuffle_row_is_a_prefix_of_a_longer_one():
     for m in (1, 2, 3, 7, 30):
-        long = series._shuffle_row(m, 300)
+        long = series._shuffle_row(m, 300, [0])
         for order in (1, 2, 17, 150, 299):
-            assert series._shuffle_row(m, order) == long[: order + 1], (m, order)
+            assert series._shuffle_row(m, order, [0]) == long[: order + 1], (m, order)
         assert [shuffle_dim(m, k) for k in (1, 2, 60, 300)] == [long[k] for k in (1, 2, 60, 300)]
 
 
@@ -484,9 +557,9 @@ def test_shuffle_row_is_fast_at_the_digit_cap():
 def test_shuffle_row_guards_its_entries_and_arguments():
     # a rational m gives c_1 = m, not an integer: the guard must fire, not round
     with pytest.raises(IntegralityError, match="not an integer"):
-        series._shuffle_row(Fraction(3, 2), 4)
+        series._shuffle_row(Fraction(3, 2), 4, [0])
     with pytest.raises(ValueError):
-        series._shuffle_row(0, 5)
+        series._shuffle_row(0, 5, [0])
     with pytest.raises(ValueError):
         shuffle_dim_series(3, 0)
 
