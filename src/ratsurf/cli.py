@@ -14,11 +14,12 @@ structural counts (vertices, children) stay plain numbers.
 The JSON equals json.dumps(envelope, indent=2, sort_keys=True) but is
 written by _write_json: with indent set, json.dumps runs its pure-Python
 encoder, whose cost grows with nesting depth times output size. A series
-row is never joined into one string, in either mode: its decimal strings go
-into the chunk list themselves, between shared separators (_between), with
-no per-number quote or copy. main builds one chunk list, the JSON text or
-the human lines with their pieces spliced in, and writes it to stdout 256
-chunks at a time, so no answer is ever one string either.
+row is never joined into one string, in either mode: cmd_series builds it as
+a _Digits list, which the JSON writer knows by its type alone, and its
+decimal strings go into the chunk list themselves, between shared separators
+(_between), with no per-number quote or copy. main builds one chunk list,
+the JSON text or the human lines with their pieces spliced in, and writes it
+to stdout 256 chunks at a time, so no answer is ever one string either.
 
 Every subcommand's options are declared once, in _COMMANDS. An argv made of
 exact spellings and valid values is read straight off that table. Anything
@@ -78,19 +79,12 @@ def _num(x) -> str:
     return str(int(x))
 
 
-def _decimal(items) -> bool:
-    """True if the list or tuple items holds str alone, made of ASCII digits
-    and at least one of them, as str(int) writes non-negative ints: JSON
-    escapes none of them."""
-    if not items or type(items[0]) is not str:
-        return False
-    try:
-        text = "".join(items)
-    except TypeError:  # a later item that is not a str
-        return False
-    # bytes.isdigit is ASCII only; str.isdigit also takes superscripts and
-    # other scripts' digits, and looks each character up in the Unicode tables
-    return text.isascii() and text.encode("ascii").isdigit()
+class _Digits(list):
+    """A row of str(int) for nonnegative ints, which JSON escapes none of.
+    cmd_series builds its rows as this type, so _write_json knows one by its
+    type and never reads its items to decide."""
+
+    __slots__ = ()
 
 
 def _between(items, sep: str) -> list:
@@ -104,9 +98,10 @@ def _write_json(value, out: list, newline: str = "\n") -> None:
     """Append json.dumps(value, indent=2, sort_keys=True) to out, byte for
     byte, in chunks; newline is a line break and the indent of value's last line.
 
-    A row of decimal strings (_decimal) goes into out by reference, its
-    items alternating with one shared separator string, with no call, quote
-    or copy per item. Everything else is written item by item.
+    A nonempty _Digits row goes into out by reference, its items alternating
+    with one shared separator string, with no call, quote or copy per item.
+    Everything else, a plain list of decimal strings too, is written item by
+    item.
 
     Takes dicts with str keys, lists, tuples, str, int, float, bool and None,
     and raises TypeError on any other type."""
@@ -121,7 +116,7 @@ def _write_json(value, out: list, newline: str = "\n") -> None:
         out.append(newline + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         inner, sep = newline + "  ", "[" + newline + "  "
-        if _decimal(value):
+        if type(value) is _Digits and value:
             out.append(sep + '"')
             out += _between(value, '",' + inner + '"')
             out.append('"' + newline + "]")
@@ -260,15 +255,16 @@ def cmd_series(args) -> tuple:
     if args.order < 1:
         return "invalid-input", {"error": "--order must be at least 1"}
     series.check_digits(args.d, args.order)
-    # every coefficient is an int, so str renders it; the shuffle dims of the
-    # (d-1)-dim fat point are Q's coefficients
-    q_row = list(map(str, islice(series.shuffle_dim_series(args.d, args.order), 1, None)))
+    # every coefficient is a nonnegative int (series raises IntegralityError
+    # otherwise), so its str is ASCII digits; the shuffle dims of the (d-1)-dim
+    # fat point are Q's coefficients
+    q_row = _Digits(map(str, islice(series.shuffle_dim_series(args.d, args.order), 1, None)))
     return "ok", {
         "d": _num(args.d),
         "order": args.order,
         "shuffle_dims": q_row,
         "q_coefficients": q_row,
-        "p_coefficients": list(map(str, islice(series.poincare_series(args.d, args.order), 1, None))),
+        "p_coefficients": _Digits(map(str, islice(series.poincare_series(args.d, args.order), 1, None))),
     }
 
 

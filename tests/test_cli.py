@@ -964,18 +964,21 @@ class Text(str):
     """A str subclass, which json.dumps writes as the text it holds."""
 
 
-# rows like a decimal row that the writer must still quote item by item:
-# non-ASCII digits, a sign, a control character, a quote, and other types
+# items a plain row may hold that json.dumps quotes or escapes: non-ASCII
+# digits, a sign, a control character, a quote, and other types
 NEAR_MISSES = ("\u00b2", "\u0663", "\uff11", "-1", "1\n", '7"', None, 3, ["4"], {"5": "6"})
 
 
 def random_decimal_row(rng):
-    """A list or tuple of 1 to 300 decimal strings, with "" and str
-    subclasses among them; one in three has one item from NEAR_MISSES."""
-    row = []
-    for _ in range(rng.choice([1, 2, rng.randrange(1, 301)])):
-        text = str(rng.randint(0, 10 ** rng.randrange(1, 41)))
-        row.append(rng.choice([text, text, text, "", Text(text)]))
+    """A row of 1 to 300 decimal strings. Half are cli._Digits of str(int)
+    for nonnegative ints alone, as cmd_series builds them; the others are
+    plain lists or tuples with "" and str subclasses among the items, and
+    one in three of those has one item from NEAR_MISSES."""
+    size = rng.choice([1, 2, rng.randrange(1, 301)])
+    texts = [str(rng.randint(0, 10 ** rng.randrange(1, 41))) for _ in range(size)]
+    if rng.random() < 0.5:
+        return cli._Digits(texts)
+    row = [rng.choice([text, text, text, "", Text(text)]) for text in texts]
     if rng.random() < 1 / 3:
         row[rng.randrange(len(row))] = rng.choice(NEAR_MISSES)
     return row if rng.random() < 0.8 else tuple(row)
@@ -988,8 +991,10 @@ def test_json_writer_writes_decimal_rows_as_json_dumps():
         for _ in range(rng.randrange(3)):  # nested, so the row's indent varies
             value = {"row": value, "n": 1} if rng.random() < 0.5 else [value, "2"]
         assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
-    for row in (["0"], [""], ["", ""], ["", "1"], (Text("1"), "2"), ["1", Text("2")], ["12", "\u00b2"],
-                ["\u0663"], ["\uff11"], ["1", "-1"], ["1\n"], ['7"'], ["1", 2], ["1", None], ("1", ["2"])):
+    digits = cli._Digits
+    for row in (digits(["0"]), digits(["12", "0", "345"]), digits(), ["0"], ("1", "2"), [""], ["", ""],
+                ["", "1"], (Text("1"), "2"), ["1", Text("2")], ["12", "\u00b2"], ["\u0663"], ["\uff11"],
+                ["1", "-1"], ["1\n"], ['7"'], ["1", 2], ["1", None], ("1", ["2"])):
         assert json_text(row) == json.dumps(row, indent=2, sort_keys=True), row
 
 
@@ -1001,6 +1006,15 @@ def test_a_decimal_row_goes_into_the_output_by_reference():
     for key in ("shuffle_dims", "q_coefficients", "p_coefficients"):
         assert all(id(item) in written for item in data[key]), key
     assert "".join(out) == json.dumps(data, indent=2, sort_keys=True)
+    # plain list copies of the same rows, the same str objects, are quoted
+    # item by item: the type alone selects the path
+    plain = {**data, **{key: list(data[key]) for key in ("shuffle_dims", "q_coefficients", "p_coefficients")}}
+    plain_out = []
+    cli._write_json(plain, plain_out)
+    assert "".join(plain_out) == "".join(out)
+    written = {id(chunk) for chunk in plain_out}
+    for key in ("shuffle_dims", "q_coefficients", "p_coefficients"):
+        assert type(plain[key]) is list and not any(id(item) in written for item in plain[key]), key
 
 
 def test_a_write_boundary_inside_a_decimal_row_keeps_the_bytes(monkeypatch):

@@ -525,6 +525,19 @@ def test_brute_force_equals_the_closed_form_for_every_fat_point_in_budget():
     assert checked == 104
 
 
+def test_hochschild_equals_its_closed_forms_for_every_fat_point_in_budget():
+    # every m >= 2 with m^(k+1) within the default budget, and one letter up to degree 60:
+    # trivial coefficients keep every cochain, m^k; regular ones give 1 for m = 1, m^2 at
+    # k = 1 and (m^2 - 1) m^(k-1) above (the forms live here only, never in the engine)
+    pairs = [(m, k) for m in range(2, 40) for k in range(1, 11) if m ** (k + 1) <= harrison.DEFAULT_BUDGET]
+    pairs += [(1, k) for k in range(1, 61)]
+    assert len(pairs) == 121 and (38, 1) in pairs and (39, 1) not in pairs and (2, 9) in pairs
+    for m, k in pairs:
+        assert hochschild_dim(m, "trivial", k) == m ** k, (m, k)
+        regular = 1 if m == 1 else m ** 2 if k == 1 else (m ** 2 - 1) * m ** (k - 1)
+        assert hochschild_dim(m, "regular", k) == regular, (m, k)
+
+
 def test_every_coboundary_in_budget_ranks_alike_with_and_without_the_peel():
     # every fat point with m^(k+1) within the default budget, both complexes and both
     # coefficient kinds: the peeled rank equals elimination of the columns and of the rows
