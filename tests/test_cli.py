@@ -580,6 +580,26 @@ def complete_graph_json(n, b):
                        "edges": [[ids[i], ids[j]] for i in range(n) for j in range(i)]})
 
 
+def star_json(n):
+    """A b = n + 1 centre C with the n - 1 (-2)-leaves L1..L(n-1)."""
+    return json.dumps({"vertices": [{"id": "C", "b": n + 1}] + [{"id": "L%d" % i, "b": 2} for i in range(1, n)],
+                       "edges": [["C", "L%d" % i] for i in range(1, n)]})
+
+
+def chain_json(n, b):
+    """A chain E0..E(n-1) of n vertices, each of weight b."""
+    return json.dumps({"vertices": [{"id": "E%d" % i, "b": b} for i in range(n)],
+                       "edges": [["E%d" % i, "E%d" % (i + 1)] for i in range(n - 1)]})
+
+
+def fan_json(k):
+    """A b = k/2 hub C joined to each vertex of a b = 4 path P0..P(k-1): definite, with
+    cycles, so not rational."""
+    return json.dumps({"vertices": [{"id": "C", "b": k // 2}] + [{"id": "P%d" % i, "b": 4} for i in range(k)],
+                       "edges": [["C", "P%d" % i] for i in range(k)] + [["P%d" % i, "P%d" % (i + 1)]
+                                                                         for i in range(k - 1)]})
+
+
 def assert_budget_exceeded(capsys, path, error):
     code, raw = run(capsys, ["analyze", path, "--json"])
     assert code == 5
@@ -641,12 +661,6 @@ def test_blow_up_towers_under_the_tree_budget_print_the_whole_tree(tmp_path, cap
         for as_json, text in ((False, out), (True, raw)):
             if (arm, as_json) in Y_TOWER_SHA256:
                 assert hashlib.sha256(text.encode("utf-8")).hexdigest() == Y_TOWER_SHA256[arm, as_json]
-    # the largest tower under the budget: weight 125^2 * 126 / 2 = 984375
-    path = write(tmp_path, y_tower_json(124))
-    assert run(capsys, ["analyze", path])[0] == 0
-    code, raw = run(capsys, ["analyze", path, "--json"])
-    assert code == 0
-    assert raw == json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n"
 
 
 def test_blow_up_towers_past_the_tree_budget_exit_5(tmp_path, capsys):
@@ -723,12 +737,6 @@ def best_of_3_analyze(capsys, path):
 
 
 def test_large_graphs_analyze_in_bounded_time(tmp_path, capsys):
-    n = 20000
-    star = json.dumps({"vertices": [{"id": "C", "b": n + 1}] + [{"id": "L%d" % i, "b": 2} for i in range(1, n)],
-                       "edges": [["C", "L%d" % i] for i in range(1, n)]})
-    n = 3000
-    chain = json.dumps({"vertices": [{"id": "E%d" % i, "b": 3} for i in range(n)],
-                        "edges": [["E%d" % i, "E%d" % (i + 1)] for i in range(n - 1)]})
     # a hub with thousands of neighbours: m triangles sharing the hub, and a
     # hub joined to a b = 4 path; both are definite and have cycles, so they
     # are not rational
@@ -737,13 +745,10 @@ def test_large_graphs_analyze_in_bounded_time(tmp_path, capsys):
                                                                    for t in range(m) for x in "LM"],
                            "edges": [e for t in range(m) for e in (["C", "L%d" % t], ["C", "M%d" % t],
                                                                    ["L%d" % t, "M%d" % t])]})
-    k = 2000
-    fan = json.dumps({"vertices": [{"id": "C", "b": k // 2}] + [{"id": "P%d" % i, "b": 4} for i in range(k)],
-                      "edges": [["C", "P%d" % i] for i in range(k)] + [["P%d" % i, "P%d" % (i + 1)]
-                                                                        for i in range(k - 1)]})
     for name, text, status, limit in (("k120.json", complete_graph_json(120, 120), 3, 1.0),
-                                      ("star.json", star, 0, 0.3), ("chain.json", chain, 0, 0.3),
-                                      ("windmill.json", windmill, 3, 0.5), ("fan.json", fan, 3, 0.5)):
+                                      ("star.json", star_json(20000), 0, 0.3),
+                                      ("chain.json", chain_json(3000, 3), 0, 0.3),
+                                      ("windmill.json", windmill, 3, 0.5), ("fan.json", fan_json(2000), 3, 0.5)):
         path = write(tmp_path, text, name)
         factor = slowdown()
         code, best = best_of_3_analyze(capsys, path)

@@ -669,6 +669,21 @@ def test_zero_map_check_on_small_fat_points():
     assert zero_map_check(3, 2)
 
 
+def test_zero_map_check_beyond_the_default_budget():
+    start = time.perf_counter()
+    assert zero_map_check(2, 10, budget=5000) is True
+    assert time.perf_counter() - start < 10
+
+
+def test_the_package_exports_the_engine_by_m_and_a_coefficient_name():
+    # a fresh interpreter, so that any warning the package raises on import is an error
+    code = ("from ratsurf import harrison_dim, hochschild_dim\n"
+            "assert (harrison_dim(3, 'regular', 2), hochschild_dim(2, 'regular', 3)) == (15, 12)")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harrison.__file__))))
+    assert proc.returncode == 0, proc.stderr
+
+
 def kernel_of(matrix):
     """Right kernel of a sparse-column matrix, free-column normalized, through its rows."""
     return Echelon(row_dicts(matrix.columns)).kernel_basis(range(matrix.cols))
