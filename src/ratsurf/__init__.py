@@ -37,9 +37,7 @@ _EXPORTS = {
         "fatpoint_tdim",
     ),
     "harrison": (
-        "CochainSpace",
         "DEFAULT_BUDGET",
-        "coboundary_matrix",
         "harrison_dim",
         "hochschild_dim",
         "zero_map_check",

@@ -1,9 +1,8 @@
 """src/ holds what runs: every named function of the package is called by a
 shipped path, or it is on ALLOWED with its reason.
 
-A fresh interpreter runs, under sys.setprofile, every argv of test_cli's
-PINNED_RUNS in both output modes, one regular Hochschild oracle (nothing
-pinned reaches _hochschild_block_rank), one argv that goes through argparse, and
+A fresh interpreter runs, under sys.setprofile, the rows of test_cli_table
+that pin stdout's SHA-256 (each command and status in both output modes) and
 the demos. The named functions are the package's module functions and class
 methods and properties, lru_cache unwrapped; nested functions and
 comprehensions are not counted. The interpreter is fresh because the
@@ -53,13 +52,6 @@ ALLOWED = {
     "blowup.MultiplicityTree.__repr__": REPR,
     "ratsurf.__dir__": "library API: dir(ratsurf) lists the names that load on first access",
 }
-
-# extra argv beyond PINNED_RUNS, each in both output modes
-EXTRA_RUNS = [
-    ["oracle", "--m", "2", "--k", "3", "--coeffs", "regular", "--hochschild"],
-    ["series", "--ord", "5", "--d=4"],
-]
-
 
 def named_functions() -> dict:
     """{code object: "module.qualname"} of every named function whose code is in src/ratsurf."""
@@ -118,21 +110,16 @@ def census(argvs: list) -> dict:
             "uncalled": sorted(name for code, name in names.items() if code not in called)}
 
 
-def test_every_function_in_src_runs_or_is_allowed(tmp_path):
-    from ratsurf.acceptance import D4_JSON, FOUR_LEAF_B3_JSON, STAR_JSON
-    from test_cli import NON_REDUCED, PINNED_RUNS, y_tower_json
+def test_every_function_in_src_runs_or_is_allowed(tmp_path, monkeypatch):
+    from test_cli_table import ROWS, write_graphs
 
-    # the inputs PINNED_RUNS reads, written as test_cli_output_bytes_are_pinned writes them
-    for name, text in (("star.json", STAR_JSON), ("non-reduced.json", NON_REDUCED), ("d4.json", D4_JSON),
-                       ("not-rational.json", FOUR_LEAF_B3_JSON), ("broken.json", "{broken"),
-                       ("y125.json", y_tower_json(125))):
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    (tmp_path / "latin1.json").write_bytes(b'{"vertices": [{"id": "\xe9"}]}')
-    argvs = [argv + mode for argv in [run[0] for run in PINNED_RUNS] + EXTRA_RUNS for mode in ([], ["--json"])]
+    pinned = [row for row in ROWS if row.sha]
+    monkeypatch.chdir(tmp_path)
+    write_graphs(pinned)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS]))
     code = "import json, sys, test_census; print(json.dumps(test_census.census(json.load(sys.stdin))))"
-    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(argvs), capture_output=True,
-                          text=True, env=env, cwd=str(tmp_path), timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps([row.args.split() for row in pinned]),
+                          capture_output=True, text=True, env=env, cwd=str(tmp_path), timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout)
     names, uncalled = set(result["names"]), set(result["uncalled"])
