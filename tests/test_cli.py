@@ -758,15 +758,29 @@ def test_large_graphs_analyze_in_bounded_time(tmp_path, capsys):
         assert best < limit * factor, (name, best, factor)
 
 
+def test_cli_output_bytes_are_pinned(capsys, monkeypatch):
+    # test_rows_in_process checks the table's pinned rows; here, that they pin each command and exit code it
+    # reaches in both output modes (selftest --json holds timings), and that every other exit code is pinned
+    from test_cli_table import ROWS
+    pinned = {(row.args.split()[0], row.code, "--json" in row.args.split()) for row in ROWS if row.sha}
+    assert {(command, code, not as_json) for command, code, as_json in pinned} - {("selftest", 0, True)} <= pinned
+    assert {code for _, code, _ in pinned} == set(EXIT_CODES.values()) - {EXIT_CODES["failed"]}
+    # a brute-force count that disagrees with the closed formula: status failed
+    monkeypatch.setattr(cli, "harrison_dim", lambda *args, **kwargs: 0)
+    for argv, want in ((["oracle", "--m", "2", "--k", "3"],
+                        "c1c6d4079b2067d1aa0e88cd9657909ad5ab8028dc0eeb97fa01962e44c9766a"),
+                       (["oracle", "--m", "2", "--k", "3", "--json"],
+                        "62e25926f5a6f16598a4045f7d0ee27fbf2b3e59f4a90a1de62d1e925bc669dd")):
+        code, out = run(capsys, argv)
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (1, want), argv
+
+
 def test_injected_faults_print_pinned_bytes(tmp_path, capsys, monkeypatch):
     # faults no child process can show: (argv, patch, exit code, SHA-256 of the human output, of the --json output)
     monkeypatch.chdir(tmp_path)
     write(tmp_path, D4_JSON, "d4.json")
     write(tmp_path, STAR_JSON, "star.json")
     for argv, patch, code, human, as_json in (
-        (["oracle", "--m", "2", "--k", "3"], (cli, "harrison_dim", lambda *args, **kwargs: 0), 1,  # MISMATCH
-         "c1c6d4079b2067d1aa0e88cd9657909ad5ab8028dc0eeb97fa01962e44c9766a",
-         "62e25926f5a6f16598a4045f7d0ee27fbf2b3e59f4a90a1de62d1e925bc669dd"),
         (["analyze", "d4.json"], (resgraph, "LOOP_BUDGET", 2), 5,
          "d3f41151f1f4409bbd17dbdebe6fe49fe50dd9a27115903fc99c16b32d072889",
          "20cb2a3dba832f368da2b5f42babb18d52b7a28d5dc4ac03954029689643ef74"),
