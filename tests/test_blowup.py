@@ -32,17 +32,8 @@ from ratsurf.resgraph import (
     parse_graph,
 )
 from ratsurf.series import BudgetError
-from test_cli import y_tower_json
-from test_resgraph import reference_is_negative_definite, sparse_form
-
-
-def is_rational(g):
-    return arithmetic_genus(fundamental_cycle(g)) == 0
-
-
-def multiplicity(g):
-    assert is_rational(g)
-    return -fundamental_cycle(g).self_intersection()
+from test_cli_table import y_tower_json
+from test_resgraph import is_rational, multiplicity, reference_is_negative_definite, sparse_form
 
 
 def reduced_everywhere(tree):

@@ -17,7 +17,7 @@ import re
 import time
 
 from ratsurf import acceptance, cli
-from test_cli import y_tower_json
+from test_cli_table import y_tower_json
 
 ALLOWED = {0, 2, 3, 4, 5}
 
