@@ -4,8 +4,8 @@ Each criterion pits a package computation against an independent expectation:
 hand-expanded closed-form polynomials, hand-run fundamental-cycle
 computations, or the brute-force cohomology engine. run_all() executes them
 in order and reports one result per criterion; the selftest CLI subcommand
-and tests/test_acceptance.py both consume this registry, so the installed
-package can re-verify itself without the test tree.
+consumes this registry, so the installed package can re-verify itself
+without the test tree.
 
 The closed-form tables below are module-level data on purpose: tests corrupt
 an entry to prove a broken constant produces a named failure here.
@@ -314,28 +314,22 @@ CRITERIA = [
 ]
 
 
-def run_one(name: str) -> CriterionResult:
-    for cname, budget, func in CRITERIA:
-        if cname == name:
-            break
-    else:
-        raise ValueError("unknown criterion %r" % name)
-    start = time.monotonic()
-    try:
-        detail = func()
-        passed = True
-    except _Failure as e:
-        detail = str(e)
-        passed = False
-    except Exception as e:  # a crashed check is a failed check, with its reason
-        detail = "%s: %s" % (type(e).__name__, e)
-        passed = False
-    elapsed = time.monotonic() - start
-    if passed and budget is not None and elapsed > budget:
-        passed = False
-        detail = "correct but too slow: %.2f s against a %.0f s budget" % (elapsed, budget)
-    return CriterionResult(name=cname, passed=passed, detail=detail, elapsed=elapsed)
-
-
 def run_all() -> list:
-    return [run_one(name) for name, _, _ in CRITERIA]
+    results = []
+    for name, budget, func in CRITERIA:
+        start = time.monotonic()
+        try:
+            detail = func()
+            passed = True
+        except _Failure as e:
+            detail = str(e)
+            passed = False
+        except Exception as e:  # a crashed check is a failed check, with its reason
+            detail = "%s: %s" % (type(e).__name__, e)
+            passed = False
+        elapsed = time.monotonic() - start
+        if passed and budget is not None and elapsed > budget:
+            passed = False
+            detail = "correct but too slow: %.2f s against a %.0f s budget" % (elapsed, budget)
+        results.append(CriterionResult(name=name, passed=passed, detail=detail, elapsed=elapsed))
+    return results

@@ -83,6 +83,7 @@ def past_the_tree_budget(arm):
                 error="multiplicity tree: more than 1000000 units of vertices times depth")
 
 
+TOWERS = (1, 2, 20, 100)  # Y towers whose whole tree analyze prints
 GRAPHS = {  # the graph files that rows name (text, or bytes as they stand), written into the working directory first
     "surrogate.json": lambda: '{"vertices":[{"id":"\\ud800","b":3}],"edges":[]}',
     "latin1.json": lambda: b'{"vertices": [{"id": "\xe9"}]}', "broken.json": lambda: "{broken",
@@ -96,7 +97,7 @@ GRAPHS = {  # the graph files that rows name (text, or bytes as they stand), wri
     "huge-b-chain.json": lambda: chain_json(3000, 10 ** 200), "hub.json": lambda: fan_json(10000),
     **{"cone%d.json" % d: (lambda d=d: acceptance.cone_graph_json(d)) for d in (3, 12)},
     **{"k%d.json" % n: (lambda n=n: complete_graph_json(n, n)) for n in (120, 160)},
-    **{"y%d.json" % arm: (lambda arm=arm: y_tower_json(arm)) for arm in (20, 100, 124, 125, 340, 600, 14500)},
+    **{"y%d.json" % arm: (lambda arm=arm: y_tower_json(arm)) for arm in TOWERS + (124, 125, 340, 600, 14500)},
     **{"heavy%d.json" % n: (lambda n=n: heavy_chain_json(n, n)) for n in (300, 1500)},
     "nested.json": lambda: "[" * 100000,
     "big-int.json": lambda: '{"vertices":[{"id":"A","b":%s}],"edges":[]}' % ("9" * 5000),
@@ -137,6 +138,10 @@ PINNED = """
 3 9dea2b65f877effe62941ae99695377a02982aa868635fe56b896de09955a681 analyze heavy300.json --json
 3 8b59429d2257539c2d506e5c2f32a026c3f02ec6c29d62a471566083dc207a93 analyze k160.json
 3 73f704259bfd3e4122110cdab7064cca3e059a0308850f04d06b28a313fbfc9f analyze k160.json --json
+0 82a632c386587bf075ce57e0d37cfd2ffcad5d936c6f67d96035f6ec4739ce46 analyze y1.json
+0 618ef93cba68620132371dc2cfe28cdc126c0b12dbbf77c9510723045c15dbef analyze y1.json --json
+0 97ae2e1917291a59ed763d53093850eef13a03e5112d2e7a2b0f38f0c9d49a14 analyze y2.json
+0 eb69d908b3dfd0bdce212555ac814057f3d36ebc4a4b48de9599b5f0e8bbda81 analyze y2.json --json
 0 ab085e422aed21ca2f0a8298728563d6affedee9351a7b4f16199d7482d8571e analyze y20.json
 0 dd8816e2d7b7937eb8eb6a0b200110fa4dcfea33a22b8b6f1dedc48962bd9a96 analyze y20.json --json
 0 f79944671e33f552ce382335655c47ef664f2b4cd24e5da150428d5c6d30d7c3 analyze y100.json
@@ -333,6 +338,11 @@ CHECKS = [  # (name, the rows whose outputs it reads, JSON parsed, and its test)
     ("selftest --json passes the criteria that selftest passes, in its order", ("selftest", "selftest --json"),
      lambda text, doc: ["PASS " + c["name"] for c in doc["criteria"] if c["passed"]]
      == [line.split(" (")[0] for line in text.split("\n") if line.startswith("PASS ")]),
+    ("a Y tower's tree is a path of arm + 1 reduced mult-3 nodes, and its T^4 is arm + 1",
+     tuple("analyze y%d.json%s" % (arm, mode) for arm in TOWERS for mode in ("", " --json")),
+     lambda *outs: all([line for line in text.split("\n") if "- mult" in line]
+                       == ["  " * depth + "- mult 3 (reduced)" for depth in range(1, arm + 2)]
+                       and doc["tdims"]["4"] == str(arm + 1) for arm, text, doc in zip(TOWERS, outs[::2], outs[1::2]))),
     ("oracle's --budget help names the default that its refusals print", ("oracle --help", "oracle --m 4 --k 9 --json"),
      lambda text, doc: "(default %s)" % doc["error"].rsplit(" ", 1)[1] in " ".join(text.split())),
 ]

@@ -23,7 +23,8 @@ def test_the_demos_are_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_exits_0_without_a_mismatch(path):
+    # -W error: any warning that the package or the demo raises fails the run
     env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, path], capture_output=True, text=True, env=env, timeout=60)
+    out = subprocess.run([sys.executable, "-W", "error", path], capture_output=True, text=True, env=env, timeout=10)
     assert out.returncode == 0, out.stdout[-500:] + out.stderr[-2000:]
     assert "MISMATCH" not in out.stdout + out.stderr

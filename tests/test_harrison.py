@@ -448,13 +448,6 @@ def test_block_ranks_go_through_the_invariance_check(monkeypatch):
         cold_rank_cache()  # drop any block rank the unsigned image computed
 
 
-def test_fat_point_harrison_with_algebra_coefficients():
-    table = {(2, 1): 4, (2, 2): 1, (2, 3): 4, (3, 1): 15, (3, 2): 18}
-    for (m, i), want in table.items():
-        assert harrison_dim(m, "regular", i + 1) == want
-        assert want == fatpoint_tdim(m, i)
-
-
 # ----- the general reference on algebras known by other means --------------
 
 def test_hypersurface_harrison_dimensions():
@@ -480,12 +473,6 @@ def test_hochschild_of_truncated_polynomial_rings():
     assert [reference_hochschild_dim(dual, "regular", k) for k in (1, 2, 3, 4)] == [1, 1, 1, 1]
     cubic = truncated_polynomial_algebra(2)
     assert [reference_hochschild_dim(cubic, "regular", k) for k in (1, 2, 3)] == [2, 2, 2]
-
-
-def test_hochschild_of_fat_point_trivial_coefficients():
-    # differential vanishes, so every reduced cochain survives
-    for k in (1, 2, 3):
-        assert hochschild_dim(2, "trivial", k) == 2 ** k
 
 
 def test_harrison_is_at_most_hochschild():
@@ -661,12 +648,6 @@ def test_partitions_equal_a_brute_force_enumeration():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=5,
                           env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harrison.__file__))))
     assert proc.stdout == "[(%d,)]\n" % 10 ** 18, proc.stderr
-
-
-def test_zero_map_check_on_small_fat_points():
-    assert zero_map_check(2, 2)
-    assert zero_map_check(2, 3)
-    assert zero_map_check(3, 2)
 
 
 def test_zero_map_check_beyond_the_default_budget():

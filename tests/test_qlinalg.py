@@ -99,10 +99,6 @@ def is_zero(m):
     return not any(x for row in m for x in row)
 
 
-def is_symmetric(m):
-    return all(len(row) == len(m) for row in m) and transpose(m) == m
-
-
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
@@ -230,15 +226,12 @@ def test_leading_principal_minors():
     assert m.leading_principal_minor(3) == m.det()
 
 
-def test_symmetry_and_zero_predicates():
-    assert is_symmetric([[1, 2], [2, 3]])
-    assert not is_symmetric([[1, 2], [0, 3]])
-    assert not is_symmetric([[1, 2, 3], [2, 3, 4]])
+def test_is_zero_tells_the_zero_matrix_from_the_identity():
     assert is_zero(zero(3, 3))
     assert not is_zero(identity(2))
 
 
-def test_mat_stack_vertical_rank_bounds():
+def test_the_rank_of_stacked_rows_lies_between_the_larger_rank_and_the_sum():
     # stacking the rows of A and B: max(rank A, rank B) <= rank <= rank A + rank B
     rng = random.Random(10)
     for _ in range(60):
@@ -250,13 +243,13 @@ def test_mat_stack_vertical_rank_bounds():
         assert rank == len(reference_echelon(a + b, cols)[1])
 
 
-def test_mat_stack_vertical_duplicate_rows():
+def test_a_repeated_row_adds_no_rank():
     assert Echelon([[1, 2], [1, 2]]).rank == 1
     span = Echelon()
     assert span.add([1, 2]) and not span.add({0: 1, 1: 2}) and span.rank == 1
 
 
-def test_mat_stack_vertical_empty_needs_columns():
+def test_a_matrix_with_no_rows_declares_its_columns_all_free():
     # a matrix with no rows still declares its columns, all of them free
     with pytest.raises(ValueError):
         SparseMatrix(0, 4, [])
@@ -265,7 +258,7 @@ def test_mat_stack_vertical_empty_needs_columns():
     assert Echelon().free_columns(range(4)) == [0, 1, 2, 3]
 
 
-def test_mat_stack_vertical_rejects_column_mismatch():
+def test_ragged_rows_float_entries_and_short_column_lists_are_refused():
     with pytest.raises(ValueError):
         QMatrix([[0, 0], [0, 0, 0]])
     with pytest.raises(TypeError):
@@ -274,7 +267,7 @@ def test_mat_stack_vertical_rejects_column_mismatch():
         SparseMatrix(1, 3, [{}, {}])
 
 
-def test_mat_rank_and_mat_kernel_dim_wrappers():
+def test_qmatrix_shape_and_rank_and_the_echelon_free_columns():
     rows = [[1, 0, 1], [0, 1, 1]]
     m = QMatrix(rows)
     assert (m.rows, m.cols, m.rank()) == (2, 3, 2)
