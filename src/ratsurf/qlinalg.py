@@ -37,17 +37,6 @@ from collections.abc import Iterable  # site has loaded it at startup already
 from math import gcd, lcm
 
 
-def as_fraction(x):
-    """Coerce int/Fraction to Fraction, rejecting anything inexact."""
-    from fractions import Fraction
-
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError("exact scalar expected (int or Fraction), got %r" % (x,))
-
-
 def _make_primitive(row: dict) -> None:
     g = gcd(*row.values())
     if g != 1:
@@ -197,7 +186,12 @@ class QMatrix:
     __slots__ = ("rows", "cols", "_a")
 
     def __init__(self, rows: list) -> None:
-        self._a = [[as_fraction(x) for x in row] for row in rows]
+        from fractions import Fraction
+
+        for x in (x for row in rows for x in row):
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise TypeError("exact scalar expected (int or Fraction), got %r" % (x,))
+        self._a = [[Fraction(x) for x in row] for row in rows]
         self.rows = len(self._a)
         self.cols = len(self._a[0]) if self._a else 0
         if any(len(row) != self.cols for row in self._a):

@@ -38,7 +38,6 @@ ALLOWED = {
     "qlinalg.QMatrix.rank": TRACER,
     "qlinalg.QMatrix.det": TRACER,
     "qlinalg.QMatrix.leading_principal_minor": TRACER,
-    "qlinalg.as_fraction": TRACER,
     "harrison.CochainSpace.__init__": TRACER,
     "harrison.CochainSpace.coords_of": TRACER,
     "harrison.CochainSpace._locate": TRACER,

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from ratsurf import qlinalg
-from ratsurf.qlinalg import Echelon, QMatrix, SparseMatrix, as_fraction
+from ratsurf.qlinalg import Echelon, QMatrix, SparseMatrix
 
 
 # ----- reference oracle: dense Gaussian elimination over Fractions ----------
@@ -90,8 +90,6 @@ def transpose(m):
 
 
 def matmul(a, b):
-    if any(len(row) != len(b) for row in a):
-        raise ValueError("shape mismatch in product")
     return [[sum(x * y for x, y in zip(row, col)) for col in transpose(b)] for row in a]
 
 
@@ -121,18 +119,6 @@ def random_rows(rng, rows, cols, density, rational=False):
             row.append(Fraction(x, rng.randint(1, 6)) if rational else x)
         out.append(row)
     return out
-
-
-def test_as_fraction_accepts_exact_scalars():
-    assert as_fraction(3) == Fraction(3)
-    assert as_fraction(Fraction(2, 7)) == Fraction(2, 7)
-
-
-def test_as_fraction_rejects_floats_and_bools():
-    with pytest.raises(TypeError):
-        as_fraction(1.5)
-    with pytest.raises(TypeError):
-        as_fraction(True)
 
 
 def test_rank_identity_and_zero():
@@ -188,13 +174,11 @@ def test_kernel_basis_is_free_column_normalized():
                 assert v[c] == (1 if s == t else 0)
 
 
-def test_matmul_and_shape_errors():
+def test_matmul_multiplies_rows_by_columns():
     # the dense product the determinant and kernel tests rely on
     a = [[1, 2], [3, 4]]
     b = [[0, 1], [1, 0]]
     assert matmul(a, b) == [[2, 1], [4, 3]]
-    with pytest.raises(ValueError):
-        matmul(a, [[1, 2, 3]])
 
 
 def test_det_known_values():
@@ -261,42 +245,18 @@ def test_a_matrix_with_no_rows_declares_its_columns_all_free():
 def test_ragged_rows_float_entries_and_short_column_lists_are_refused():
     with pytest.raises(ValueError):
         QMatrix([[0, 0], [0, 0, 0]])
-    with pytest.raises(TypeError):
-        QMatrix([[0, 0.5]])
+    for inexact in ([[0, 0.5]], [[True]]):  # True == 1, yet it is no exact scalar
+        with pytest.raises(TypeError):
+            QMatrix(inexact)
     with pytest.raises(ValueError):
         SparseMatrix(1, 3, [{}, {}])
 
 
 def test_qmatrix_shape_and_rank_and_the_echelon_free_columns():
-    rows = [[1, 0, 1], [0, 1, 1]]
+    rows = [[1, 0, Fraction(1, 2)], [0, 1, 1]]
     m = QMatrix(rows)
     assert (m.rows, m.cols, m.rank()) == (2, 3, 2)
     assert Echelon(rows).free_columns(range(3)) == [2]
-
-
-def in_column_span(m, vec) -> bool:
-    """Is vec (a sequence, or a dict row -> value) a combination of the columns of m?"""
-    nrows = m.rows if isinstance(m, SparseMatrix) else len(m)
-    if not isinstance(vec, dict) and len(vec) != nrows:
-        raise ValueError("vector length must match row count")
-    columns = m.columns if isinstance(m, SparseMatrix) else transpose(m)
-    return not Echelon(columns).reduce(vec)
-
-
-def test_in_column_span():
-    m = [[1, 0], [0, 1], [0, 0]]
-    assert in_column_span(m, [3, -2, 0])
-    assert not in_column_span(m, [0, 0, 1])
-    assert in_column_span(zero(2, 3), [0, 0])
-
-
-def test_in_column_span_on_random_combinations():
-    rng = random.Random(12)
-    for _ in range(40):
-        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        coeffs = [rng.randint(-3, 3) for _ in m[0]]
-        vec = [sum(c * x for c, x in zip(coeffs, row)) for row in m]
-        assert in_column_span(m, vec)
 
 
 # ----- the sparse integer core against the reference ------------------------
@@ -355,7 +315,7 @@ def test_sparse_matrix_agrees_with_the_dense_matrix():
         vec = {i: x for i, x in enumerate(random_rows(rng, 1, nrows, 0.5)[0]) if x}
         dense_vec = _sparse_to_dense(vec, nrows)
         inside = len(reference_echelon(transpose(rows) + [dense_vec], nrows)[1]) == len(pivots)
-        assert in_column_span(sparse, vec) == inside
+        assert (not Echelon(sparse.columns).reduce(vec)) == inside
 
 
 def test_kernel_entries_are_ints_exactly_when_the_pivot_divides():
